@@ -222,7 +222,7 @@ def hit_ball_from_distance(
     near = max(D - r, model.phi.domain_floor)
     lower = lo_c * cap_shape * model.phi(far) / model.V(far)
     upper = hi_c * cap_shape * model.phi(near) / model.V(near)
-    return BoundPair(min(lower, upper), upper, "hit-ball", source)
+    return BoundPair(lower, upper, "hit-ball", source)
 
 
 def q_bound(model: KernelModel, r: float, t: float, side: str, table=None) -> float:

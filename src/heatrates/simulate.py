@@ -14,13 +14,15 @@ over grid points overestimate path infima and underestimate path suprema
 for jump processes.  Consumers account for that directionally.
 
 Randomness comes from numpy's counter-based Philox generator; replica r of
-an experiment with master seed s uses key s XOR r, so replicas are
+an experiment with master seed s, both in [0, 2^64), uses the 128-bit key
+s + r 2^64, so distinct (s, r) pairs get distinct keys and replicas are
 independent, order-free, and individually regenerable.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,7 +101,7 @@ class PathSkeleton:
 
     times: np.ndarray
     positions: np.ndarray  # shape (len(times), dim)
-    seed: int
+    seed: int  # the Philox key the path was drawn with
     model_id: str
     scheme_label: str
 
@@ -118,9 +120,17 @@ class PathSkeleton:
         return self.positions.shape[1]
 
 
+def _replica_key(seed: int, replica: int = 0) -> int:
+    """The 128-bit Philox key seed + replica * 2^64; both in [0, 2^64)."""
+    seed, replica = operator.index(seed), operator.index(replica)
+    if not (0 <= seed < 2**64 and 0 <= replica < 2**64):
+        raise PreconditionError("seed and replica must lie in [0, 2^64)")
+    return seed + (replica << 64)
+
+
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
-    """Counter-based generator for one replica (key = seed XOR replica)."""
-    return np.random.Generator(np.random.Philox(key=seed ^ replica))
+    """Counter-based generator for one replica (key seed + replica * 2^64)."""
+    return np.random.Generator(np.random.Philox(key=_replica_key(seed, replica)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +226,7 @@ def sample_path(
     return PathSkeleton(
         times=times,
         positions=positions,
-        seed=seed ^ replica,
+        seed=_replica_key(seed, replica),
         model_id=model.model_id,
         scheme_label=scheme.label,
     )

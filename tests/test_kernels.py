@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from heatrates import kernels as kn
 from heatrates.errors import PreconditionError, UnsupportedModelError
@@ -154,8 +155,6 @@ class TestExactLaws:
         # term-by-term closed form of the subordination mixture:
         # p_t(r) = sum_k (-1)^(k+1) G(kg+1) sin(pi k g)/(pi k!) t^k
         #          * pi^(-d/2) 4^(kg) G(d/2+kg) r^(-d-2kg),  g = alpha/2
-        from scipy import special
-
         def series(alpha, d, t, r, terms=18):
             g = alpha / 2
             acc, sign, fact = 0.0, 1.0, 1.0
@@ -170,11 +169,68 @@ class TestExactLaws:
                 sign = -sign
             return acc
 
-        m = kn.from_id("stable:1.5,3")
-        for t, r in [(1.0, 10.0), (1.0, 50.0), (4.0, 150.0)]:
+        cases = [(1.5, 3, t, r, 1e-7) for t, r in [(1.0, 10.0), (1.0, 50.0), (4.0, 150.0)]]
+        # alpha near 2: eta carries w^(-gamma/(1-gamma)) = w^(-19), which must not overflow
+        cases += [(1.9, d, t, 20.0 * t ** (1 / 1.9), 1e-9) for d in (1, 2, 3) for t in (1.0, 2.5)]
+        for alpha, d, t, r, tol in cases:
+            m = kn.from_id(f"stable:{alpha:g},{d}")
             assert kn.density(m, t, r) == pytest.approx(
-                series(1.5, 3, t, r), rel=1e-7
-            )
+                series(alpha, d, t, r), rel=tol
+            ), (alpha, d, t, r)
+
+    @pytest.mark.parametrize("alpha, tol", [(0.8, 1e-8), (1.5, 1e-8), (1.8, 1e-8), (1.9, 1e-4)])
+    def test_density_routes_agree_at_switch(self, alpha, tol):
+        # Fourier inversion and the subordination rule overlap around the
+        # switch at r = 3 t^(1/alpha); near alpha = 2 the rule must resolve
+        # the steep flank of the subordinator density
+        t = 1.7
+        for dim in (1, 2, 3):
+            for reach in (2.5, 3.0, 4.0):
+                r = reach * t ** (1 / alpha)
+                assert kn._stable_density_subordination(alpha, dim, t, r) == pytest.approx(
+                    kn._stable_density_radial(alpha, dim, t, r), rel=tol
+                ), (dim, reach)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("reach", [5.0, 20.0])
+    def test_far_tail_alpha_near_two(self, dim, reach):
+        m = kn.from_id(f"stable:1.9,{dim}")
+        t = 1.5
+        r = reach * t ** (1 / 1.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = kn.density(m, t, r)
+            sf = kn.radial_sf(m, t, r)
+            cdf = kn.radial_cdf(m, t, r)
+        assert all(math.isfinite(v) for v in (p, sf, cdf))
+        assert p > 0
+        assert sf + cdf == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_far_band_cauchy_closed_forms(self, dim):
+        # stable:1,d is the d-dimensional Cauchy law
+        m = kn.from_id(f"stable:1,{dim}")
+        for t, r in [(0.5, 2.0), (1.0, 12.0), (3.0, 1e3)]:
+            p = special.gamma((dim + 1) / 2) * math.pi ** (-(dim + 1) / 2) * t / (
+                t * t + r * r
+            ) ** ((dim + 1) / 2)
+            sf = {
+                1: 2 / math.pi * math.atan(t / r),
+                2: t / math.hypot(t, r),
+                3: 2 / math.pi * (math.atan(t / r) + t * r / (t * t + r * r)),
+            }[dim]
+            assert kn.density(m, t, r) == pytest.approx(p, rel=1e-8)
+            assert kn.radial_sf(m, t, r) == pytest.approx(sf, rel=1e-8)
+
+    def test_eta1_against_levy(self):
+        # gamma = 1/2: eta(w) = w^(-3/2) exp(-1/(4w)) / (2 sqrt(pi)); one array
+        # call on both sides of the series switch at w = 4
+        w = np.array([1e-6, 0.02, 0.3, 1.0, 3.5, 3.999, 4.0, 4.001, 6.0, 50.0, 1e6])
+        log_levy = -1.5 * np.log(w) - 0.25 / w - math.log(2.0 * math.sqrt(math.pi))
+        log_eta = kn._log_eta1(0.5, w)
+        assert log_eta == pytest.approx(log_levy, rel=1e-12)
+        moderate = w > 0.01
+        assert np.exp(log_eta[moderate]) == pytest.approx(np.exp(log_levy[moderate]), rel=1e-12)
 
 
 class TestTailProbability:

@@ -51,6 +51,18 @@ class TestDeterminism:
         b = sim.sample_path(CAUCHY, 4.0, sim.UniformGrid(0.5), seed=1, replica=1)
         assert not np.array_equal(a.positions, b.positions)
 
+    def test_swapped_seed_and_replica_differ(self):
+        # a seed XOR replica key would give both pairs the key 1
+        a = sim.sample_path(CAUCHY, 4.0, sim.UniformGrid(0.5), seed=1, replica=0)
+        b = sim.sample_path(CAUCHY, 4.0, sim.UniformGrid(0.5), seed=0, replica=1)
+        assert not np.array_equal(a.positions, b.positions)
+        assert (a.seed, b.seed) == (1, 2**64)
+
+    @pytest.mark.parametrize("seed, replica", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_key_out_of_range(self, seed, replica):
+        with pytest.raises(PreconditionError):
+            sim.replica_rng(seed, replica)
+
     def test_skeleton_invariants(self):
         p = sim.sample_path(GAUSS3, 4.0, sim.UniformGrid(0.5), seed=3)
         assert p.positions[0].tolist() == [0.0, 0.0, 0.0]
