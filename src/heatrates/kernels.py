@@ -340,10 +340,12 @@ def _quad(f, a, b, **kw):
 # (alpha = 1, d = 1..3) to 1e-14, the term-by-term far-tail series
 # (alpha = 1.5, 1.9) to 3e-13, and adaptive quadrature of the same integrand
 # to 3e-11 up to alpha = 1.8 and 2e-5 at alpha = 1.9 (4e-3 at alpha = 1.95,
-# where the flank outruns both rules).  The sf matches Cauchy to 3e-9: the
-# mass of v beyond the last knot, which more nodes do not recover.  The
-# array eta matches the Levy law (gamma = 1/2) to 1e-13 on both sides of the
-# switch.
+# where the flank outruns both rules).  Beyond the last knot the sf takes the
+# subordinator's own mass P(S_t > v), the tail series integrated term by
+# term: without it the sf was low by about exp(-40 gamma) (6e-5 at
+# alpha = 0.5); with it it matches Cauchy to 3e-15 and a rule reaching
+# center + 200 to 2e-15 at alpha = 0.5.  The array eta matches the Levy law
+# (gamma = 1/2) to 1e-13 on both sides of the switch.
 
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(384)
 _ETA_SERIES_FROM = 4.0
@@ -353,6 +355,13 @@ _SUB_PEAK_KNOTS = np.array([-1.0, 0.0])
 _SUB_U, _SUB_U_W = np.polynomial.legendre.leggauss(32)
 
 
+def _eta_series_coef(gamma: float) -> np.ndarray:
+    """c_k of the tail series eta(w) = sum_k c_k w^(-k gamma - 1), k = 1..21."""
+    k = _ETA_SERIES_K
+    coef = (-1.0) ** (k + 1) * special.gamma(k * gamma + 1.0) / special.gamma(k + 1.0)
+    return coef * np.sin(math.pi * k * gamma) / math.pi
+
+
 def _log_eta1(gamma: float, w: np.ndarray) -> np.ndarray:
     """Log density at each w > 0 of the standard positive gamma-stable law."""
     g1 = 1.0 - gamma
@@ -360,10 +369,10 @@ def _log_eta1(gamma: float, w: np.ndarray) -> np.ndarray:
     out = np.empty_like(log_w)
     tail = log_w >= math.log(_ETA_SERIES_FROM)
     k = _ETA_SERIES_K
-    coef = (-1.0) ** (k + 1) * special.gamma(k * gamma + 1.0) / special.gamma(k + 1.0)
-    coef *= np.sin(math.pi * k * gamma) / math.pi
     lw = log_w[tail]
-    out[tail] = -(1.0 + gamma) * lw + np.log(np.exp(np.outer(lw, -(k - 1.0) * gamma)) @ coef)
+    out[tail] = -(1.0 + gamma) * lw + np.log(
+        np.exp(np.outer(lw, -(k - 1.0) * gamma)) @ _eta_series_coef(gamma)
+    )
     u = 0.5 * math.pi * (_GL_U + 1.0)
     log_a = (gamma * np.log(np.sin(gamma * u)) + g1 * np.log(np.sin(g1 * u)) - np.log(np.sin(u))) / g1
     lw = log_w[~tail]
@@ -375,7 +384,8 @@ def _log_eta1(gamma: float, w: np.ndarray) -> np.ndarray:
 
 
 def _subordination_rule(alpha: float, dim: int, t: float, r: float):
-    """Nodes v of the log-v rule and weights W_i eta_t(v_i) v_i (dv = v dx)."""
+    """Nodes v of the log-v rule, weights W_i eta_t(v_i) v_i (dv = v dx), and
+    log w = log(v / t^(1/gamma)) at the rule's upper end (at least 40)."""
     gamma = 0.5 * alpha
     log_scale = math.log(t) / gamma
     center = max(math.log(r * r / (2.0 * dim)), log_scale)
@@ -383,19 +393,28 @@ def _subordination_rule(alpha: float, dim: int, t: float, r: float):
     half = 0.5 * np.diff(knots)[:, None]
     x = (knots[:-1, None] + half * (_SUB_U + 1.0)).ravel()
     weights = (half * _SUB_U_W).ravel()
-    return np.exp(x), weights * np.exp(_log_eta1(gamma, np.exp(x - log_scale)) + x - log_scale)
+    eta_v = np.exp(_log_eta1(gamma, np.exp(x - log_scale)) + x - log_scale)
+    return np.exp(x), weights * eta_v, knots[-1] - log_scale
 
 
 def _stable_density_subordination(alpha: float, dim: int, t: float, r: float) -> float:
     """p_t(r) = int (4 pi v)^(-d/2) exp(-r^2/4v) eta_t(v) dv (far-tail safe)."""
-    v, w = _subordination_rule(alpha, dim, t, r)
+    v, w, _ = _subordination_rule(alpha, dim, t, r)
     return float(w @ np.exp(-0.5 * dim * np.log(4.0 * math.pi * v) - r * r / (4.0 * v)))
 
 
 def _stable_sf_subordination(alpha: float, dim: int, t: float, r: float) -> float:
-    """P(|X_t| > r) through the subordination mixture (positive integrand)."""
-    v, w = _subordination_rule(alpha, dim, t, r)
-    return min(max(float(w @ special.chdtrc(dim, r * r / (2.0 * v))), 0.0), 1.0)
+    """P(|X_t| > r) through the subordination mixture (positive integrand).
+
+    Beyond the rule's end chdtrc(dim, r^2 / 2v) is 1 to within e^(-20 dim),
+    so that part of the mixture is the subordinator's own survival
+    P(S_1 > w) = sum_k c_k w^(-k gamma) / (k gamma), the tail series of eta
+    integrated term by term.
+    """
+    v, w, log_w_end = _subordination_rule(alpha, dim, t, r)
+    k_gamma = _ETA_SERIES_K * (0.5 * alpha)
+    beyond = float(np.exp(-k_gamma * log_w_end) @ (_eta_series_coef(0.5 * alpha) / k_gamma))
+    return min(max(float(w @ special.chdtrc(dim, r * r / (2.0 * v))) + beyond, 0.0), 1.0)
 
 
 #: beyond this many envelope lengths the Fourier inversion cancels badly

@@ -122,23 +122,22 @@ class ScalingFunction:
         self._verify_envelope(g, vals)
 
     def _verify_envelope(self, g: np.ndarray, vals: np.ndarray) -> None:
-        n = len(g)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if len(pairs) > MAX_PAIR_CHECKS:
-            rng = np.random.default_rng(0)
-            idx = rng.choice(len(pairs), MAX_PAIR_CHECKS, replace=False)
-            pairs = [pairs[k] for k in idx]
+        i, j = np.triu_indices(len(g), k=1)
+        if i.size > MAX_PAIR_CHECKS:
+            idx = np.random.default_rng(0).choice(i.size, MAX_PAIR_CHECKS, replace=False)
+            i, j = i[idx], j[idx]
         env = self.envelope
-        for i, j in pairs:
-            span = g[j] / g[i]
-            ratio = vals[j] / vals[i]
-            lo = env.c_lo * span**env.d_lo
-            hi = env.c_hi * span**env.d_hi
-            if ratio < lo * (1 - GRID_RTOL) or ratio > hi * (1 + GRID_RTOL):
-                raise PreconditionError(
-                    f"{self.name or 'scaling function'}: envelope violated at "
-                    f"(r={g[i]:g}, R={g[j]:g}): ratio={ratio:g} outside [{lo:g}, {hi:g}]"
-                )
+        span = g[j] / g[i]
+        ratio = vals[j] / vals[i]
+        lo = env.c_lo * span**env.d_lo
+        hi = env.c_hi * span**env.d_hi
+        bad = (ratio < lo * (1 - GRID_RTOL)) | (ratio > hi * (1 + GRID_RTOL))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise PreconditionError(
+                f"{self.name or 'scaling function'}: envelope violated at "
+                f"(r={g[i[k]]:g}, R={g[j[k]]:g}): ratio={ratio[k]:g} outside [{lo[k]:g}, {hi[k]:g}]"
+            )
 
     def _eval_checked(self, r: float) -> float:
         v = float(self.evaluator(r))
@@ -177,13 +176,11 @@ def fit_envelope(
     g = log_grid(domain_floor, domain_floor * 10.0**GRID_DECADES)
     logs = np.log(np.array([float(evaluator(r)) for r in g]))
     lg = np.log(g)
-    slopes = []
-    n = len(g)
-    for i in range(n):
-        for j in range(i + 1, n):
-            slopes.append((logs[j] - logs[i]) / (lg[j] - lg[i]))
-    d_lo, d_hi = min(slopes), max(slopes)
-    return Envelope(c_lo=1.0 - margin, d_lo=d_lo, c_hi=1.0 + margin, d_hi=d_hi)
+    i, j = np.triu_indices(len(g), k=1)
+    slopes = (logs[j] - logs[i]) / (lg[j] - lg[i])
+    return Envelope(
+        c_lo=1.0 - margin, d_lo=float(slopes.min()), c_hi=1.0 + margin, d_hi=float(slopes.max())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +282,13 @@ def inverse(
     """Solve f(t) = y for increasing f, to relative tolerance 1e-12.
 
     Uses the exact inverse when the function carries one and no explicit
-    bracket was requested; otherwise bisects (monotone-safe, no smoothness
-    assumed), capped at 200 iterations.
+    bracket was requested.  Otherwise it takes the given bracket, or
+    gallops out from t = 1 to find one, and runs regula falsi on
+    (log t, log f(t) - log y) with the Illinois modification (Dowell &
+    Jarratt 1971).  A bisection step in log t replaces every interpolated
+    point that is unusable, so the bracket stays valid and no smoothness is
+    assumed.  Returns the first point t with |f(t) - y| <= 1e-12 y, or the
+    middle of the bracket after 200 steps.
     """
     if f.monotonicity != INCREASING:
         raise PreconditionError("inverse requires an increasing function")
@@ -296,42 +298,92 @@ def inverse(
     if bracket is None and f.exact_inverse is not None:
         return float(f.exact_inverse(y))
     if bracket is None:
-        bracket = _auto_bracket(f, y)
-
-    lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo, f_hi = f._eval_checked(lo), f._eval_checked(hi)
-    if not (f_lo <= y * (1 + _INVERSE_RTOL) and f_hi >= y * (1 - _INVERSE_RTOL)):
-        raise BracketError(
-            f"bracket [{lo:g}, {hi:g}] maps to [{f_lo:g}, {f_hi:g}], "
-            f"which does not straddle y={y:g}"
-        )
-    for _ in range(_INVERSE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        v = f._eval_checked(mid)
+        lo, f_lo, hi, f_hi = _auto_bracket(f, y)
+    else:
+        lo, hi = float(bracket[0]), float(bracket[1])
+        f_lo, f_hi = f._eval_checked(lo), f._eval_checked(hi)
+        if not (f_lo <= y * (1 + _INVERSE_RTOL) and f_hi >= y * (1 - _INVERSE_RTOL)):
+            raise BracketError(
+                f"bracket [{lo:g}, {hi:g}] maps to [{f_lo:g}, {f_hi:g}], "
+                f"which does not straddle y={y:g}"
+            )
+    for t, v in ((lo, f_lo), (hi, f_hi)):
         if abs(v - y) <= _INVERSE_RTOL * y:
-            return mid
+            return t
+
+    # from here f(lo) < y < f(hi); g is log f - log y, -inf where f <= 0
+    log_y = math.log(y)
+    g_lo = math.log(f_lo) - log_y if f_lo > 0.0 else -math.inf
+    g_hi = math.log(f_hi) - log_y
+    kept = 0  # +1 / -1 when the last step kept lo / hi
+    for _ in range(_INVERSE_MAX_ITER):
+        t = math.nan
+        if lo > 0.0 and g_lo > -math.inf:
+            x_lo, x_hi = math.log(lo), math.log(hi)
+            t = math.exp(x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo))
+        if not lo < t < hi:
+            t = _split(lo, hi)
+            if not lo < t < hi:
+                break  # the bracket is two adjacent floats
+        v = f._eval_checked(t)
+        if abs(v - y) <= _INVERSE_RTOL * y:
+            return t
+        g = math.log(v) - log_y if v > 0.0 else -math.inf
         if v < y:
-            lo = mid
+            lo, g_lo = t, g
+            if kept < 0:
+                g_hi *= 0.5  # hi kept twice in a row: halve its weight
+            kept = -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, g_hi = t, g
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
+    return _split(lo, hi)
 
 
-def _auto_bracket(f: ScalingFunction, y: float) -> tuple[float, float]:
-    lo = hi = 1.0
-    for _ in range(200):
-        if f._eval_checked(lo) <= y:
-            break
-        lo /= 2.0
-    else:
-        raise BracketError(f"could not bracket y={y:g} from below")
-    for _ in range(200):
-        if f._eval_checked(hi) >= y:
-            break
-        hi *= 2.0
-    else:
-        raise BracketError(f"could not bracket y={y:g} from above")
-    return lo, hi
+def _split(lo: float, hi: float) -> float:
+    """Bisection point of [lo, hi]: the middle in log t when lo > 0."""
+    return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * (lo + hi)
+
+
+#: the bracketing gallop multiplies t by a factor that starts at 2 and
+#: squares at every step, up to this cap
+_GALLOP_MAX_STEP = 2.0**64
+
+
+def _auto_bracket(f: ScalingFunction, y: float) -> tuple[float, float, float, float]:
+    """(lo, f(lo), hi, f(hi)) with f(lo) < y <= f(hi) or f(lo) <= y < f(hi).
+
+    Starts at t = 1, so functions only defined above 1 are never evaluated
+    below it, and gallops towards y; the last point passed becomes the other
+    end.  A step that leaves the float range, in t or in f(t), is retried
+    from the same t with the square root of its factor; once the factor is
+    down to 1, BracketError.
+    """
+    t, v = 1.0, f._eval_checked(1.0)
+    up = v < y
+    step = 2.0
+    while True:
+        nt = t * step if up else t / step
+        if nt == t:
+            side = "above" if up else "below"
+            raise BracketError(
+                f"could not bracket y={y:g} from {side}: no finite value past t={t:g}"
+            )
+        nv = None
+        if 0.0 < nt < math.inf:
+            try:
+                nv = f._eval_checked(nt)
+            except (OverflowError, EvaluationError):
+                pass
+        if nv is None:
+            step = math.sqrt(step)
+            continue
+        if (nv >= y) if up else (nv <= y):
+            return (t, v, nt, nv) if up else (nt, nv, t, v)
+        t, v = nt, nv
+        step = min(step * step, _GALLOP_MAX_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +423,6 @@ class RateCandidate:
                 raise PreconditionError(f"{self.recipe} recipe requires nonincreasing g")
             if self.phi.monotonicity != INCREASING:
                 raise PreconditionError("phi must be increasing for inverse recipes")
-
-    def evaluate(self, t: float) -> float:
-        return evaluate_rate(self, t)
 
 
 def evaluate_rate(candidate: RateCandidate, t: float) -> float:
@@ -433,11 +482,20 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
     if domain_floor <= 1.0:
         raise PreconditionError("powerlog needs domain_floor > 1 (log r must be positive)")
 
+    name = f"powerlog:{exponent:g},{log_exponent:g}"
+
+    def log_r(r):
+        # below r = 1, (log r)**q is complex or of alternating sign
+        lr = math.log(r)
+        if lr < 0.0:
+            raise EvaluationError(f"{name}: undefined at r={r:g} (log r < 0)")
+        return lr
+
     def ev(r, p=exponent, q=log_exponent):
-        return r**p * math.log(r) ** q
+        return r**p * log_r(r) ** q
 
     def log_ev(r, p=exponent, q=log_exponent):
-        return p * math.log(r) + q * math.log(math.log(r))
+        return p * math.log(r) + q * math.log(log_r(r))
 
     sample = [ev(domain_floor), ev(domain_floor * 10**GRID_DECADES)]
     mono = INCREASING if sample[1] >= sample[0] else DECREASING
@@ -446,7 +504,7 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
         monotonicity=mono,
         envelope=fit_envelope(ev, domain_floor),
         domain_floor=domain_floor,
-        name=f"powerlog:{exponent:g},{log_exponent:g}",
+        name=name,
         log_evaluator=log_ev,
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -220,7 +221,26 @@ class TestExactLaws:
                 3: 2 / math.pi * (math.atan(t / r) + t * r / (t * t + r * r)),
             }[dim]
             assert kn.density(m, t, r) == pytest.approx(p, rel=1e-8)
-            assert kn.radial_sf(m, t, r) == pytest.approx(sf, rel=1e-8)
+            assert kn.radial_sf(m, t, r) == pytest.approx(sf, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [5.0, 12.0])
+    def test_far_tail_sf_keeps_subordinator_mass(self, r):
+        # reference: the same mixture on unit windows in log v up to
+        # center + 200, where the subordinator mass left out is below 1e-20
+        alpha, dim, t = 0.5, 3, 1.0
+        gamma = alpha / 2
+        log_scale = math.log(t) / gamma
+        center = max(math.log(r * r / (2 * dim)), log_scale)
+        knots = np.unique(np.concatenate([
+            np.arange(center - 40.0, center + 200.5, 1.0), log_scale + np.array([-1.0, 0.0])
+        ]))
+        u, uw = np.polynomial.legendre.leggauss(32)
+        half = 0.5 * np.diff(knots)[:, None]
+        x = (knots[:-1, None] + half * (u + 1.0)).ravel()
+        eta_v = np.exp(kn._log_eta1(gamma, np.exp(x - log_scale)) + x - log_scale)
+        ref = float(((half * uw).ravel() * eta_v) @ special.chdtrc(dim, r * r / (2 * np.exp(x))))
+        m = kn.from_id(f"stable:{alpha:g},{dim}")
+        assert kn.radial_sf(m, t, r) == pytest.approx(ref, rel=1e-10)
 
     def test_eta1_against_levy(self):
         # gamma = 1/2: eta(w) = w^(-3/2) exp(-1/(4w)) / (2 sqrt(pi)); one array
@@ -314,6 +334,25 @@ class TestClassifyLongRun:
 
     def test_recurrent_one_dim_diffusive(self):
         assert kn.classify_long_run(kn.from_id("stablelike:1,2"))[0] == kn.RECURRENT
+
+    def test_inverse_cost_per_integrand_evaluation(self):
+        # phi = powerlog has no exact inverse, so each integrand evaluation
+        # 1 / V(phi^-1(t)) solves phi(r) = t; V is evaluated once per call
+        calls = {"V": 0, "phi": 0}
+
+        def counted(f, key):
+            def ev(r):
+                calls[key] += 1
+                return f.evaluator(r)
+
+            return dataclasses.replace(f, evaluator=ev)
+
+        m = kn.from_id("jump:power:2;powerlog:1.5,1")
+        m = dataclasses.replace(m, V=counted(m.V, "V"), phi=counted(m.phi, "phi"))
+        calls.update(V=0, phi=0)
+        assert kn.classify_long_run(m)[0] == kn.TRANSIENT
+        assert calls["V"] == 5040  # 240 blocks of one 21-point Gauss-Kronrod rule
+        assert calls["phi"] < 25 * calls["V"]
 
 
 class TestCompHeat:

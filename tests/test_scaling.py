@@ -53,6 +53,68 @@ class TestScalingFunctionConstruction:
                 assert ratio <= env.c_hi * span**env.d_hi * (1 + 1e-9)
 
 
+def _pair_loop_fit(evaluator, domain_floor):
+    # reference: the pairwise slope sweep as one Python loop over grid pairs
+    g = sc.log_grid(domain_floor, domain_floor * 10.0**sc.GRID_DECADES)
+    logs = np.log(np.array([float(evaluator(r)) for r in g]))
+    lg = np.log(g)
+    slopes = [
+        (logs[j] - logs[i]) / (lg[j] - lg[i])
+        for i in range(len(g))
+        for j in range(i + 1, len(g))
+    ]
+    return min(slopes), max(slopes)
+
+
+def _pair_loop_violation(ev, env, name, domain_floor=1e-6):
+    # reference: the first violating grid pair, in i-major order, as a message
+    g = sc.log_grid(domain_floor, domain_floor * 10.0**sc.GRID_DECADES)
+    vals = [ev(r) for r in g]
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            span, ratio = g[j] / g[i], vals[j] / vals[i]
+            lo, hi = env.c_lo * span**env.d_lo, env.c_hi * span**env.d_hi
+            if ratio < lo * (1 - sc.GRID_RTOL) or ratio > hi * (1 + sc.GRID_RTOL):
+                return (
+                    f"{name}: envelope violated at (r={g[i]:g}, R={g[j]:g}): "
+                    f"ratio={ratio:g} outside [{lo:g}, {hi:g}]"
+                )
+    return None
+
+
+class TestBroadcastEnvelope:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sc.powerlog(1.5, 1.0),
+            lambda: sc.powerlog(0.0, -0.7),
+            lambda: sc.exp_decay(0.25, 2.0),
+            lambda: sc.loglog_g(1.0),
+            lambda: sc.iterated_log_g(0.5),
+        ],
+    )
+    def test_fit_matches_pair_loop(self, build):
+        f = build()
+        d_lo, d_hi = _pair_loop_fit(f.evaluator, f.domain_floor)
+        assert (f.envelope.d_lo, f.envelope.d_hi) == (d_lo, d_hi)
+
+    @pytest.mark.parametrize(
+        "ev, env",
+        [
+            (lambda r: r**2, sc.Envelope(0.5, 1.0, 2.0, 1.0)),  # too steep
+            (lambda r: r**1.5, sc.Envelope(1.0, 1.6, 1.0, 2.0)),  # too shallow
+            # kinked: only pairs whose R lies past the kink at r = 10 break it
+            (lambda r: r if r < 10.0 else 10.0 * (r / 10.0) ** 1.3, sc.Envelope(1.0, 1.0, 1.1, 1.2)),
+        ],
+    )
+    def test_violation_names_first_pair(self, ev, env):
+        expected = _pair_loop_violation(ev, env, "probe")
+        assert expected is not None
+        with pytest.raises(PreconditionError) as info:
+            sc.ScalingFunction(ev, sc.INCREASING, env, name="probe")
+        assert str(info.value) == expected
+
+
 class TestCheckDoubling:
     def test_power_law_identity(self):
         alpha = 1.7
@@ -160,6 +222,75 @@ class TestInverse:
         ys = np.linspace(1.0, 100.0, 25)
         ts = [sc.inverse(f, float(y), bracket=(1e-3, 50.0)) for y in ys]
         assert all(a < b for a, b in zip(ts, ts[1:]))
+
+    def test_evaluations_per_solve(self):
+        # powerlog has no exact inverse: gallop from 1, then regula falsi
+        base = sc.powerlog(1.5, 1.0)
+        calls = [0]
+
+        def ev(r):
+            calls[0] += 1
+            return base.evaluator(r)
+
+        f = sc.ScalingFunction(ev, sc.INCREASING, base.envelope, domain_floor=2.0)
+        for y in np.geomspace(1e2, 1e300, 16):
+            calls[0] = 0
+            t = sc.inverse(f, float(y))
+            assert calls[0] <= 40, (y, calls[0])
+            assert abs(base(t) - y) <= 1e-12 * y
+
+    def test_target_beyond_two_to_the_200(self):
+        # the root sits near 2^200: a doubling search capped there missed it
+        f = sc.powerlog(1.2, 0.6)
+        y = 64.0 * 2.0**240
+        t = sc.inverse(f, y)
+        assert t > 2.0**190
+        assert abs(f(t) - y) <= 1e-12 * y
+
+    def test_evaluator_overflow_past_root(self):
+        # the gallop overshoots into math.exp overflow and backs off
+        f = sc.ScalingFunction(
+            math.exp, sc.INCREASING, sc.fit_envelope(math.exp, 1e-8), domain_floor=1e-8
+        )
+        for y in (1e2, 1e250, 1e307):
+            t = sc.inverse(f, y)
+            assert abs(math.exp(t) - y) <= 1e-12 * y
+
+    @pytest.mark.parametrize(
+        "ev, y",
+        [(lambda r: r / (1.0 + r), 2.0), (lambda r: 1.0 + r / (1.0 + r), 0.5)],
+    )
+    def test_unreachable_target(self, ev, y):
+        f = sc.ScalingFunction(ev, sc.INCREASING, sc.fit_envelope(ev, 1e-6))
+        with pytest.raises(BracketError):
+            sc.inverse(f, y)
+
+    def test_kinked_piecewise_power(self):
+        # continuous, increasing, with slope jumps at r = 10 and r = 1e3
+        def ev(r):
+            if r <= 10.0:
+                return r**0.5
+            if r <= 1e3:
+                return 10.0**0.5 * (r / 10.0) ** 4
+            return 10.0**8.5 * (r / 1e3) ** 1.1
+
+        f = sc.ScalingFunction(ev, sc.INCREASING, sc.fit_envelope(ev, 1e-3), domain_floor=1e-3)
+        ys = np.concatenate([np.geomspace(1e-2, 1e12, 40), [ev(10.0), ev(1e3)]])
+        for y in ys:
+            for bracket in (None, (1e-6, 1e10)):
+                t = sc.inverse(f, float(y), bracket=bracket)
+                assert abs(ev(t) - y) <= 1e-12 * y, (y, bracket)
+
+
+class TestPowerlogDomain:
+    def test_below_one_raises(self):
+        # (log r)**q is complex below r = 1
+        f = sc.powerlog(1.5, 0.9)
+        assert f(1.0) == 0.0
+        with pytest.raises(EvaluationError, match="r=0.9"):
+            f(0.9)
+        with pytest.raises(EvaluationError, match="r=0.5"):
+            f.log_value(0.5)
 
 
 class TestRateCandidates:
