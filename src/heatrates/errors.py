@@ -28,7 +28,3 @@ class UnsupportedRegimeError(HeatratesError):
 class DomainError(HeatratesError):
     """The requested quantity does not exist for this model (e.g. an
     infinite Green function for a recurrent process)."""
-
-
-class CalibrationError(HeatratesError):
-    """Missing or stale calibration data."""

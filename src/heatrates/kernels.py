@@ -8,6 +8,12 @@ forms are supported:
     sub-gaussian     p ~ t^(-a/b) exp(-c0 (d/t^(1/b))^(b/(b-1)))
     two-sided-jump   p ~ 1/V(phi^-1(t)) AND t/(V(d) phi(d))  (general V, phi)
 
+The exact law, when a model has one, is one law object (GaussianLaw,
+CauchyLaw or StableLaw) with the same four methods: density(t, d),
+cdf(t, r), sf(t, r) and increments(dts, rng).  The public functions
+density, radial_cdf and radial_sf check their preconditions and then hand
+over to it; simulate.sample_increments draws from it.
+
 Convention fixed across the package: the isotropic alpha-stable law has
 characteristic function exp(-t |xi|^alpha).  Hence alpha = 2 is Gaussian
 with per-coordinate variance 2t and heat kernel
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,10 +51,6 @@ STABLE_LIKE = "stable-like"
 SUB_GAUSSIAN = "sub-gaussian"
 TWO_SIDED_JUMP = "two-sided-jump"
 
-LAW_GAUSSIAN = "gaussian"
-LAW_CAUCHY = "cauchy1d"
-LAW_STABLE = "stable-numeric"
-
 TRANSIENT = "transient"
 RECURRENT = "recurrent"
 INCONCLUSIVE_CLASS = "inconclusive"
@@ -62,17 +65,16 @@ class KernelModel:
     """Immutable heat-kernel specification.
 
     ``c_lo``/``c_hi`` are the declared comparability constants bracketing
-    density/envelope; calibration sharpens them (see calibration module)
-    without mutating the model.
+    density/envelope; ``with_comparability`` returns a copy with others.
+    ``exact_law`` is the model's law object, or None for an envelope-only
+    model; ``dim`` and ``alpha`` are read from it.
     """
 
     model_id: str
     form: str
     V: ScalingFunction
     phi: ScalingFunction
-    dim: Optional[int] = None
-    exact_law: Optional[str] = None
-    alpha: Optional[float] = None  # stable index of the exact law
+    exact_law: Optional[GaussianLaw | CauchyLaw | StableLaw] = None
     c0: Optional[float] = None     # sub-gaussian decay constant
     c_lo: float = 0.01
     c_hi: float = 100.0
@@ -96,18 +98,23 @@ class KernelModel:
     def d4(self) -> float:
         return self.phi.envelope.d_hi
 
-    def phi_inverse(self, t: float) -> float:
-        return inverse(self.phi, t)
+    @property
+    def dim(self) -> Optional[int]:
+        return None if self.exact_law is None else self.exact_law.dim
 
     @property
-    def is_simulable(self) -> bool:
-        return self.exact_law is not None
+    def alpha(self) -> Optional[float]:
+        """Stable index of the exact law."""
+        return None if self.exact_law is None else self.exact_law.alpha
 
     @property
     def has_density(self) -> bool:
-        if self.exact_law in (LAW_GAUSSIAN, LAW_CAUCHY):
-            return True
-        return self.exact_law == LAW_STABLE and self.dim in (1, 2, 3)
+        return self.exact_law is not None and self.exact_law.dim <= 3
+
+    @cached_property
+    def long_run(self) -> str:
+        """TRANSIENT, RECURRENT or INCONCLUSIVE_CLASS, classified once per model."""
+        return classify_long_run(self)[0]
 
     def with_comparability(self, c_lo: float, c_hi: float) -> "KernelModel":
         return replace(self, c_lo=c_lo, c_hi=c_hi)
@@ -139,8 +146,8 @@ def from_id(spec: str) -> KernelModel:
     head = head.strip().lower()
     if head == "cauchy1d":
         return _stable_like(
-            1.0, 1.0, model_id="cauchy1d", dim=1, exact_law=LAW_CAUCHY,
-            alpha=1.0, c_lo=1.0 / (2.0 * math.pi), c_hi=1.0 / math.pi,
+            1.0, 1.0, model_id="cauchy1d", exact_law=CauchyLaw(),
+            c_lo=1.0 / (2.0 * math.pi), c_hi=1.0 / math.pi,
             mu_ball=_UNIT_BALL_VOLUME[1],
         )
     if head == "gaussian":
@@ -150,8 +157,8 @@ def from_id(spec: str) -> KernelModel:
         c = (4.0 * math.pi) ** (-dim / 2.0)
         return KernelModel(
             model_id=f"gaussian:{dim}", form=SUB_GAUSSIAN, V=power(float(dim)),
-            phi=power(2.0), dim=dim, exact_law=LAW_GAUSSIAN, alpha=2.0,
-            c0=0.25, c_lo=c, c_hi=c, mu_ball=_UNIT_BALL_VOLUME[dim],
+            phi=power(2.0), exact_law=GaussianLaw(dim), c0=0.25, c_lo=c, c_hi=c,
+            mu_ball=_UNIT_BALL_VOLUME[dim],
         )
     if head == "stable":
         a_s, d_s = tail.split(",")
@@ -161,9 +168,8 @@ def from_id(spec: str) -> KernelModel:
         if dim < 1:
             raise UnsupportedModelError("stable presets need dim >= 1")
         return _stable_like(
-            float(dim), alpha, model_id=f"stable:{alpha:g},{dim}", dim=dim,
-            exact_law=LAW_STABLE, alpha=alpha,
-            mu_ball=_UNIT_BALL_VOLUME.get(dim, 1.0),
+            float(dim), alpha, model_id=f"stable:{alpha:g},{dim}",
+            exact_law=StableLaw(alpha, dim), mu_ball=_UNIT_BALL_VOLUME.get(dim, 1.0),
         )
     if head == "stablelike":
         dv_s, dw_s = tail.split(",")
@@ -247,25 +253,20 @@ def tail_profile(model: KernelModel) -> tuple[ScalingFunction, ScalingFunction]:
 # ---------------------------------------------------------------------------
 
 
+def _law(model: KernelModel):
+    """The model's law object, if it has a density to evaluate."""
+    if not model.has_density:
+        raise UnsupportedModelError(
+            f"{model.model_id} has no exact law with a density (dim 1..3)"
+        )
+    return model.exact_law
+
+
 def density(model: KernelModel, t: float, d: float) -> float:
     """Exact transition density at time t and distance d."""
     if t <= 0:
         raise PreconditionError("t must be positive")
-    if model.exact_law == LAW_CAUCHY:
-        return t / (math.pi * (d * d + t * t))
-    if model.exact_law == LAW_GAUSSIAN:
-        return (4.0 * math.pi * t) ** (-model.dim / 2.0) * math.exp(
-            -d * d / (4.0 * t)
-        )
-    if model.exact_law == LAW_STABLE:
-        if model.dim not in (1, 2, 3):
-            raise UnsupportedModelError(
-                "radial inversion of the stable density supports dim 1..3"
-            )
-        if d > _FOURIER_REACH * t ** (1.0 / model.alpha):
-            return _stable_density_subordination(model.alpha, model.dim, t, d)
-        return _stable_density_radial(model.alpha, model.dim, t, d)
-    raise UnsupportedModelError(f"{model.model_id} carries no exact law")
+    return _law(model).density(t, d)
 
 
 def radial_cdf(model: KernelModel, t: float, r: float) -> float:
@@ -274,19 +275,7 @@ def radial_cdf(model: KernelModel, t: float, r: float) -> float:
         raise PreconditionError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
-    if model.exact_law == LAW_CAUCHY:
-        return (2.0 / math.pi) * math.atan(r / t)
-    if model.exact_law == LAW_GAUSSIAN:
-        return float(stats.chi2.cdf(r * r / (2.0 * t), df=model.dim))
-    if model.exact_law == LAW_STABLE:
-        if model.dim not in (1, 2, 3):
-            raise UnsupportedModelError(
-                "radial inversion of the stable law supports dim 1..3"
-            )
-        if r > _FOURIER_REACH * t ** (1.0 / model.alpha):
-            return 1.0 - _stable_sf_subordination(model.alpha, model.dim, t, r)
-        return _stable_ball_radial(model.alpha, model.dim, t, r)
-    raise UnsupportedModelError(f"{model.model_id} carries no exact law")
+    return _law(model).cdf(t, r)
 
 
 def radial_sf(model: KernelModel, t: float, r: float) -> float:
@@ -295,19 +284,85 @@ def radial_sf(model: KernelModel, t: float, r: float) -> float:
         raise PreconditionError("radius must be nonnegative")
     if r == 0.0:
         return 1.0
-    if model.exact_law == LAW_CAUCHY:
+    return _law(model).sf(t, r)
+
+
+@dataclass(frozen=True)
+class GaussianLaw:
+    """Brownian motion with per-coordinate variance 2t (alpha = 2)."""
+
+    dim: int
+    alpha = 2.0
+
+    def density(self, t: float, d: float) -> float:
+        return (4.0 * math.pi * t) ** (-self.dim / 2.0) * math.exp(-d * d / (4.0 * t))
+
+    def cdf(self, t: float, r: float) -> float:
+        return float(stats.chi2.cdf(r * r / (2.0 * t), df=self.dim))
+
+    def sf(self, t: float, r: float) -> float:
+        return float(stats.chi2.sf(r * r / (2.0 * t), df=self.dim))
+
+    def increments(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.sqrt(2.0 * dts)[:, None] * rng.standard_normal((dts.shape[0], self.dim))
+
+
+@dataclass(frozen=True)
+class CauchyLaw:
+    """The 1-d Cauchy law, density t / (pi (x^2 + t^2)) (alpha = 1)."""
+
+    dim = 1
+    alpha = 1.0
+
+    def density(self, t: float, d: float) -> float:
+        return t / (math.pi * (d * d + t * t))
+
+    def cdf(self, t: float, r: float) -> float:
+        return (2.0 / math.pi) * math.atan(r / t)
+
+    def sf(self, t: float, r: float) -> float:
         return (2.0 / math.pi) * math.atan(t / r)
-    if model.exact_law == LAW_GAUSSIAN:
-        return float(stats.chi2.sf(r * r / (2.0 * t), df=model.dim))
-    if model.exact_law == LAW_STABLE:
-        if model.dim not in (1, 2, 3):
-            raise UnsupportedModelError(
-                "radial inversion of the stable law supports dim 1..3"
-            )
-        if r > _FOURIER_REACH * t ** (1.0 / model.alpha):
-            return _stable_sf_subordination(model.alpha, model.dim, t, r)
-        return 1.0 - _stable_ball_radial(model.alpha, model.dim, t, r)
-    raise UnsupportedModelError(f"{model.model_id} carries no exact law")
+
+    def increments(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return (dts * symmetric_stable(rng, 1.0, dts.shape[0]))[:, None]
+
+
+@dataclass(frozen=True)
+class StableLaw:
+    """The isotropic alpha-stable law in dim dimensions, exp(-t |xi|^alpha).
+
+    Within _FOURIER_REACH envelope lengths t^(1/alpha) of the origin the
+    density and the ball probability come from Fourier inversion, beyond
+    it from the subordination mixture over the (alpha/2)-stable clock.
+    """
+
+    alpha: float
+    dim: int
+
+    def _far(self, t: float, r: float) -> bool:
+        return r > _FOURIER_REACH * t ** (1.0 / self.alpha)
+
+    def density(self, t: float, d: float) -> float:
+        if self._far(t, d):
+            return _stable_density_subordination(self.alpha, self.dim, t, d)
+        return _stable_density_radial(self.alpha, self.dim, t, d)
+
+    def cdf(self, t: float, r: float) -> float:
+        if self._far(t, r):
+            return 1.0 - _stable_sf_subordination(self.alpha, self.dim, t, r)
+        return _stable_ball_radial(self.alpha, self.dim, t, r)
+
+    def sf(self, t: float, r: float) -> float:
+        if self._far(t, r):
+            return _stable_sf_subordination(self.alpha, self.dim, t, r)
+        return 1.0 - _stable_ball_radial(self.alpha, self.dim, t, r)
+
+    def increments(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        m = dts.shape[0]
+        if self.dim == 1:
+            return (dts ** (1.0 / self.alpha) * symmetric_stable(rng, self.alpha, m))[:, None]
+        s = dts ** (2.0 / self.alpha) * positive_stable(rng, 0.5 * self.alpha, m)
+        return np.sqrt(2.0 * s)[:, None] * rng.standard_normal((m, self.dim))
 
 
 def _quad(f, a, b, **kw):
@@ -380,6 +435,64 @@ def _log_eta1(gamma: float, w: np.ndarray) -> np.ndarray:
     h = big_l - np.exp(np.minimum(big_l, 700.0))
     top = h.max(axis=1)
     out[~tail] = math.log(0.5 * gamma / g1) - lw + top + np.log(np.exp(h - top[:, None]) @ _GL_W)
+    return out
+
+
+# -- exact increment samplers -----------------------------------------------
+#
+# A law's increments(dts, rng) draws the increment over each step of length
+# dt exactly from the law at time dt, so sampled paths carry no
+# discretization error in their marginals:
+#   * Gaussian: sqrt(2 dt) Z per coordinate (variance-2t convention);
+#   * symmetric 1-d alpha-stable: Chambers-Mallows-Stuck transform, scaled
+#     by dt^(1/alpha);
+#   * isotropic d-dim alpha-stable: a positive (alpha/2)-stable subordinator
+#     increment (Kanter representation), then a Gaussian at that random time.
+
+
+def symmetric_stable(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
+    """Standard symmetric alpha-stable draws, char. function exp(-|xi|^alpha).
+
+    Chambers-Mallows-Stuck transform; alpha = 1 reduces to tan(U) (Cauchy)
+    and alpha = 2 to a centered normal with variance 2.
+    """
+    if not 0 < alpha <= 2:
+        raise PreconditionError("alpha must lie in (0, 2]")
+    u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size)
+    if alpha == 1.0:
+        return np.tan(u)
+    w = rng.exponential(1.0, size)
+    return (
+        np.sin(alpha * u)
+        / np.cos(u) ** (1.0 / alpha)
+        * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
+def positive_stable(rng: np.random.Generator, gamma: float, size) -> np.ndarray:
+    """One-sided gamma-stable draws with Laplace transform exp(-lambda^gamma).
+
+    Kanter representation; non-finite transforms (underflow at the interval
+    endpoints) are redrawn.
+    """
+    if not 0 < gamma < 1:
+        raise PreconditionError("gamma must lie in (0, 1)")
+    g1 = 1.0 - gamma
+    out = np.empty(size)
+    flat = out.reshape(-1)
+    need = np.ones(flat.shape[0], dtype=bool)
+    while need.any():
+        n = int(need.sum())
+        u = rng.uniform(0.0, math.pi, n)
+        w = rng.exponential(1.0, n)
+        with np.errstate(all="ignore"):
+            a = (np.sin(gamma * u) / np.sin(u) ** (1.0 / gamma)) * (
+                np.sin(g1 * u) / w
+            ) ** (g1 / gamma)
+        good = np.isfinite(a) & (a > 0)
+        idx = np.flatnonzero(need)[good]
+        flat[idx] = a[good]
+        need[idx] = False
     return out
 
 
@@ -521,9 +634,9 @@ def tail_probability(
     h, rho = tail_profile(model)
     if c1 is None:
         c1 = tail_constant(model)
-    bound = c1 * h(max(r, 1e-300) / rho(t)) if r > 0 else c1 * math.inf
     if r == 0.0:
         return TailEstimate(estimate=1.0, upper_bound=math.inf, c1=c1)
+    bound = c1 * h(r / rho(t))
     if model.has_density:
         est = radial_sf(model, t, r)
     else:
@@ -556,8 +669,6 @@ def ball_probability(model: KernelModel, t: float, r: float) -> BallProbability:
     """P(d(X_t, x) <= r) and its envelope 1 AND V(r)/V(phi^-1(t))."""
     if t <= 0 or r <= 0:
         raise PreconditionError("t and r must be positive")
-    if model.V is None and not model.has_density:  # pragma: no cover - defensive
-        raise UnsupportedModelError("model lacks both a volume profile and a law")
     env = min(1.0, model.V(r) / model.V(inverse(model.phi, t)))
     prob = radial_cdf(model, t, r) if model.has_density else None
     return BallProbability(probability=prob, envelope=env)
@@ -568,11 +679,12 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
 
     Convergence of int dt / V(phi^-1(t)) certifies transience (the
     sup-density criterion); divergence certifies recurrence for the whole
-    comparability class.  The classifier may abstain.
+    comparability class.  The classifier may abstain.  The integrand goes
+    through log V, so it underflows towards 0 where V itself would overflow.
     """
 
     def f(t: float) -> float:
-        return 1.0 / model.V(inverse(model.phi, t))
+        return math.exp(-model.V.log_value(inverse(model.phi, t)))
 
     verdict = classify_tail_integral(f, 16.0)
     if verdict.label == CONVERGENT:

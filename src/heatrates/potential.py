@@ -1,9 +1,11 @@
 """Green function, capacity, hitting and occupation bounds in closed form.
 
 Every operation evaluates a bound *shape* determined by the volume profile
-V and the walk scale phi, times constants resolved from a calibration
-table.  With no table the constants default to 1 ("unit" mode), which
-preserves all shapes, orderings and scalings but not absolute levels.
+V and the walk scale phi, with its constants set to 1 ("unit" mode), which
+preserves all shapes, orderings and scalings but not absolute levels.  The
+Green function envelope is the exception: it integrates the two-sided
+envelope exactly and scales it by the model's declared comparability
+constants ("derived" mode).
 
 Transient-case shapes (volume exponent strictly above the walk exponent):
 
@@ -21,21 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedRegimeError
-from .kernels import (
-    TRANSIENT,
-    KernelModel,
-    classify_long_run,
-    density,
-)
+from .kernels import TRANSIENT, KernelModel, density
 from .scaling import inverse
 
 UNIT = "unit"
-CALIBRATED = "calibrated"
 DERIVED = "derived"
 
 
@@ -62,27 +55,11 @@ class BoundPair:
         return self.lower - slack <= value <= self.upper + slack
 
 
-_classification_cache: dict[str, str] = {}
-
-
 def _require_transient(model: KernelModel) -> None:
-    label = _classification_cache.get(model.model_id)
-    if label is None:
-        label = classify_long_run(model)[0]
-        _classification_cache[model.model_id] = label
-    if label != TRANSIENT:
+    if model.long_run != TRANSIENT:
         raise DomainError(
-            f"{model.model_id} is {label}: Green function infinite"
+            f"{model.model_id} is {model.long_run}: Green function infinite"
         )
-
-
-def _constants(table, model_id: str, key: str) -> tuple[float, float, str]:
-    if table is not None:
-        lo = table.get(model_id, f"{key}_lo")
-        hi = table.get(model_id, f"{key}_hi")
-        if lo is not None and hi is not None:
-            return float(lo), float(hi), CALIBRATED
-    return 1.0, 1.0, UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +93,11 @@ def _envelope_time_integral(model: KernelModel, d: float) -> float:
     return head + body + tail
 
 
-def green_function(
-    model: KernelModel,
-    d: float,
-    mode: str = ENVELOPE,
-    table=None,
-):
+def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     """Time-integrated transition density at distance d.
 
-    ENVELOPE mode returns a BoundPair around the shape phi(d)/V(d);
+    ENVELOPE mode returns a BoundPair, the exact time integral of the
+    two-sided envelope times the declared comparability constants;
     QUADRATURE mode (exact-law models) integrates the density numerically
     with the tail beyond 1e4 * phi(2d) supplied by on-diagonal power decay.
     Requires a transient model.
@@ -133,23 +106,12 @@ def green_function(
         raise PreconditionError("distance must be positive")
     _require_transient(model)
     if mode == ENVELOPE:
-        center = model.phi(d) / model.V(d)
-        lo, hi, source = _constants(table, model.model_id, "green")
-        if source == UNIT:
-            # rigorous fallback: exact envelope integral times the declared
-            # comparability constants
-            a_val = _envelope_time_integral(model, d)
-            return BoundPair(
-                lower=model.c_lo * a_val,
-                upper=model.c_hi * a_val,
-                formula_id="green-envelope",
-                constants_source=DERIVED,
-            )
+        a_val = _envelope_time_integral(model, d)
         return BoundPair(
-            lower=lo * center,
-            upper=hi * center,
+            lower=model.c_lo * a_val,
+            upper=model.c_hi * a_val,
             formula_id="green-envelope",
-            constants_source=source,
+            constants_source=DERIVED,
         )
     if mode == QUADRATURE:
         if not model.has_density:
@@ -183,7 +145,7 @@ def green_function(
 # ---------------------------------------------------------------------------
 
 
-def capacity_bound(model: KernelModel, r: float, table=None) -> BoundPair:
+def capacity_bound(model: KernelModel, r: float) -> BoundPair:
     """Two-sided capacity bound c * V(r)/phi(r) for the closed ball B(x0, r).
 
     The headline guarantee is the lower member; the matching upper member
@@ -193,17 +155,14 @@ def capacity_bound(model: KernelModel, r: float, table=None) -> BoundPair:
         raise PreconditionError("radius must be positive")
     _require_transient(model)
     shape = model.V(r) / model.phi(r)
-    lo, hi, source = _constants(table, model.model_id, "cap")
-    return BoundPair(lo * shape, hi * shape, "capacity", source)
+    return BoundPair(shape, shape, "capacity", UNIT)
 
 
-def capacity_lower_bound(model: KernelModel, r: float, table=None) -> float:
-    return capacity_bound(model, r, table).lower
+def capacity_lower_bound(model: KernelModel, r: float) -> float:
+    return capacity_bound(model, r).lower
 
 
-def hit_ball_from_distance(
-    model: KernelModel, r: float, D: float, table=None
-) -> BoundPair:
+def hit_ball_from_distance(model: KernelModel, r: float, D: float) -> BoundPair:
     """Probability of ever entering B(x0, r) from a start at distance D >= r.
 
     lower ~ (V(r)/phi(r)) * phi(D+r)/V(D+r),
@@ -217,20 +176,19 @@ def hit_ball_from_distance(
         raise PreconditionError("start distance must satisfy D >= r")
     _require_transient(model)
     cap_shape = model.V(r) / model.phi(r)
-    lo_c, hi_c, source = _constants(table, model.model_id, "hit")
     far = D + r
     near = max(D - r, model.phi.domain_floor)
-    lower = lo_c * cap_shape * model.phi(far) / model.V(far)
-    upper = hi_c * cap_shape * model.phi(near) / model.V(near)
-    return BoundPair(lower, upper, "hit-ball", source)
+    lower = cap_shape * model.phi(far) / model.V(far)
+    upper = cap_shape * model.phi(near) / model.V(near)
+    return BoundPair(lower, upper, "hit-ball", UNIT)
 
 
-def q_bound(model: KernelModel, r: float, t: float, side: str, table=None) -> float:
+def q_bound(model: KernelModel, r: float, t: float, side: str) -> float:
     """Bound on P(the process visits B(x0, r) at some time after t).
 
     Valid for t >= phi(r) and start points within distance r of the center;
     also covers the closed-time variant (visits at some time >= t).  Values
-    are clamped to [0, 1].
+    are clamped to [0, 1].  With unit constants both sides are the shape.
     """
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -241,10 +199,8 @@ def q_bound(model: KernelModel, r: float, t: float, side: str, table=None) -> fl
             f"q bound needs t >= phi(r) = {model.phi(r):g}, got t = {t:g}"
         )
     _require_transient(model)
-    lo_c, hi_c, _source = _constants(table, model.model_id, "q")
-    c = hi_c if side == "upper" else lo_c
     shape = (model.V(r) / model.phi(r)) * t / model.V(inverse(model.phi, t))
-    return min(max(c * shape, 0.0), 1.0)
+    return min(max(shape, 0.0), 1.0)
 
 
 def _vp_lower_constant(model: KernelModel) -> float:
@@ -254,25 +210,24 @@ def _vp_lower_constant(model: KernelModel) -> float:
 
 
 def r_window_lower(
-    model: KernelModel, r: float, t: float, theta: float, table=None
+    model: KernelModel, r: float, t: float, theta: float
 ) -> tuple[float, float]:
     """Lower bound for a visit to B(x0, r) during the window (t, theta*t].
 
     Returns (value, theta_min).  The window must be long enough that the
     post-window visits cannot eat the whole late-visit probability:
-    theta_min solves (c_up/(c0 c_low)) theta^(1 - d1/d4) = 1/2.
+    theta_min solves (1/c0) theta^(1 - d1/d4) = 1/2 (unit q constants).
     """
-    lo_c, hi_c, source = _constants(table, model.model_id, "q")
     c0 = _vp_lower_constant(model)
     ratio = model.d1 / model.d4
     if ratio <= 1.0:
         raise UnsupportedRegimeError("window bound needs d1 > d4")
-    theta_min = (2.0 * hi_c / (c0 * lo_c)) ** (1.0 / (ratio - 1.0))
+    theta_min = (2.0 / c0) ** (1.0 / (ratio - 1.0))
     if theta < theta_min:
         raise PreconditionError(
             f"theta = {theta:g} below theta_min = {theta_min:g}"
         )
-    value = 0.5 * q_bound(model, r, t, "lower", table)
+    value = 0.5 * q_bound(model, r, t, "lower")
     return value, theta_min
 
 
@@ -289,9 +244,7 @@ def _require_critical(model: KernelModel) -> None:
         )
 
 
-def occupation_sandwich(
-    model: KernelModel, r: float, a: float, b: float, table=None
-) -> BoundPair:
+def occupation_sandwich(model: KernelModel, r: float, a: float, b: float) -> BoundPair:
     """Bounds on P(d(X_s, x0) <= r for some s in (a, b]) in the critical case.
 
     Requires phi(r) <= b - a.  Members are raw bound values (an upper
@@ -311,10 +264,9 @@ def occupation_sandwich(
         raise UnsupportedRegimeError(
             f"occupation sandwich needs phi(r) <= b - a, got phi(r) = {pr:g}"
         )
-    lo_c, hi_c, source = _constants(table, model.model_id, "occ")
     excess = max(pr - a, 0.0)
     floor = max(a, pr)
     den = pr * (1.0 + math.log((b - a) / pr))
-    lower = lo_c * (excess + pr * math.log((b - a) / floor)) / den
-    upper = hi_c * (excess + pr * math.log((2.0 * b - a) / floor)) / den
-    return BoundPair(lower, upper, "occupation", source)
+    lower = (excess + pr * math.log((b - a) / floor)) / den
+    upper = (excess + pr * math.log((2.0 * b - a) / floor)) / den
+    return BoundPair(lower, upper, "occupation", UNIT)

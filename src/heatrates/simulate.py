@@ -1,13 +1,8 @@
 """Exact-increment path sampling for the simulable kernel presets.
 
-Increments over a step of length dt are drawn exactly from the law at time
-dt, so there is no discretization error in the marginals:
-
-  * Gaussian: sqrt(2 dt) * Z per coordinate (variance-2t convention);
-  * symmetric 1-d alpha-stable: Chambers-Mallows-Stuck transform, scaled
-    by dt^(1/alpha);
-  * isotropic d-dim alpha-stable: a positive (alpha/2)-stable subordinator
-    increment (Kanter representation), then a Gaussian at that random time.
+Increments over a step of length dt are drawn exactly from the model's law
+object at time dt (see the samplers in kernels), so there is no
+discretization error in the marginals.
 
 The only discretization artifact is the time grid itself: window extrema
 over grid points overestimate path infima and underestimate path suprema
@@ -29,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, UnsupportedModelError
-from .kernels import LAW_CAUCHY, LAW_GAUSSIAN, LAW_STABLE, KernelModel
+from .kernels import KernelModel
 
 
 @dataclass(frozen=True)
@@ -133,79 +128,13 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_replica_key(seed, replica)))
 
 
-# ---------------------------------------------------------------------------
-# exact increment draws
-# ---------------------------------------------------------------------------
-
-
-def symmetric_stable(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
-    """Standard symmetric alpha-stable draws, char. function exp(-|xi|^alpha).
-
-    Chambers-Mallows-Stuck transform; alpha = 1 reduces to tan(U) (Cauchy)
-    and alpha = 2 to a centered normal with variance 2.
-    """
-    if not 0 < alpha <= 2:
-        raise PreconditionError("alpha must lie in (0, 2]")
-    u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size)
-    if alpha == 1.0:
-        return np.tan(u)
-    w = rng.exponential(1.0, size)
-    return (
-        np.sin(alpha * u)
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    )
-
-
-def positive_stable(rng: np.random.Generator, gamma: float, size) -> np.ndarray:
-    """One-sided gamma-stable draws with Laplace transform exp(-lambda^gamma).
-
-    Kanter representation; non-finite transforms (underflow at the interval
-    endpoints) are redrawn.
-    """
-    if not 0 < gamma < 1:
-        raise PreconditionError("gamma must lie in (0, 1)")
-    g1 = 1.0 - gamma
-    out = np.empty(size)
-    flat = out.reshape(-1)
-    need = np.ones(flat.shape[0], dtype=bool)
-    while need.any():
-        n = int(need.sum())
-        u = rng.uniform(0.0, math.pi, n)
-        w = rng.exponential(1.0, n)
-        with np.errstate(all="ignore"):
-            a = (np.sin(gamma * u) / np.sin(u) ** (1.0 / gamma)) * (
-                np.sin(g1 * u) / w
-            ) ** (g1 / gamma)
-        good = np.isfinite(a) & (a > 0)
-        idx = np.flatnonzero(need)[good]
-        flat[idx] = a[good]
-        need[idx] = False
-    return out
-
-
 def sample_increments(
     model: KernelModel, dts: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Exact increments for consecutive steps of lengths dts; shape (m, dim)."""
-    if not model.is_simulable:
+    if model.exact_law is None:
         raise UnsupportedModelError(f"{model.model_id} has no exact law to sample")
-    m = dts.shape[0]
-    dim = model.dim
-    if model.exact_law == LAW_GAUSSIAN:
-        return np.sqrt(2.0 * dts)[:, None] * rng.standard_normal((m, dim))
-    if model.exact_law == LAW_CAUCHY:
-        return (dts * symmetric_stable(rng, 1.0, m))[:, None]
-    if model.exact_law == LAW_STABLE:
-        alpha = model.alpha
-        if dim == 1:
-            return (dts ** (1.0 / alpha) * symmetric_stable(rng, alpha, m))[:, None]
-        if alpha == 2.0:
-            return np.sqrt(2.0 * dts)[:, None] * rng.standard_normal((m, dim))
-        # subordinate Brownian motion at the (alpha/2)-stable time change
-        s = dts ** (2.0 / alpha) * positive_stable(rng, 0.5 * alpha, m)
-        return np.sqrt(2.0 * s)[:, None] * rng.standard_normal((m, dim))
-    raise UnsupportedModelError(f"unknown exact law {model.exact_law!r}")
+    return model.exact_law.increments(dts, rng)
 
 
 def sample_path(

@@ -100,7 +100,7 @@ class TestExactLaws:
     def test_stable_alpha1_matches_cauchy(self):
         m = kn.KernelModel(
             model_id="s11", form=kn.STABLE_LIKE, V=kn.power(1.0), phi=kn.power(1.0),
-            dim=1, exact_law=kn.LAW_STABLE, alpha=1.0, mu_ball=2.0,
+            exact_law=kn.StableLaw(1.0, 1), mu_ball=2.0,
         )
         for t, r in [(1.0, 0.5), (2.0, 5.0), (1.0, 40.0)]:
             assert kn.density(m, t, r) == pytest.approx(
@@ -335,17 +335,28 @@ class TestClassifyLongRun:
     def test_recurrent_one_dim_diffusive(self):
         assert kn.classify_long_run(kn.from_id("stablelike:1,2"))[0] == kn.RECURRENT
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.6])
+    def test_small_alpha_3d_transient(self, alpha):
+        # V(phi^-1(t)) = t^(3/alpha) overflows inside the block range; the
+        # integrand itself only underflows towards 0
+        assert kn.classify_long_run(kn.from_id(f"stable:{alpha:g},3"))[0] == kn.TRANSIENT
+
     def test_inverse_cost_per_integrand_evaluation(self):
         # phi = powerlog has no exact inverse, so each integrand evaluation
-        # 1 / V(phi^-1(t)) solves phi(r) = t; V is evaluated once per call
+        # 1 / V(phi^-1(t)) solves phi(r) = t; V is evaluated once per call,
+        # through its evaluator or its log_evaluator
         calls = {"V": 0, "phi": 0}
 
         def counted(f, key):
-            def ev(r):
-                calls[key] += 1
-                return f.evaluator(r)
+            def wrap(g):
+                def ev(r):
+                    calls[key] += 1
+                    return g(r)
 
-            return dataclasses.replace(f, evaluator=ev)
+                return ev
+
+            log_ev = f.log_evaluator and wrap(f.log_evaluator)
+            return dataclasses.replace(f, evaluator=wrap(f.evaluator), log_evaluator=log_ev)
 
         m = kn.from_id("jump:power:2;powerlog:1.5,1")
         m = dataclasses.replace(m, V=counted(m.V, "V"), phi=counted(m.phi, "phi"))

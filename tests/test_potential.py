@@ -2,6 +2,7 @@ import pytest
 
 from heatrates import kernels as kn
 from heatrates import potential as pt
+from heatrates.errors import DomainError
 
 
 @pytest.mark.parametrize(
@@ -14,3 +15,17 @@ def test_hit_ball_pair_in_order(spec):
         for ratio in (1.0, 1.5, 4.0, 100.0):
             pair = pt.hit_ball_from_distance(m, r, ratio * r)
             assert 0.0 <= pair.lower <= pair.upper
+
+
+def test_classification_is_per_model_not_per_id():
+    # same id, different long-run behaviour: each model keeps its own verdict
+    def model(dv):
+        return kn.KernelModel(
+            model_id="m", form=kn.STABLE_LIKE, V=kn.power(dv), phi=kn.power(1.5)
+        )
+
+    recurrent, transient = model(1.0), model(3.0)
+    with pytest.raises(DomainError):
+        pt.capacity_bound(recurrent, 1.0)
+    assert pt.capacity_bound(transient, 1.0).lower == 1.0
+    assert (recurrent.long_run, transient.long_run) == (kn.RECURRENT, kn.TRANSIENT)

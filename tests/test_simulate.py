@@ -119,7 +119,7 @@ class TestIncrementLaws:
     def test_alpha2_subordination_matches_gaussian(self):
         m2 = kn.KernelModel(
             model_id="stable2", form=kn.STABLE_LIKE, V=kn.power(1.0),
-            phi=kn.power(2.0), dim=1, exact_law=kn.LAW_STABLE, alpha=2.0,
+            phi=kn.power(2.0), exact_law=kn.StableLaw(2.0, 1),
         )
         a = sim.sample_increments(m2, np.ones(10_000), sim.replica_rng(31))[:, 0]
         b = sim.sample_increments(GAUSS1, np.ones(10_000), sim.replica_rng(33))[:, 0]
@@ -129,7 +129,7 @@ class TestIncrementLaws:
     def test_positive_stable_laplace_transform(self):
         # E exp(-lambda S) = exp(-lambda^gamma)
         rng = sim.replica_rng(41)
-        s = sim.positive_stable(rng, 0.75, 200_000)
+        s = kn.positive_stable(rng, 0.75, 200_000)
         for lam in (0.5, 1.0, 2.0):
             est = float(np.mean(np.exp(-lam * s)))
             expect = math.exp(-lam**0.75)
@@ -147,6 +147,56 @@ class TestIncrementLaws:
             expect = kn.radial_cdf(STABLE15_3, 4.0, q)
             se = math.sqrt(expect * (1 - expect) / n)
             assert abs(frac - expect) <= 4 * se
+
+
+class TestLawDispatch:
+    class PlaneLaw:
+        """A stub law: fixed values that no preset law produces."""
+
+        dim = 2
+        alpha = 1.0
+
+        def density(self, t, d):
+            return 7.0 * t + d
+
+        def cdf(self, t, r):
+            return 0.25
+
+        def sf(self, t, r):
+            return 0.75
+
+        def increments(self, dts, rng):
+            return np.repeat(dts[:, None], self.dim, axis=1)
+
+    def test_stub_law_flows_through(self):
+        m = kn.KernelModel(
+            model_id="plane", form=kn.STABLE_LIKE, V=kn.power(2.0),
+            phi=kn.power(1.0), exact_law=self.PlaneLaw(),
+        )
+        assert (m.dim, m.alpha, m.has_density) == (2, 1.0, True)
+        assert kn.density(m, 2.0, 1.0) == 15.0
+        assert kn.radial_cdf(m, 1.0, 1.0) == 0.25
+        assert kn.radial_sf(m, 1.0, 1.0) == 0.75
+        # the public preconditions still come first
+        assert kn.radial_cdf(m, 1.0, 0.0) == 0.0
+        with pytest.raises(PreconditionError):
+            kn.density(m, 0.0, 1.0)
+        p = sim.sample_path(m, 4.0, sim.UniformGrid(1.0), seed=0)
+        assert p.positions.tolist() == [[float(k), float(k)] for k in range(5)]
+
+    def test_stable_beyond_dim3_samples_without_density(self):
+        m = kn.from_id("stable:1.5,4")
+        assert not m.has_density
+        with pytest.raises(UnsupportedModelError):
+            kn.density(m, 1.0, 1.0)
+        incs = sim.sample_increments(m, np.ones(16), sim.replica_rng(3))
+        assert incs.shape == (16, 4)
+
+    def test_no_law(self):
+        m = kn.from_id("stablelike:3,1.5")
+        assert (m.exact_law, m.dim, m.alpha, m.has_density) == (None, None, None, False)
+        with pytest.raises(UnsupportedModelError):
+            kn.radial_sf(m, 1.0, 1.0)
 
 
 class TestWindowFunctionals:
