@@ -473,27 +473,29 @@ def positive_stable(rng: np.random.Generator, gamma: float, size) -> np.ndarray:
     """One-sided gamma-stable draws with Laplace transform exp(-lambda^gamma).
 
     Kanter representation; non-finite transforms (underflow at the interval
-    endpoints) are redrawn.
+    endpoints) are redrawn, in index order, so only the indices still to
+    draw are tracked and a batch without a bad draw takes one pass.
     """
     if not 0 < gamma < 1:
         raise PreconditionError("gamma must lie in (0, 1)")
     g1 = 1.0 - gamma
-    out = np.empty(size)
-    flat = out.reshape(-1)
-    need = np.ones(flat.shape[0], dtype=bool)
-    while need.any():
-        n = int(need.sum())
+
+    def draw(n):
         u = rng.uniform(0.0, math.pi, n)
         w = rng.exponential(1.0, n)
         with np.errstate(all="ignore"):
             a = (np.sin(gamma * u) / np.sin(u) ** (1.0 / gamma)) * (
                 np.sin(g1 * u) / w
             ) ** (g1 / gamma)
-        good = np.isfinite(a) & (a > 0)
-        idx = np.flatnonzero(need)[good]
-        flat[idx] = a[good]
-        need[idx] = False
-    return out
+        return a, np.isfinite(a) & (a > 0)
+
+    flat, good = draw(math.prod(np.atleast_1d(size)))
+    todo = np.flatnonzero(~good)
+    while todo.size:
+        a, good = draw(todo.size)
+        flat[todo[good]] = a[good]
+        todo = todo[~good]
+    return flat.reshape(size)
 
 
 def _subordination_rule(alpha: float, dim: int, t: float, r: float):

@@ -8,6 +8,11 @@ The only discretization artifact is the time grid itself: window extrema
 over grid points overestimate path infima and underestimate path suprema
 for jump processes.  Consumers account for that directionally.
 
+Each call builds its grid once, as one array (DyadicBlocks lays every block
+out in a single broadcast), and writes the positions once.  A time window is
+the slice of the sorted grid between two searchsorted indices, so a path
+functional reads only the points inside it.
+
 Randomness comes from numpy's counter-based Philox generator; replica r of
 an experiment with master seed s, both in [0, 2^64), uses the 128-bit key
 s + r 2^64, so distinct (s, r) pairs get distinct keys and replicas are
@@ -32,12 +37,14 @@ class UniformGrid:
     dt: float
 
     def times(self, horizon: float) -> np.ndarray:
-        if self.dt <= 0 or horizon <= 0:
-            raise PreconditionError("dt and horizon must be positive")
+        if not (0 < self.dt < math.inf and 0 < horizon < math.inf):
+            raise PreconditionError("dt and horizon must be positive and finite")
         n = int(math.floor(horizon / self.dt + 1e-9))
         ts = self.dt * np.arange(n + 1)
         if ts[-1] < horizon - 1e-12 * horizon:
             ts = np.append(ts, horizon)
+        else:  # n dt lies within rounding of the horizon
+            ts[-1] = horizon
         return ts
 
     @property
@@ -58,18 +65,34 @@ class DyadicBlocks:
     per_block: int = 256
 
     def times(self, horizon: float) -> np.ndarray:
-        if self.base <= 1 or self.per_block < 1:
+        """The per-block linspace grids, joined and deduplicated.
+
+        Row k of one (blocks, per_block + 1) broadcast is exactly
+        np.linspace(lo_k, hi_k, per_block + 1); the rows are non-decreasing
+        and each starts where the last ended, so dropping repeats of the
+        previous value equals np.unique of the joined blocks.
+        """
+        if not (self.base > 1 and self.per_block >= 1):
             raise PreconditionError("base must exceed 1 and per_block be >= 1")
-        if horizon <= 0:
-            raise PreconditionError("horizon must be positive")
-        pieces = [np.linspace(0.0, min(1.0, horizon), self.per_block + 1)]
+        if not 0 < horizon < math.inf:
+            raise PreconditionError("horizon must be positive and finite")
+        n = self.per_block
+        los, his = [0.0], [min(1.0, horizon)]
         lo = 1.0
         while lo < horizon:
-            hi = min(lo * self.base, horizon)
-            pieces.append(np.linspace(lo, hi, self.per_block + 1)[1:])
+            los.append(lo)
             lo *= self.base
-        ts = np.concatenate(pieces)
-        return np.unique(ts)
+            his.append(min(lo, horizon))
+        lo, hi = np.array(los), np.array(his)
+        step = (hi - lo) / n
+        k = np.arange(n + 1.0)
+        if step[0] == 0:  # horizon / per_block underflows: linspace's denormal rule
+            grid = (k / n * hi)[None, :]
+        else:
+            grid = k * step[:, None] + lo[:, None]
+        grid[:, -1] = hi
+        ts = grid.ravel()
+        return ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
 
     @property
     def label(self) -> str:
@@ -103,7 +126,7 @@ class PathSkeleton:
     def __post_init__(self):
         if self.times.shape[0] != self.positions.shape[0]:
             raise PreconditionError("times and positions must align")
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
+        if self.times[0] != 0.0 or not (self.times[1:] > self.times[:-1]).all():
             raise PreconditionError("times must strictly increase from 0")
 
     @property
@@ -145,13 +168,18 @@ def sample_path(
     replica: int = 0,
     start: Optional[np.ndarray] = None,
 ) -> PathSkeleton:
-    """Sample one trajectory; identical arguments reproduce it bit-for-bit."""
+    """Sample one trajectory; identical arguments reproduce it bit-for-bit.
+
+    start, if given, is the path's point at time 0, of shape (dim,).
+    """
     times = scheme.times(horizon)
     rng = replica_rng(seed, replica)
     incs = sample_increments(model, np.diff(times), rng)
-    positions = np.vstack([np.zeros((1, model.dim)), np.cumsum(incs, axis=0)])
+    positions = np.empty((times.shape[0], incs.shape[1]))
+    positions[0] = 0.0
+    np.cumsum(incs, axis=0, out=positions[1:])
     if start is not None:
-        positions = positions + np.asarray(start, dtype=float)[None, :]
+        positions += _point(start, incs.shape[1], "start")
     return PathSkeleton(
         times=times,
         positions=positions,
@@ -166,16 +194,32 @@ def sample_path(
 # ---------------------------------------------------------------------------
 
 
-def _window_mask(path: PathSkeleton, a: float, b: float, include_left: bool) -> np.ndarray:
-    if a > b:
+def _point(x, dim: int, name: str) -> np.ndarray:
+    """x as a float point in R^dim; no broadcasting of a shorter point."""
+    p = np.asarray(x, dtype=float)
+    if p.shape != (dim,):
+        raise PreconditionError(f"{name} must have shape ({dim},), got {p.shape}")
+    return p
+
+
+def _sq_distance(path: PathSkeleton, point, name: str, rows: slice) -> np.ndarray:
+    """Squared distances |X_t - point|^2 over the given rows of the path."""
+    diff = path.positions[rows] - _point(point, path.dim, name)
+    return (diff * diff).sum(axis=1)
+
+
+def _window(path: PathSkeleton, a: float, b: float, include_left: bool) -> slice:
+    """The grid indices with a <= t <= b (a < t <= b without the left end)."""
+    if not a <= b:
         raise PreconditionError("window must satisfy a <= b")
-    if a < 0 or b > path.horizon * (1 + 1e-12):
+    if not (a >= 0 and b <= path.horizon * (1 + 1e-12)):
         raise PreconditionError("window must lie inside [0, horizon]")
     t = path.times
-    mask = (t >= a) & (t <= b) if include_left else (t > a) & (t <= b)
-    if not mask.any():
+    lo = int(t.searchsorted(a, "left" if include_left else "right"))
+    hi = int(t.searchsorted(b, "right"))
+    if lo >= hi:
         raise PreconditionError(f"no grid points inside window ({a:g}, {b:g}]")
-    return mask
+    return slice(lo, hi)
 
 
 def window_min_distance(
@@ -186,26 +230,23 @@ def window_min_distance(
     Overestimates the continuous-time infimum for jump processes: the grid
     can miss the deepest excursion.
     """
-    mask = _window_mask(path, a, b, include_left)
-    d = np.linalg.norm(path.positions[mask] - np.asarray(origin, dtype=float), axis=1)
-    return float(d.min())
+    rows = _window(path, a, b, include_left)
+    return math.sqrt(_sq_distance(path, origin, "origin", rows).min())
 
 
 def window_max_distance(
     path: PathSkeleton, origin, a: float, b: float, include_left: bool = True
 ) -> float:
     """Maximum over grid times in the window; underestimates the true sup."""
-    mask = _window_mask(path, a, b, include_left)
-    d = np.linalg.norm(path.positions[mask] - np.asarray(origin, dtype=float), axis=1)
-    return float(d.max())
+    rows = _window(path, a, b, include_left)
+    return math.sqrt(_sq_distance(path, origin, "origin", rows).max())
 
 
 def first_hit_time(path: PathSkeleton, center, r: float) -> Optional[float]:
     """First grid time t > 0 with d(X_t, center) <= r, or None."""
-    if r <= 0:
+    if not r > 0:
         raise PreconditionError("radius must be positive")
-    d = np.linalg.norm(path.positions - np.asarray(center, dtype=float), axis=1)
-    hits = np.flatnonzero((d <= r) & (path.times > 0.0))
-    if hits.size == 0:
-        return None
-    return float(path.times[hits[0]])
+    # times[0] == 0, so the times t > 0 are the rows from 1 on
+    hit = np.sqrt(_sq_distance(path, center, "center", slice(1, None))) <= r
+    i = int(hit.argmax())
+    return float(path.times[i + 1]) if hit[i] else None

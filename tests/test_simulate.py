@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,10 @@ STABLE15_1 = kn.from_id("stable:1.5,1")
 STABLE15_3 = kn.from_id("stable:1.5,3")
 
 
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
 class TestGrids:
     def test_uniform(self):
         ts = sim.UniformGrid(0.25).times(2.0)
@@ -30,6 +35,58 @@ class TestGrids:
         for edge in (1.0, 2.0, 4.0, 8.0):
             assert edge in ts
         assert len(ts) == 4 * 4 + 1
+
+    @staticmethod
+    def _linspace_unique(g, horizon):
+        """The grid as per-block np.linspace calls joined by np.unique."""
+        pieces = [np.linspace(0.0, min(1.0, horizon), g.per_block + 1)]
+        lo = 1.0
+        while lo < horizon:
+            hi = min(lo * g.base, horizon)
+            pieces.append(np.linspace(lo, hi, g.per_block + 1)[1:])
+            lo *= g.base
+        return np.unique(np.concatenate(pieces))
+
+    @pytest.mark.parametrize("base", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("per_block", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "horizon",
+        [0.3, 1.0, 1.2, 5.0, 7.7, 64.0, 1000.3, 2.0**16,
+         # blocks narrower than per_block ulps, and a first block whose
+         # step underflows (linspace's denormal rule)
+         1 + 2.3e-16, 2 + 1e-14, 5e-324, 1e-322],
+    )
+    def test_dyadic_matches_linspace_unique(self, base, per_block, horizon):
+        g = sim.DyadicBlocks(base=base, per_block=per_block)
+        ts = g.times(horizon)
+        ref = self._linspace_unique(g, horizon)
+        assert ts.shape == ref.shape and np.array_equal(ts, ref)
+        assert ts[0] == 0.0 and ts[-1] == horizon and np.all(ts[1:] > ts[:-1])
+
+    @pytest.mark.parametrize("dt, horizon", [(0.1, 0.3), (0.1, 0.7), (0.2, 0.6), (0.3, 0.9), (0.7, 2.1)])
+    def test_uniform_ends_exactly_at_horizon(self, dt, horizon):
+        # dt * n lands one ulp off the horizon here; it becomes the horizon
+        ts = sim.UniformGrid(dt).times(horizon)
+        assert ts[-1] == horizon
+        assert len(ts) == round(horizon / dt) + 1
+        assert np.all(ts[1:] > ts[:-1])
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon(self, horizon):
+        for g in (sim.DyadicBlocks(), sim.UniformGrid(0.5)):
+            with pytest.raises(PreconditionError):
+                g.times(horizon)
+        with pytest.raises(PreconditionError):
+            sim.sample_path(GAUSS3, horizon, sim.DyadicBlocks(per_block=8), seed=0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt(self, dt):
+        with pytest.raises(PreconditionError):
+            sim.UniformGrid(dt).times(1.0)
+
+    def test_nan_base(self):
+        with pytest.raises(PreconditionError):
+            sim.DyadicBlocks(base=math.nan).times(4.0)
 
     def test_scheme_ids(self):
         assert isinstance(sim.scheme_from_id("uniform:0.5"), sim.UniformGrid)
@@ -67,6 +124,33 @@ class TestDeterminism:
         p = sim.sample_path(GAUSS3, 4.0, sim.UniformGrid(0.5), seed=3)
         assert p.positions[0].tolist() == [0.0, 0.0, 0.0]
         assert np.all(np.diff(p.times) > 0)
+
+    # SHA-256 of the little-endian positions, recorded before the grid,
+    # cumsum and sampler rewrites; any change to a draw or to the float
+    # operations on it shows up here
+    GOLDEN = [
+        ("gaussian:3", "dyadic:64", 64.0, 20150826, 7, [3.0, 0.0, 0.0], 449,
+         "ff5cb0773166a2b2d8c9a5bc1a3cfdb25ec164d31e45b9cf854a1cd1109b8a81"),
+        ("stable:1.5,3", "dyadic:64", 64.0, 20150826, 7, [3.0, 0.0, 0.0], 449,
+         "c417f3adf5e165d2e4cfb2e0275b98603d969e086916ae75ed89df2be4ea4d2e"),
+        ("stable:1.5,1", "dyadic:32:3", 100.0, 4101, 0, None, 193,
+         "5fdf1eda003306dc7cd675fd4b14555c4770d72a41554557791d5e3bd4120079"),
+        ("cauchy1d", "uniform:0.25", 16.0, 2**63 + 5, 2**40, [4.0], 65,
+         "048c6467f8134a1cc4de9d85711b729c9109b881d08bd4d381e8ff0558947d80"),
+    ]
+
+    @pytest.mark.parametrize("model_id, scheme, horizon, seed, replica, start, n, digest", GOLDEN)
+    def test_golden_positions(self, model_id, scheme, horizon, seed, replica, start, n, digest):
+        p = sim.sample_path(
+            kn.from_id(model_id), horizon, sim.scheme_from_id(scheme), seed, replica, start
+        )
+        assert p.positions.shape[0] == n
+        assert _sha256(p.positions) == digest
+
+    @pytest.mark.parametrize("start", [[3.0], [3.0, 0.0], [[3.0, 0.0, 0.0]], 3.0])
+    def test_start_must_be_a_point_of_the_model_dim(self, start):
+        with pytest.raises(PreconditionError):
+            sim.sample_path(GAUSS3, 4.0, sim.UniformGrid(1.0), seed=0, start=start)
 
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModelError):
@@ -136,6 +220,28 @@ class TestIncrementLaws:
             se = float(np.std(np.exp(-lam * s))) / math.sqrt(len(s))
             assert abs(est - expect) <= 4 * se
 
+    def test_positive_stable_keeps_tuple_size(self):
+        s = kn.positive_stable(sim.replica_rng(2026), 0.75, (3, 4))
+        assert s.shape == (3, 4)
+        assert _sha256(s) == "05325c225897ff1cc428772722e46f5dfd41d8411f9959725b05834509998780"
+        assert kn.positive_stable(sim.replica_rng(2026), 0.75, 5).shape == (5,)
+
+    @pytest.mark.parametrize(
+        "gamma, digest",
+        [
+            # about 5 % of the first pass at gamma 0.005 is redrawn; none at 0.02
+            (0.005, "7567403c3e9c078bb6e8dcb990ede6812e72715ed667b5348046d275f8a561c9"),
+            (0.01, "ceccf002d3c130a2464515c66818fa71c634a14095d46d31614ee605ea31b14e"),
+            (0.02, "1c67705219cf04872b9363b4b86d35af50b449b70c4237d6ba97098cf9016451"),
+        ],
+    )
+    def test_positive_stable_redraws(self, gamma, digest):
+        s = kn.positive_stable(sim.replica_rng(2026), gamma, (40, 5))
+        assert s.shape == (40, 5)
+        assert np.all(np.isfinite(s)) and np.all(s > 0)
+        # redraws come in index order, so the stream is the recorded one
+        assert _sha256(s) == digest
+
     def test_marginal_matches_density(self):
         # endpoint distribution of the 3-d stable path vs the numeric CDF
         n = 20_000
@@ -199,6 +305,36 @@ class TestLawDispatch:
             kn.radial_sf(m, 1.0, 1.0)
 
 
+class TestFunctionalsMatchMaskReference:
+    """The functionals against distances over boolean masks of the whole grid."""
+
+    @pytest.fixture(scope="class", params=["stable:1.5,3", "stable:1.5,1", "gaussian:2"])
+    def path(self, request):
+        return sim.sample_path(
+            kn.from_id(request.param), 2.0**10, sim.DyadicBlocks(per_block=32), seed=4101, replica=3
+        )
+
+    @pytest.mark.parametrize("include_left", [True, False])
+    def test_window_extrema(self, path, include_left):
+        origin = np.full(path.dim, 0.5)
+        t, d = path.times, np.linalg.norm(path.positions - origin, axis=1)
+        # dyadic ends fall on grid points; the others fall between them
+        windows = [(2.0**k, 2.0**(k + 1)) for k in range(10)]
+        windows += [(0.0, 1.0), (3.3, 17.9), (100.0, 102.5), (0.0, 2.0**10), (2.0**9, 2.0**10)]
+        for a, b in windows:
+            inside = ((t >= a) if include_left else (t > a)) & (t <= b)
+            assert sim.window_min_distance(path, origin, a, b, include_left) == float(d[inside].min())
+            assert sim.window_max_distance(path, origin, a, b, include_left) == float(d[inside].max())
+
+    def test_first_hit_time(self, path):
+        center = np.zeros(path.dim)
+        positive, d = path.times > 0.0, np.linalg.norm(path.positions - center, axis=1)
+        for r in (0.1, 0.5, 1.0, 3.0, 30.0, 1e9, float(d[positive].min())):
+            hits = np.flatnonzero((d <= r) & positive)
+            expect = float(path.times[hits[0]]) if hits.size else None
+            assert sim.first_hit_time(path, center, r) == expect
+
+
 class TestWindowFunctionals:
     def _bridge_path(self):
         times = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -221,6 +357,20 @@ class TestWindowFunctionals:
     def test_single_point_window(self):
         p = self._bridge_path()
         assert sim.window_min_distance(p, [0.0], 1.9, 2.1) == 3.0
+
+    def test_nan_window_end(self):
+        p = self._bridge_path()
+        for a, b in ((1.0, math.nan), (math.nan, 2.0)):
+            with pytest.raises(PreconditionError):
+                sim.window_min_distance(p, [0.0], a, b)
+
+    def test_origin_must_be_a_point_of_the_path_dim(self):
+        p = sim.sample_path(GAUSS3, 4.0, sim.UniformGrid(0.5), seed=3)
+        for f in (sim.window_min_distance, sim.window_max_distance):
+            with pytest.raises(PreconditionError):
+                f(p, [1.0], 1.0, 2.0)
+            with pytest.raises(PreconditionError):
+                f(p, np.zeros(4), 1.0, 2.0)
 
     def test_window_monotone_in_extension(self):
         p = sim.sample_path(CAUCHY, 8.0, sim.UniformGrid(0.125), seed=71)
@@ -285,6 +435,22 @@ class TestFirstHit:
     def test_huge_radius_hits_first_positive_time(self):
         p = sim.sample_path(CAUCHY, 4.0, sim.UniformGrid(0.5), seed=5)
         assert sim.first_hit_time(p, [0.0], 1e9) == 0.5
+
+    def test_nan_radius(self):
+        p = self._two_point_path()
+        with pytest.raises(PreconditionError):
+            sim.first_hit_time(p, [0.0], math.nan)
+
+    def test_center_must_be_a_point_of_the_path_dim(self):
+        p = sim.sample_path(GAUSS3, 4.0, sim.UniformGrid(0.5), seed=3)
+        with pytest.raises(PreconditionError):
+            sim.first_hit_time(p, [0.0], 1e9)
+
+    @staticmethod
+    def _two_point_path():
+        return sim.PathSkeleton(
+            np.array([0.0, 1.0]), np.array([[0.0], [4.0]]), 0, "test", "manual"
+        )
 
     def test_none_when_never_hit(self):
         p = sim.PathSkeleton(
