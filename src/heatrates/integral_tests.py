@@ -76,14 +76,6 @@ class Verdict:
     block_table: list[tuple[int, float]] = field(default_factory=list)
     reason: str = ""
 
-    @property
-    def is_convergent(self) -> bool:
-        return self.label == CONVERGENT
-
-    @property
-    def is_divergent(self) -> bool:
-        return self.label == DIVERGENT
-
     def as_dict(self) -> dict:
         return {
             "class": self.label,
@@ -335,6 +327,8 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> 
     Convergent certifies the rate's one-probability branch, divergent the
     zero-probability branch.  ``model`` must expose V and phi scaling
     functions with volume exponent d1 strictly above walk exponent d4.
+    The integral starts at the first t0 2^k where varphi(t) reaches phi's
+    domain floor; the part before it is finite and decides nothing.
     """
     V, phi = model.V, model.phi
     if V.envelope.d_lo <= phi.envelope.d_hi:
@@ -345,12 +339,20 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> 
     if g.monotonicity != DECREASING:
         raise PreconditionError("g must be nonincreasing")
 
+    start = t0
+    for _ in range(200):
+        if inverse(phi, start) * g(start) >= phi.domain_floor:
+            break
+        start *= 2.0
+    else:
+        raise PreconditionError("phi^-1(t) g(t) does not reach phi's domain on any reachable scale")
+
     def f(t: float) -> float:
         phi_inv_t = inverse(phi, t)
         r = phi_inv_t * g(t)
         return V(r) / (phi(r) * V(phi_inv_t))
 
-    return classify_tail_integral(f, t0)
+    return classify_tail_integral(f, start)
 
 
 def critical_lower_rate_test(g: ScalingFunction, t0: float = 16.0) -> Verdict:

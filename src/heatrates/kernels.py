@@ -11,8 +11,9 @@ forms are supported:
 The exact law, when a model has one, is one law object (GaussianLaw,
 CauchyLaw or StableLaw) with the same four methods: density(t, d),
 cdf(t, r), sf(t, r) and increments(dts, rng).  The public functions
-density, radial_cdf and radial_sf check their preconditions and then hand
-over to it; simulate.sample_increments draws from it.
+density, radial_cdf and radial_sf take numbers or arrays (t and r
+broadcast), check their preconditions and then hand over to it;
+simulate.sample_increments draws from it.
 
 Convention fixed across the package: the isotropic alpha-stable law has
 characteristic function exp(-t |xi|^alpha).  Hence alpha = 2 is Gaussian
@@ -30,15 +31,13 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .errors import PreconditionError, UnsupportedModelError
 from .integral_tests import CONVERGENT, DIVERGENT, Verdict, classify_tail_integral
 from .scaling import (
-    DECREASING,
     INCREASING,
     UPPER_DECAY,
-    Envelope,
     ScalingFunction,
     check_h_conditions,
     exp_decay,
@@ -262,29 +261,35 @@ def _law(model: KernelModel):
     return model.exact_law
 
 
-def density(model: KernelModel, t: float, d: float) -> float:
-    """Exact transition density at time t and distance d."""
-    if t <= 0:
+def _query(model: KernelModel, method: str, t, r, at_zero: Optional[float] = None):
+    """One law method over t and r (they broadcast): a float for scalars.
+
+    at_zero, when given, is the exact value at r = 0.
+    """
+    t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+    if not (t > 0).all():  # false for NaN too
         raise PreconditionError("t must be positive")
-    return _law(model).density(t, d)
+    if not (r >= 0).all():
+        raise PreconditionError("distance must be nonnegative")
+    out = getattr(_law(model), method)(t, r)
+    if at_zero is not None and (r == 0.0).any():
+        out = np.where(r == 0.0, at_zero, out)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def radial_cdf(model: KernelModel, t: float, r: float) -> float:
-    """P(d(X_t, x) <= r) under the exact law."""
-    if r < 0:
-        raise PreconditionError("radius must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    return _law(model).cdf(t, r)
+def density(model: KernelModel, t, d):
+    """Exact transition density at time t and distance d (arrays broadcast)."""
+    return _query(model, "density", t, d)
 
 
-def radial_sf(model: KernelModel, t: float, r: float) -> float:
+def radial_cdf(model: KernelModel, t, r):
+    """P(d(X_t, x) <= r) under the exact law (arrays broadcast)."""
+    return _query(model, "cdf", t, r, at_zero=0.0)
+
+
+def radial_sf(model: KernelModel, t, r):
     """P(d(X_t, x) > r); complementary to radial_cdf, accurate at large r."""
-    if r < 0:
-        raise PreconditionError("radius must be nonnegative")
-    if r == 0.0:
-        return 1.0
-    return _law(model).sf(t, r)
+    return _query(model, "sf", t, r, at_zero=1.0)
 
 
 @dataclass(frozen=True)
@@ -294,14 +299,14 @@ class GaussianLaw:
     dim: int
     alpha = 2.0
 
-    def density(self, t: float, d: float) -> float:
-        return (4.0 * math.pi * t) ** (-self.dim / 2.0) * math.exp(-d * d / (4.0 * t))
+    def density(self, t, d):
+        return (4.0 * math.pi * t) ** (-self.dim / 2.0) * np.exp(-d * d / (4.0 * t))
 
-    def cdf(self, t: float, r: float) -> float:
-        return float(stats.chi2.cdf(r * r / (2.0 * t), df=self.dim))
+    def cdf(self, t, r):
+        return special.chdtr(self.dim, r * r / (2.0 * t))
 
-    def sf(self, t: float, r: float) -> float:
-        return float(stats.chi2.sf(r * r / (2.0 * t), df=self.dim))
+    def sf(self, t, r):
+        return special.chdtrc(self.dim, r * r / (2.0 * t))
 
     def increments(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.sqrt(2.0 * dts)[:, None] * rng.standard_normal((dts.shape[0], self.dim))
@@ -314,14 +319,14 @@ class CauchyLaw:
     dim = 1
     alpha = 1.0
 
-    def density(self, t: float, d: float) -> float:
+    def density(self, t, d):
         return t / (math.pi * (d * d + t * t))
 
-    def cdf(self, t: float, r: float) -> float:
-        return (2.0 / math.pi) * math.atan(r / t)
+    def cdf(self, t, r):
+        return (2.0 / math.pi) * np.arctan2(r, t)
 
-    def sf(self, t: float, r: float) -> float:
-        return (2.0 / math.pi) * math.atan(t / r)
+    def sf(self, t, r):
+        return (2.0 / math.pi) * np.arctan2(t, r)
 
     def increments(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return (dts * symmetric_stable(rng, 1.0, dts.shape[0]))[:, None]
@@ -331,31 +336,35 @@ class CauchyLaw:
 class StableLaw:
     """The isotropic alpha-stable law in dim dimensions, exp(-t |xi|^alpha).
 
-    Within _FOURIER_REACH envelope lengths t^(1/alpha) of the origin the
-    density and the ball probability come from Fourier inversion, beyond
-    it from the subordination mixture over the (alpha/2)-stable clock.
+    Every query goes through one t = 1 subordination table, built on the
+    first density, cdf or sf call and kept on this object: by
+    self-similarity p_t(r) = t^(-dim/alpha) p_1(rho) and
+    F_t(r) = F_1(rho) with rho = r t^(-1/alpha).  Arrays of rho are
+    evaluated against it _BLOCK at a time; past the table's end the tail
+    series of the subordinator density is integrated in closed form (see
+    _MixtureTable).
     """
 
     alpha: float
     dim: int
 
-    def _far(self, t: float, r: float) -> bool:
-        return r > _FOURIER_REACH * t ** (1.0 / self.alpha)
+    @cached_property
+    def table(self) -> "_MixtureTable":
+        return _MixtureTable(0.5 * self.alpha, self.dim)
 
-    def density(self, t: float, d: float) -> float:
-        if self._far(t, d):
-            return _stable_density_subordination(self.alpha, self.dim, t, d)
-        return _stable_density_radial(self.alpha, self.dim, t, d)
+    def _log_q(self, t, r):
+        """log(rho^2 / 4); -inf at r = 0."""
+        with np.errstate(divide="ignore"):
+            return 2.0 * (np.log(r) - np.log(t) / self.alpha) - math.log(4.0)
 
-    def cdf(self, t: float, r: float) -> float:
-        if self._far(t, r):
-            return 1.0 - _stable_sf_subordination(self.alpha, self.dim, t, r)
-        return _stable_ball_radial(self.alpha, self.dim, t, r)
+    def density(self, t, d):
+        return t ** (-self.dim / self.alpha) * self.table.density(self._log_q(t, d))
 
-    def sf(self, t: float, r: float) -> float:
-        if self._far(t, r):
-            return _stable_sf_subordination(self.alpha, self.dim, t, r)
-        return 1.0 - _stable_ball_radial(self.alpha, self.dim, t, r)
+    def cdf(self, t, r):
+        return self.table.ball(self._log_q(t, r), upper=False)
+
+    def sf(self, t, r):
+        return self.table.ball(self._log_q(t, r), upper=True)
 
     def increments(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         m = dts.shape[0]
@@ -370,72 +379,6 @@ def _quad(f, a, b, **kw):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(f, a, b, **kw)
     return val
-
-
-# -- one-sided stable subordinator density ----------------------------------
-#
-# S with Laplace transform exp(-lambda^gamma), 0 < gamma < 1.  _log_eta1
-# returns log eta over an array of w (Nolan 1997), in two regimes:
-#   * w < 4: Kanter's integral over u in (0, pi) on 384 Gauss-Legendre nodes,
-#     eta(w) = gamma / (2 (1-gamma) w) sum_j W_j exp(L_j - e^L_j) with
-#     L_j = log a(u_j) - gamma/(1-gamma) log w: one (w x 384) matrix product,
-#     each row shifted by its largest exponent, so no term overflows and a
-#     density below the float range (near alpha = 2 and small w it falls
-#     under exp(-9000)) comes out as exp(-huge) = 0;
-#   * w >= 4: the convergent tail series
-#     eta(w) = sum_k (-1)^(k+1) Gamma(k g + 1)/k! sin(pi k g) w^(-k g - 1) / pi
-#     over 21 terms: one (w x 21) matrix product with w^(-1-g) factored out.
-# The subordination integrals over v (density and sf) share one fixed
-# composite Gauss-Legendre rule in x = log v, 32 nodes per window.  Its
-# knots are center + (-40, -6, -3, -1, 1, 3, 6, 40), short windows at the
-# peak of the integrand, plus log scale - 1 and log scale, which bracket the
-# steep left flank of eta_t (its width in x shrinks like 1 - gamma; without
-# these two knots the rule is 2e-3 off at alpha = 1.9 near the switch).
-# 32 nodes per window suffice: the density matches the Cauchy closed forms
-# (alpha = 1, d = 1..3) to 1e-14, the term-by-term far-tail series
-# (alpha = 1.5, 1.9) to 3e-13, and adaptive quadrature of the same integrand
-# to 3e-11 up to alpha = 1.8 and 2e-5 at alpha = 1.9 (4e-3 at alpha = 1.95,
-# where the flank outruns both rules).  Beyond the last knot the sf takes the
-# subordinator's own mass P(S_t > v), the tail series integrated term by
-# term: without it the sf was low by about exp(-40 gamma) (6e-5 at
-# alpha = 0.5); with it it matches Cauchy to 3e-15 and a rule reaching
-# center + 200 to 2e-15 at alpha = 0.5.  The array eta matches the Levy law
-# (gamma = 1/2) to 1e-13 on both sides of the switch.
-
-_GL_U, _GL_W = np.polynomial.legendre.leggauss(384)
-_ETA_SERIES_FROM = 4.0
-_ETA_SERIES_K = np.arange(1.0, 22.0)
-_SUB_KNOTS = np.array([-40.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0, 40.0])
-_SUB_PEAK_KNOTS = np.array([-1.0, 0.0])
-_SUB_U, _SUB_U_W = np.polynomial.legendre.leggauss(32)
-
-
-def _eta_series_coef(gamma: float) -> np.ndarray:
-    """c_k of the tail series eta(w) = sum_k c_k w^(-k gamma - 1), k = 1..21."""
-    k = _ETA_SERIES_K
-    coef = (-1.0) ** (k + 1) * special.gamma(k * gamma + 1.0) / special.gamma(k + 1.0)
-    return coef * np.sin(math.pi * k * gamma) / math.pi
-
-
-def _log_eta1(gamma: float, w: np.ndarray) -> np.ndarray:
-    """Log density at each w > 0 of the standard positive gamma-stable law."""
-    g1 = 1.0 - gamma
-    log_w = np.log(np.asarray(w, dtype=float))
-    out = np.empty_like(log_w)
-    tail = log_w >= math.log(_ETA_SERIES_FROM)
-    k = _ETA_SERIES_K
-    lw = log_w[tail]
-    out[tail] = -(1.0 + gamma) * lw + np.log(
-        np.exp(np.outer(lw, -(k - 1.0) * gamma)) @ _eta_series_coef(gamma)
-    )
-    u = 0.5 * math.pi * (_GL_U + 1.0)
-    log_a = (gamma * np.log(np.sin(gamma * u)) + g1 * np.log(np.sin(g1 * u)) - np.log(np.sin(u))) / g1
-    lw = log_w[~tail]
-    big_l = log_a - (gamma / g1) * lw[:, None]
-    h = big_l - np.exp(np.minimum(big_l, 700.0))
-    top = h.max(axis=1)
-    out[~tail] = math.log(0.5 * gamma / g1) - lw + top + np.log(np.exp(h - top[:, None]) @ _GL_W)
-    return out
 
 
 # -- exact increment samplers -----------------------------------------------
@@ -498,94 +441,270 @@ def positive_stable(rng: np.random.Generator, gamma: float, size) -> np.ndarray:
     return flat.reshape(size)
 
 
-def _subordination_rule(alpha: float, dim: int, t: float, r: float):
-    """Nodes v of the log-v rule, weights W_i eta_t(v_i) v_i (dv = v dx), and
-    log w = log(v / t^(1/gamma)) at the rule's upper end (at least 40)."""
-    gamma = 0.5 * alpha
-    log_scale = math.log(t) / gamma
-    center = max(math.log(r * r / (2.0 * dim)), log_scale)
-    knots = np.sort(np.concatenate([center + _SUB_KNOTS, log_scale + _SUB_PEAK_KNOTS]))
-    half = 0.5 * np.diff(knots)[:, None]
-    x = (knots[:-1, None] + half * (_SUB_U + 1.0)).ravel()
-    weights = (half * _SUB_U_W).ravel()
-    eta_v = np.exp(_log_eta1(gamma, np.exp(x - log_scale)) + x - log_scale)
-    return np.exp(x), weights * eta_v, knots[-1] - log_scale
+# -- the stable law by subordination ------------------------------------------
+#
+# X_1 = B(S): Brownian motion of variance 2v per coordinate at the time S of
+# the gamma-stable subordinator (Laplace transform exp(-lambda^gamma),
+# gamma = alpha/2, density eta), so with z = rho^2 / 4v
+#     p_1(rho) = int (4 pi v)^(-d/2) e^-z eta(v) dv,
+#     P(|X_1| > rho) = int Q(d/2, z) eta(v) dv    (Q: upper incomplete gamma).
+#
+# _log_eta1 (Nolan 1997): below w = 4, Kanter's integral of exp(L - e^L) over
+# u in (0, pi), L = log a(u) - gamma/(1-gamma) log w increasing in u; the
+# integrand is above e^-41 of its peak only on a bracket of u that shrinks
+# with 1 - gamma, so each w gets 16 windows between fixed levels of L and
+# e^L, found from one monotone grid of log a by a few Newton steps, with 16
+# nodes each (one fixed 384-node rule over (0, pi) was 6e-4 off in log eta
+# at gamma = 0.95 and 18 at 0.995).  From w = 4 on, the 21-term convergent
+# tail series eta(w) = sum_k c_k w^(-k gamma - 1).
+#
+# _MixtureTable: one fixed composite Gauss-Legendre rule in x = log v with
+# weights W eta(v) v.  Windows are one unit wide (the flank of e^-z in x is),
+# 1/c wide on the steep left flank exp(-C v^-c) of eta, c = gamma/(1-gamma),
+# and doubling to the right of its mode; the rule runs from where the flank
+# is exp(-1000) to x = 60.  A query sums node by node only the windows where
+# some z lies in [1e-3, 100]: below them the kernels are under e^-100, above
+# them five terms of their series in z stand in, through sums of the weights
+# times v^-n from each window on.  Past x = 60 the tail series of eta is
+# integrated against each kernel in closed form (incomplete gamma
+# functions): it holds the mass the rule leaves out (2.5e-7 at alpha = 0.5)
+# and all of it once rho^2 >> e^60 (Green quadrature reaches rho ~ e^70).
+# Measured: Cauchy closed forms to 5e-15 (cdf 2e-13 in 3-d), mass 1 to
+# 6e-13 over alpha in [0.1, 1.9999], and within 5e-12 of a 4000-node Kanter
+# reference at alpha = 1.9, 1.95 and 1.99.
+
+#: rows of every (rows x nodes) array, in the table build and in queries:
+#: 64 rows keep each such array near 1 MB
+_BLOCK = 64
+_ETA_SERIES_FROM = 4.0
+_ETA_SERIES_K = np.arange(1.0, 22.0)
+#: Kanter window ends: levels of L left of the peak, of e^L - max(e^L(0), 1)
+#: right of it (where exp(L - e^L) is e^-41 of its peak)
+_KANTER_LEFT = np.array([-41.0, -30.0, -20.0, -12.0, -7.0, -4.0, -2.0, -1.0, 0.0])
+_KANTER_RIGHT = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 45.0])
+_KANTER_U, _KANTER_W = np.polynomial.legendre.leggauss(16)
+_KANTER_NEWTON = 3
+#: grid of u for reading the window ends off log a, dense at both ends
+_KANTER_GRID = 0.5 * math.pi * (1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 2049)[1:-1]))
+_MIX_U, _MIX_W = np.polynomial.legendre.leggauss(24)
+_MIX_END = 60.0
+#: a query sums node by node the windows where z meets [1e-3, 100], and the
+#: windows above them by the terms n = 0..4 of each kernel's expansion
+_LOG_Z_MAX = math.log(100.0)
+_LOG_Z_MIN = math.log(1e-3)
+_TAIL_N = np.arange(5.0)
+_LOG_END_SMALL = math.log(1e-6)
 
 
-def _stable_density_subordination(alpha: float, dim: int, t: float, r: float) -> float:
-    """p_t(r) = int (4 pi v)^(-d/2) exp(-r^2/4v) eta_t(v) dv (far-tail safe)."""
-    v, w, _ = _subordination_rule(alpha, dim, t, r)
-    return float(w @ np.exp(-0.5 * dim * np.log(4.0 * math.pi * v) - r * r / (4.0 * v)))
+def _eta_series_coef(gamma: float) -> np.ndarray:
+    """c_k of the tail series eta(w) = sum_k c_k w^(-k gamma - 1), k = 1..21."""
+    k = _ETA_SERIES_K
+    coef = (-1.0) ** (k + 1) * special.gamma(k * gamma + 1.0) / special.gamma(k + 1.0)
+    return coef * np.sin(math.pi * k * gamma) / math.pi
 
 
-def _stable_sf_subordination(alpha: float, dim: int, t: float, r: float) -> float:
-    """P(|X_t| > r) through the subordination mixture (positive integrand).
-
-    Beyond the rule's end chdtrc(dim, r^2 / 2v) is 1 to within e^(-20 dim),
-    so that part of the mixture is the subordinator's own survival
-    P(S_1 > w) = sum_k c_k w^(-k gamma) / (k gamma), the tail series of eta
-    integrated term by term.
-    """
-    v, w, log_w_end = _subordination_rule(alpha, dim, t, r)
-    k_gamma = _ETA_SERIES_K * (0.5 * alpha)
-    beyond = float(np.exp(-k_gamma * log_w_end) @ (_eta_series_coef(0.5 * alpha) / k_gamma))
-    return min(max(float(w @ special.chdtrc(dim, r * r / (2.0 * v))) + beyond, 0.0), 1.0)
+def _log_kanter_a(gamma: float, u: np.ndarray) -> np.ndarray:
+    g1 = 1.0 - gamma
+    return (gamma * np.log(np.sin(gamma * u)) + g1 * np.log(np.sin(g1 * u)) - np.log(np.sin(u))) / g1
 
 
-#: beyond this many envelope lengths the Fourier inversion cancels badly
-#: and the subordination route takes over
-_FOURIER_REACH = 3.0
+def _kanter_ends(gamma: float, levels: np.ndarray, grid_u: np.ndarray, grid_l: np.ndarray) -> np.ndarray:
+    """u where log a(u) = level: Newton steps from the grid, each kept inside
+    the bracket it has narrowed (one grid cell can span hundreds of units of
+    L when 1 - gamma is small)."""
+    k = np.clip(np.searchsorted(grid_l, levels), 1, grid_l.size - 1)
+    lo, hi = grid_u[k - 1], grid_u[k]
+    u = np.interp(levels, grid_l, grid_u)
+    g1 = 1.0 - gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_KANTER_NEWTON):
+            f = _log_kanter_a(gamma, u) - levels
+            lo, hi = np.where(f < 0, u, lo), np.where(f < 0, hi, u)
+            slope = (gamma * gamma / np.tan(gamma * u) + g1 * g1 / np.tan(g1 * u) - 1.0 / np.tan(u)) / g1
+            step = u - f / slope
+            u = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    return np.where(levels > grid_l[0], u, grid_u[0])
 
 
-def _stable_density_radial(alpha: float, dim: int, t: float, r: float) -> float:
-    """Fourier inversion of exp(-t s^alpha), radial part, dim 1..3."""
-    decay = lambda s: math.exp(-t * s**alpha)
-    if r == 0.0:
-        # closed forms of int s^(dim-1) e^(-t s^alpha) ds
-        g = special.gamma(dim / alpha) / (alpha * t ** (dim / alpha))
-        if dim == 1:
-            return g / math.pi
-        if dim == 2:
-            return g / (2.0 * math.pi)
-        return g / (2.0 * math.pi**2)
-    if dim == 1:
-        val = _quad(decay, 0, np.inf, weight="cos", wvar=r, limit=400)
-        return val / math.pi
-    if dim == 2:
-        f = lambda s: s * special.j0(r * s) * decay(s)
-        s_max = (745.0 / t) ** (1.0 / alpha)
-        return _quad(f, 0, s_max, limit=2000) / (2.0 * math.pi)
-    f3 = lambda s: s * decay(s)
-    val = _quad(f3, 0, np.inf, weight="sin", wvar=r, limit=400)
-    return val / (2.0 * math.pi**2 * r)
-
-
-def _stable_ball_radial(alpha: float, dim: int, t: float, r: float) -> float:
-    """P(|X_t| <= r) by Fourier inversion of the ball indicator."""
-    decay = lambda s: math.exp(-t * s**alpha)
-    s0 = min(1.0, 1.0 / r)  # keep the unweighted head free of oscillation
-    if dim == 1:
-        # (2/pi) int sin(rs)/s e^(-t s^alpha) ds
-        head = _quad(lambda s: math.sin(r * s) / s * decay(s) if s > 0 else r, 0, s0)
-        tail = _quad(lambda s: decay(s) / s, s0, np.inf, weight="sin", wvar=r, limit=400)
-        return min(max((head + tail) * 2.0 / math.pi, 0.0), 1.0)
-    if dim == 2:
-        # r int J1(rs) e^(-t s^alpha) ds
-        s_max = (745.0 / t) ** (1.0 / alpha)
-        val = r * _quad(lambda s: special.j1(r * s) * decay(s), 0, s_max, limit=2000)
-        return min(max(val, 0.0), 1.0)
-    # (2/pi) int (sin(rs) - rs cos(rs)) / s e^(-t s^alpha) ds
-    head = _quad(
-        lambda s: (math.sin(r * s) - r * s * math.cos(r * s)) / s * decay(s)
-        if s > 0
-        else 0.0,
-        0,
-        s0,
+def _log_eta1(gamma: float, w: np.ndarray) -> np.ndarray:
+    """Log density at each w > 0 of the standard positive gamma-stable law."""
+    g1 = 1.0 - gamma
+    c = gamma / g1
+    log_w = np.log(np.asarray(w, dtype=float))
+    out = np.empty_like(log_w)
+    tail = log_w >= math.log(_ETA_SERIES_FROM)
+    k = _ETA_SERIES_K
+    lw = log_w[tail]
+    out[tail] = -(1.0 + gamma) * lw + np.log(
+        np.exp(np.outer(lw, -(k - 1.0) * gamma)) @ _eta_series_coef(gamma)
     )
-    tail_sin = _quad(lambda s: decay(s) / s, s0, np.inf, weight="sin", wvar=r, limit=400)
-    tail_cos = _quad(decay, s0, np.inf, weight="cos", wvar=r, limit=400)
-    val = (head + tail_sin - r * tail_cos) * 2.0 / math.pi
-    return min(max(val, 0.0), 1.0)
+    log_a0 = (gamma * math.log(gamma) + g1 * math.log(g1)) / g1  # log a(0+)
+    grid_u = np.concatenate([[1e-300], _KANTER_GRID])
+    grid_l = np.maximum.accumulate(np.concatenate([[log_a0], _log_kanter_a(gamma, _KANTER_GRID)]))
+    head = np.flatnonzero(~tail)
+    for i in range(0, head.size, _BLOCK):
+        lw = log_w[head[i:i + _BLOCK]]
+        shift = c * lw
+        zeta0 = np.exp(np.minimum(log_a0 - shift, 700.0))  # e^L at u = 0
+        levels = np.hstack([
+            np.maximum(_KANTER_LEFT + shift[:, None], log_a0),
+            np.log(np.maximum(zeta0, 1.0)[:, None] + _KANTER_RIGHT) + shift[:, None],
+        ])
+        ends = _kanter_ends(gamma, levels, grid_u, grid_l)
+        half = 0.5 * np.diff(ends, axis=1)
+        big_l = _log_kanter_a(gamma, ends[:, :-1, None] + half[:, :, None] * (_KANTER_U + 1.0))
+        big_l -= shift[:, None, None]
+        h = big_l - np.exp(np.minimum(big_l, 700.0))
+        top = h.max(axis=(1, 2))
+        total = np.einsum("bk,bkn,n->b", half, np.exp(h - top[:, None, None]), _KANTER_W)
+        with np.errstate(divide="ignore"):
+            out[head[i:i + _BLOCK]] = math.log(gamma / (g1 * math.pi)) - lw + top + np.log(total)
+    return out
+
+
+def _mixture_knots(gamma: float) -> np.ndarray:
+    """Window ends in x = log v of the t = 1 mixture rule (see above)."""
+    c = gamma / (1.0 - gamma)
+    x_mode = math.log(2.0 * (1.0 - gamma) * gamma**c) / c  # mode of v eta(v) on the flank
+    step = min(1.0, 1.0 / c)
+    left = x_mode - step * np.arange(math.ceil(math.log(2000.0) / (c * step)), 0, -1)
+    right = x_mode + step * (2.0 ** np.arange(math.ceil(-math.log2(step)) + 1) - 1.0)
+    unit = np.arange(right[-1] + 1.0, _MIX_END, 1.0)
+    return np.concatenate([left, right, unit, [_MIX_END]])
+
+
+def _gamma_q(dim: int, log_z: np.ndarray) -> np.ndarray:
+    """Q(dim/2, z) = P(chi2_dim > 2z) from log z, by the recursion
+    Q(s + 1, z) = Q(s, z) + z^s e^-z / Gamma(s + 1) from s = 1/2 or 1."""
+    z = np.exp(log_z)
+    s = 0.5 if dim % 2 else 1.0
+    q = special.erfc(np.sqrt(z)) if dim % 2 else np.exp(-z)
+    while s < 0.5 * dim:
+        q += np.exp(s * log_z - z - special.gammaln(s + 1.0))
+        s += 1.0
+    return q
+
+
+class _EndSeries:
+    """sum_k coef_k Gamma(a_k) P(a_k, z) z^(-p_k), a - p the same for every
+    k: the tail series of eta integrated term by term past the rule's end
+    against one kernel, at z = rho^2 / 4 e^60, from log z.  Below z = 1e-6
+    it is the expansion z^(a-p) (1/a - z/(a+1)), within z^2/2 of it; z^-p
+    is taken from log z, so no z overflows."""
+
+    def __init__(self, a: np.ndarray, p: np.ndarray, coef: np.ndarray):
+        self.a, self.p, self.coef = a, p, coef
+        self.power = a[0] - p[0]
+        self.small = (coef @ (1.0 / a), coef @ (1.0 / (a + 1.0)))
+
+    def __call__(self, log_z: np.ndarray) -> np.ndarray:
+        small = np.exp(np.minimum(log_z, _LOG_END_SMALL))
+        out = self.small[0] - small * self.small[1]
+        if self.power:
+            out *= small**self.power
+        big = log_z >= _LOG_END_SMALL
+        if big.any():
+            lz = log_z[big, None]
+            p_a = special.gammainc(self.a, np.exp(np.minimum(lz, 700.0)))
+            out[big] = (special.gamma(self.a) * p_a * np.exp(-self.p * lz)) @ self.coef
+        return out
+
+
+def _blockwise(f, log_q: np.ndarray) -> np.ndarray:
+    """f over log_q, _BLOCK values at a time in increasing order (so each
+    block's slice of windows stays narrow), in log_q's shape."""
+    flat = log_q.ravel()
+    if 0 < flat.size <= _BLOCK:
+        return f(flat).reshape(log_q.shape)
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _BLOCK):
+        rows = order[i:i + _BLOCK]
+        out[rows] = f(flat[rows])
+    return out.reshape(log_q.shape)
+
+
+def _suffix(per_window: np.ndarray) -> np.ndarray:
+    """[..., k] = sum of the windows from k on, summed from the small end; [..., -1] = 0."""
+    above = np.cumsum(per_window[..., ::-1], axis=-1)[..., ::-1]
+    return np.concatenate([above, np.zeros(above.shape[:-1] + (1,))], axis=-1)
+
+
+class _MixtureTable:
+    """The t = 1 subordination mixture of one stable law (see above).
+
+    density and ball take log(rho^2 / 4) as an array; ball returns
+    P(|X_1| > rho) (upper) or P(|X_1| <= rho).
+    """
+
+    def __init__(self, gamma: float, dim: int):
+        s = 0.5 * dim
+        knots = _mixture_knots(gamma)
+        half = 0.5 * np.diff(knots)[:, None]
+        x = (knots[:-1, None] + half * (_MIX_U + 1.0)).ravel()
+        log_mix = np.log((half * _MIX_W).ravel()) + _log_eta1(gamma, np.exp(x)) + x
+        log_dens = log_mix - s * (x + math.log(4.0 * math.pi))
+        mix, dens = np.exp(log_mix), np.exp(log_dens)
+        self.dim, self.s = dim, s
+        self.knots, self.x, self.mix, self.dens = knots, x, mix, dens
+        # above the slice, per window from k on: the terms of
+        # exp(-z) = sum_n (-z)^n / n! and of
+        # P(s, z) = z^s / Gamma(s) sum_n (-z)^n / (n! (s + n))
+        n = _TAIL_N[:, None]
+        shape = (n.size, knots.size - 1, _MIX_U.size)
+        self.dens_above = _suffix(np.exp(log_dens - n * x).reshape(shape).sum(axis=2))
+        self.ball_above = _suffix(np.exp(log_mix - (s + n) * x).reshape(shape).sum(axis=2))
+        self.dens_terms = (-1.0) ** _TAIL_N / special.gamma(_TAIL_N + 1.0)
+        self.ball_terms = self.dens_terms / ((s + _TAIL_N) * special.gamma(s))
+        per_window = mix.reshape(shape[1:]).sum(axis=1)
+        self.mass_below = np.insert(np.cumsum(per_window), 0, 0.0)
+        self.mass_above = _suffix(per_window)
+        # beyond x = 60: eta = sum_k c_k v^(-b-1), b = k gamma, a = b + s
+        coef = _eta_series_coef(gamma)
+        b = _ETA_SERIES_K * gamma
+        a = b + s
+        self.end_mass = float(coef @ (np.exp(-b * _MIX_END) / b))
+        self.end_dens = _EndSeries(a, a, coef * np.exp(-a * _MIX_END - s * math.log(4.0 * math.pi)))
+        self.end_ball = _EndSeries(a, b, coef * np.exp(-b * _MIX_END) / (b * special.gamma(s)))
+
+    def density(self, log_q: np.ndarray) -> np.ndarray:
+        return _blockwise(self._density, log_q)
+
+    def ball(self, log_q: np.ndarray, upper: bool) -> np.ndarray:
+        return _blockwise(lambda q: self._ball(q, upper), log_q)
+
+    def _body(self, log_q: np.ndarray):
+        """Windows summed node by node for this block: the index of the first
+        one above them, the node slice, and log z there (capped at 700, where
+        both kernels are 0 already)."""
+        i, j = self.knots.searchsorted(np.array([log_q.min() - _LOG_Z_MAX, log_q.max() - _LOG_Z_MIN]))
+        lo, hi = max(i - 1, 0), min(j, self.knots.size - 1)
+        nodes = slice(lo * _MIX_U.size, hi * _MIX_U.size)
+        return hi, nodes, np.minimum(np.subtract.outer(log_q, self.x[nodes]), 700.0)
+
+    def _above(self, log_q, hi, power, terms, sums):
+        """The windows from hi on, where z <= 1e-3: sum_n q^(power+n) terms_n sums_n."""
+        if hi == self.knots.size - 1:
+            return 0.0
+        return (np.exp(log_q)[:, None] ** (power + _TAIL_N) * terms) @ sums[:, hi]
+
+    def _density(self, log_q):
+        hi, nodes, log_z = self._body(log_q)
+        body = np.exp(-np.exp(log_z)) @ self.dens[nodes]
+        above = self._above(log_q, hi, 0.0, self.dens_terms, self.dens_above)
+        return body + above + self.end_dens(log_q - _MIX_END)
+
+    def _ball(self, log_q, upper):
+        hi, nodes, log_z = self._body(log_q)
+        body = _gamma_q(self.dim, log_z) @ self.mix[nodes]
+        p_above = self._above(log_q, hi, self.s, self.ball_terms, self.ball_above)
+        swept = self.end_ball(log_q - _MIX_END)
+        z_end = np.exp(np.minimum(log_q - _MIX_END, 700.0))
+        if upper:
+            beyond = special.gammaincc(self.s, z_end) * self.end_mass + swept
+            return body + self.mass_above[hi] - p_above + beyond
+        beyond = special.gammainc(self.s, z_end) * self.end_mass - swept
+        return self.mass_below[hi] - body + p_above + beyond
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +892,10 @@ def comparability_sweep(
     if t_grid is None:
         t_grid = np.geomspace(1.0, 1e3, 7)
     lo, hi = math.inf, -math.inf
-    for t in t_grid:
-        reach = d_max_factor * inverse(model.phi, float(t))
-        for d in np.concatenate([[0.0], np.geomspace(1e-3 * reach, reach, n_dist)]):
-            ratio = density(model, float(t), float(d)) / envelope_density(
-                model, float(t), float(d)
-            )
-            lo, hi = min(lo, ratio), max(hi, ratio)
+    for t in map(float, t_grid):
+        reach = d_max_factor * inverse(model.phi, t)
+        dists = np.concatenate([[0.0], np.geomspace(1e-3 * reach, reach, n_dist)])
+        envelope = np.array([envelope_density(model, t, float(d)) for d in dists])
+        ratio = density(model, t, dists) / envelope
+        lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
     return lo, hi

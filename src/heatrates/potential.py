@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PreconditionError, UnsupportedRegimeError
 from .kernels import TRANSIENT, KernelModel, density
 from .scaling import inverse
@@ -69,6 +71,10 @@ def _require_transient(model: KernelModel) -> None:
 ENVELOPE = "envelope"
 QUADRATURE = "quadrature"
 
+#: QUADRATURE mode's rule in log t: Gauss-Legendre pieces at most this wide
+_GREEN_STEP = 2.0
+_GREEN_U, _GREEN_W = np.polynomial.legendre.leggauss(16)
+
 
 def _envelope_time_integral(model: KernelModel, d: float) -> float:
     """Exact time integral of the two-sided envelope at distance d.
@@ -98,8 +104,9 @@ def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
 
     ENVELOPE mode returns a BoundPair, the exact time integral of the
     two-sided envelope times the declared comparability constants;
-    QUADRATURE mode (exact-law models) integrates the density numerically
-    with the tail beyond 1e4 * phi(2d) supplied by on-diagonal power decay.
+    QUADRATURE mode (exact-law models) integrates the density by one fixed
+    composite Gauss-Legendre rule in log t (one array density call), with
+    the tail beyond 1e4 * phi(2d) supplied by on-diagonal power decay.
     Requires a transient model.
     """
     if d <= 0:
@@ -116,22 +123,20 @@ def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     if mode == QUADRATURE:
         if not model.has_density:
             raise UnsupportedRegimeError("quadrature mode needs an exact law")
-        from scipy import integrate as _integrate
-
         t_big = 1e4 * max(model.phi(2.0 * d), 1.0)
         center = math.log(model.phi(d))
         knots = [center + o for o in (-35.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0)]
-        knots.append(math.log(t_big))
-        body = sum(
-            _integrate.quad(
-                lambda u: math.exp(u) * density(model, math.exp(u), d),
-                a,
-                b,
-                limit=200,
-            )[0]
-            for a, b in zip(knots, knots[1:])
-            if b > a
+        knots = np.array([k for k in knots if k < math.log(t_big)] + [math.log(t_big)])
+        # each knot interval cut into pieces at most _GREEN_STEP wide
+        pieces = np.ceil(np.diff(knots) / _GREEN_STEP).astype(int)
+        ends = np.concatenate(
+            [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(knots, knots[1:], pieces)]
+            + [knots[-1:]]
         )
+        half = 0.5 * np.diff(ends)[:, None]
+        u = (ends[:-1, None] + half * (_GREEN_U + 1.0)).ravel()
+        t = np.exp(u)
+        body = float(((half * _GREEN_W).ravel() * t) @ density(model, t, d))
         # on-diagonal tail: density(t, d) ~ density(t, 0) = psi0 t^(-dim/alpha)
         p = model.dim / model.alpha
         psi0 = density(model, 1.0, 0.0)
@@ -156,10 +161,6 @@ def capacity_bound(model: KernelModel, r: float) -> BoundPair:
     _require_transient(model)
     shape = model.V(r) / model.phi(r)
     return BoundPair(shape, shape, "capacity", UNIT)
-
-
-def capacity_lower_bound(model: KernelModel, r: float) -> float:
-    return capacity_bound(model, r).lower
 
 
 def hit_ball_from_distance(model: KernelModel, r: float, D: float) -> BoundPair:
@@ -201,34 +202,6 @@ def q_bound(model: KernelModel, r: float, t: float, side: str) -> float:
     _require_transient(model)
     shape = (model.V(r) / model.phi(r)) * t / model.V(inverse(model.phi, t))
     return min(max(shape, 0.0), 1.0)
-
-
-def _vp_lower_constant(model: KernelModel) -> float:
-    """c0 with V(phi^-1(R))/V(phi^-1(r)) >= c0 (R/r)^(d1/d4)."""
-    env_v, env_p = model.V.envelope, model.phi.envelope
-    return env_v.c_lo * env_p.c_hi ** (-model.d1 / model.d4)
-
-
-def r_window_lower(
-    model: KernelModel, r: float, t: float, theta: float
-) -> tuple[float, float]:
-    """Lower bound for a visit to B(x0, r) during the window (t, theta*t].
-
-    Returns (value, theta_min).  The window must be long enough that the
-    post-window visits cannot eat the whole late-visit probability:
-    theta_min solves (1/c0) theta^(1 - d1/d4) = 1/2 (unit q constants).
-    """
-    c0 = _vp_lower_constant(model)
-    ratio = model.d1 / model.d4
-    if ratio <= 1.0:
-        raise UnsupportedRegimeError("window bound needs d1 > d4")
-    theta_min = (2.0 / c0) ** (1.0 / (ratio - 1.0))
-    if theta < theta_min:
-        raise PreconditionError(
-            f"theta = {theta:g} below theta_min = {theta_min:g}"
-        )
-    value = 0.5 * q_bound(model, r, t, "lower")
-    return value, theta_min
 
 
 # ---------------------------------------------------------------------------

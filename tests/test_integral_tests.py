@@ -241,6 +241,23 @@ class TestSubcriticalLowerRate:
             subcritical_lower_rate_test(M(), sc.powerlog(0.0, -1.0))
 
 
+    def test_starts_where_the_radius_reaches_phis_domain(self):
+        # phi^-1(t) g(t) is 0.86 at t0 = 16, below powerlog's domain floor 2;
+        # the integral starts at the first t0 2^k where it gets there
+        from heatrates import kernels as kn
+
+        m = kn.from_id("jump:power:3;powerlog:1.5,0.9")
+        assert subcritical_lower_rate_test(m, sc.from_id("powerlog:0,-1.67")).label == CONVERGENT
+
+    def test_radius_never_reaching_phis_domain_raises(self):
+        class M:
+            V = sc.power(3.0)
+            phi = sc.powerlog(1.5, 0.9)
+
+        with pytest.raises(PreconditionError):
+            subcritical_lower_rate_test(M(), sc.power(-2.0))
+
+
 class TestCriticalLowerRate:
     def test_iterated_log_dichotomy(self):
         assert critical_lower_rate_test(sc.iterated_log_g(0.5)).label == CONVERGENT

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +29,64 @@ def stable153():
     m = kn.from_id("stable:1.5,3")
     lo, hi = kn.comparability_sweep(m, t_grid=np.geomspace(1.0, 100.0, 4), n_dist=12)
     return m.with_comparability(0.9 * lo, 1.1 * hi)
+
+
+def _kanter_bracket_log_eta(gamma, w, nodes=4000):
+    """log eta by Kanter's integral on `nodes` Gauss-Legendre nodes over the
+    u-bracket where exp(L - e^L) is above e^-45 of its peak, found by
+    bisection on L(u) (increasing in u)."""
+    g1, c = 1 - gamma, gamma / (1 - gamma)
+    u_gl, w_gl = special.roots_legendre(nodes)
+
+    def big_l(u, lw):
+        return (gamma * np.log(np.sin(gamma * u)) + g1 * np.log(np.sin(g1 * u)) - np.log(np.sin(u))) / g1 - c * lw
+
+    def solve(level, lw):
+        a, b = np.zeros_like(lw), np.full_like(lw, math.pi)
+        for _ in range(100):
+            mid = 0.5 * (a + b)
+            up = big_l(mid, lw) > level
+            a, b = np.where(up, a, mid), np.where(up, mid, b)
+        return 0.5 * (a + b)
+
+    out = np.empty_like(w)
+    for i in range(0, w.size, 16):
+        lw = np.log(w[i:i + 16])
+        l0 = (gamma * math.log(gamma) + g1 * math.log(g1)) / g1 - c * lw
+        lo = np.where(l0 > -46.0, 0.0, solve(-46.0, lw))
+        hi = solve(np.log(np.maximum(np.exp(np.minimum(l0, 700.0)), 1.0) + 50.0), lw)
+        half = 0.5 * (hi - lo)
+        L = big_l(lo[:, None] + half[:, None] * (u_gl + 1.0), lw[:, None])
+        h = L - np.exp(np.minimum(L, 700.0))
+        top = h.max(axis=1)
+        total = half * (np.exp(h - top[:, None]) @ w_gl)
+        out[i:i + 16] = math.log(gamma / (g1 * math.pi)) - lw + top + np.log(total)
+    return out
+
+
+@pytest.fixture(scope="module")
+def near_two_reference():
+    """(x, weights) of the t = 1 mixture for alpha near 2: the package's
+    windows each halved, 32 nodes each, eta by the bracketed 4000-node
+    Kanter sum below w = 4 and the tail series above (its mass past x = 60
+    is below e^-57)."""
+    cache = {}
+
+    def build(alpha):
+        if alpha not in cache:
+            gamma = alpha / 2
+            knots = kn._mixture_knots(gamma)
+            fine = np.append((knots[:-1, None] + np.diff(knots)[:, None] * [0.0, 0.5]).ravel(), knots[-1])
+            u, uw = np.polynomial.legendre.leggauss(32)
+            half = 0.5 * np.diff(fine)[:, None]
+            x = (fine[:-1, None] + half * (u + 1.0)).ravel()
+            log_eta = kn._log_eta1(gamma, np.exp(x))
+            head = x < math.log(4.0)
+            log_eta[head] = _kanter_bracket_log_eta(gamma, np.exp(x[head]))
+            cache[alpha] = x, (half * uw).ravel() * np.exp(log_eta + x)
+        return cache[alpha]
+
+    return build
 
 
 class TestPresets:
@@ -179,18 +241,51 @@ class TestExactLaws:
                 series(alpha, d, t, r), rel=tol
             ), (alpha, d, t, r)
 
-    @pytest.mark.parametrize("alpha, tol", [(0.8, 1e-8), (1.5, 1e-8), (1.8, 1e-8), (1.9, 1e-4)])
-    def test_density_routes_agree_at_switch(self, alpha, tol):
-        # Fourier inversion and the subordination rule overlap around the
-        # switch at r = 3 t^(1/alpha); near alpha = 2 the rule must resolve
-        # the steep flank of the subordinator density
-        t = 1.7
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cauchy_closed_forms_across_bands(self, dim):
+        # stable:1,d is the d-dimensional Cauchy law: near band (0.2 to 2
+        # scale lengths), far band (5 to 12) and beyond, as one array call each
+        m = kn.from_id(f"stable:1,{dim}")
+        t = np.array([0.5, 1.0, 3.0])[:, None]
+        r = np.concatenate([np.geomspace(0.2, 2.0, 9), np.geomspace(5.0, 12.0, 5), [40.0, 1e3, 1e5]]) * t
+        p = special.gamma((dim + 1) / 2) * math.pi ** (-(dim + 1) / 2) * t / (t * t + r * r) ** ((dim + 1) / 2)
+        odd = 2 / math.pi * t * r / (t * t + r * r)
+        sf = {1: 2 / math.pi * np.arctan2(t, r), 2: t / np.hypot(t, r),
+              3: 2 / math.pi * np.arctan2(t, r) + odd}[dim]
+        cdf = {1: 2 / math.pi * np.arctan2(r, t), 2: r * r / (np.hypot(t, r) * (t + np.hypot(t, r))),
+               3: 2 / math.pi * np.arctan2(r, t) - odd}[dim]
+        assert kn.density(m, t, r) == pytest.approx(p, rel=1e-10)
+        assert kn.radial_sf(m, t, r) == pytest.approx(sf, rel=1e-12)
+        assert kn.radial_cdf(m, t, r) == pytest.approx(cdf, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9, 1.999, 1.9999])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_density_integrates_to_one(self, alpha, dim):
+        # composite rule in log rho over [e^-25, e^160], one array call; the
+        # two ends are closed by the cdf and the sf
+        m = kn.from_id(f"stable:{alpha:g},{dim}")
+        u, uw = np.polynomial.legendre.leggauss(32)
+        ends = np.arange(-25.0, 160.5, 0.5)
+        half = 0.5 * np.diff(ends)[:, None]
+        rho = np.exp(ends[:-1, None] + half * (u + 1.0)).ravel()
+        area = {1: 2.0, 3: 4.0 * math.pi}[dim]
+        body = ((half * uw).ravel() * area * rho**dim) @ kn.density(m, 1.0, rho)
+        mass = body + kn.radial_cdf(m, 1.0, rho[0]) + kn.radial_sf(m, 1.0, rho[-1])
+        assert mass == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.9, 1.95, 1.99])
+    def test_alpha_near_two_against_refined_reference(self, alpha, near_two_reference):
+        # reference: Kanter's integral on 4000 nodes over each w's bracket
+        # (found by bisection), the mixture rule refined twice over
+        x, mix = near_two_reference(alpha)
+        v = np.exp(x)
+        rho = np.array([0.0, 0.2, 0.7, 1.5, 3.0, 5.0, 12.0, 40.0])
         for dim in (1, 2, 3):
-            for reach in (2.5, 3.0, 4.0):
-                r = reach * t ** (1 / alpha)
-                assert kn._stable_density_subordination(alpha, dim, t, r) == pytest.approx(
-                    kn._stable_density_radial(alpha, dim, t, r), rel=tol
-                ), (dim, reach)
+            m = kn.from_id(f"stable:{alpha:g},{dim}")
+            dens = (4 * math.pi * v) ** (-dim / 2) * np.exp(-np.outer(rho * rho, 1 / (4 * v)))
+            sf = special.chdtrc(dim, np.outer(rho * rho, 1 / (2 * v)))
+            assert kn.density(m, 1.0, rho) == pytest.approx(dens @ mix, rel=1e-10), dim
+            assert kn.radial_sf(m, 1.0, rho[1:]) == pytest.approx(sf[1:] @ mix, rel=1e-10), dim
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("reach", [5.0, 20.0])
@@ -251,6 +346,118 @@ class TestExactLaws:
         assert log_eta == pytest.approx(log_levy, rel=1e-12)
         moderate = w > 0.01
         assert np.exp(log_eta[moderate]) == pytest.approx(np.exp(log_levy[moderate]), rel=1e-12)
+
+
+class TestArrayQueries:
+    @pytest.mark.parametrize("spec", ["stable:1.5,3", "stable:0.5,2", "gaussian:3", "cauchy1d"])
+    def test_arrays_match_scalar_calls(self, spec):
+        m = kn.from_id(spec)
+        t = np.array([0.5, 2.0, 30.0])[:, None]
+        r = np.array([0.0, 0.3, 1.0, 7.0, 150.0])
+        # one block's slice of windows covers all its rows, so a value may
+        # differ from the scalar call's in rounding: probabilities by about
+        # 1e-16 absolute
+        for query, absolute in ((kn.density, 0.0), (kn.radial_cdf, 1e-15), (kn.radial_sf, 1e-15)):
+            grid = query(m, t, r)
+            assert grid.shape == (3, 5)
+            for i, tt in enumerate(t[:, 0]):
+                for j, rr in enumerate(r):
+                    one = query(m, float(tt), float(rr))
+                    assert type(one) is float
+                    assert grid[i, j] == pytest.approx(one, rel=1e-12, abs=absolute)
+        assert kn.radial_cdf(m, 1.0, np.zeros(2)).tolist() == [0.0, 0.0]
+        assert kn.radial_sf(m, 1.0, np.zeros(2)).tolist() == [1.0, 1.0]
+        assert kn.density(m, 1.0, np.zeros((0, 3))).shape == (0, 3)
+
+    def test_array_preconditions(self):
+        m = kn.from_id("stable:1.5,3")
+        for query in (kn.density, kn.radial_cdf, kn.radial_sf):
+            with pytest.raises(PreconditionError):
+                query(m, np.array([1.0, 0.0]), 1.0)
+            with pytest.raises(PreconditionError):
+                query(m, 1.0, np.array([1.0, -1.0]))
+            with pytest.raises(PreconditionError):
+                query(m, 1.0, np.array([1.0, np.nan]))
+
+    def test_far_radii_keep_the_series_tail(self):
+        # rho^2 far past e^60: the whole density comes from the tail series
+        # integrated past the rule's end; the leading term is
+        # c_1 Gamma(d/2 + gamma) pi^(-d/2) 4^gamma rho^(-d-alpha)
+        alpha, dim = 0.5, 3
+        m = kn.from_id(f"stable:{alpha:g},{dim}")
+        g = alpha / 2
+        rho = np.exp(np.array([35.0, 50.0, 70.0]))
+        c1 = special.gamma(g + 1) * math.sin(math.pi * g) / math.pi
+        lead = c1 * special.gamma(dim / 2 + g) * math.pi ** (-dim / 2) * 4**g * rho ** (-dim - alpha)
+        assert kn.density(m, 1.0, rho) == pytest.approx(lead, rel=1e-12)
+        sf_lead = c1 * special.gamma(dim / 2 + g) / (g * special.gamma(dim / 2)) * (rho * rho / 4) ** -g
+        assert kn.radial_sf(m, 1.0, rho) == pytest.approx(sf_lead, rel=1e-12)
+
+
+    def test_extreme_radii_raise_no_warnings(self):
+        # one block spanning 300 orders of magnitude, and radii whose rho^2
+        # overflows past the rule's end, stay finite and warning-free
+        m = kn.from_id("stable:0.2,3")
+        rho = np.concatenate([np.geomspace(1e-150, 1e150, 40), [1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = kn.density(m, 1.0, rho)
+            sf = kn.radial_sf(m, 1.0, rho)
+            cdf = kn.radial_cdf(m, 1.0, rho)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0)
+        assert sf + cdf == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(sf) <= 0)
+
+
+class TestGaussianLaw:
+    def test_cdf_sf_pinned(self):
+        # values of the scipy.stats chi2 route, which chdtr/chdtrc equal bit for bit
+        pinned = {
+            (1, 1.0, 0.5): (0.27632639016823707, 0.7236736098317629),
+            (1, 1.0, 12.0): (1.0, 2.1519736712498897e-17),
+            (2, 0.3, 2.0): (0.9643260066527476, 0.035673993347252395),
+            (2, 4.0, 3.0): (0.430217175269077, 0.569782824730923),
+            (3, 1.0, 0.5): (0.011322857824208369, 0.9886771421757916),
+            (3, 1.0, 12.0): (0.9999999999999984, 1.591900480262058e-15),
+        }
+        for (dim, t, r), (cdf, sf) in pinned.items():
+            m = kn.from_id(f"gaussian:{dim}")
+            assert (kn.radial_cdf(m, t, r), kn.radial_sf(m, t, r)) == (cdf, sf)
+
+    def test_package_does_not_import_scipy_stats(self):
+        code = "import sys, heatrates.kernels, heatrates.potential, heatrates.simulate; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
+class TestTableMemory:
+    def test_table_build_and_queries_stay_small(self):
+        law = kn.StableLaw(1.5, 3)
+        tracemalloc.start()
+        try:
+            law.table
+            build_peak = tracemalloc.get_traced_memory()[1]
+            radii = np.geomspace(1e-3, 1e6, 4096)
+            np.random.default_rng(7).shuffle(radii)
+            peaks = []
+            for query in (law.density, law.sf):
+                tracemalloc.reset_peak()
+                query(np.ones(1), radii)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert build_peak < 8e6
+        assert max(peaks) < 8e6 + build_peak
+
+    def test_classification_does_not_build_the_table(self):
+        m = kn.from_id("stable:1.5,3")
+        assert kn.classify_long_run(m)[0] == kn.TRANSIENT
+        assert m.long_run == kn.TRANSIENT
+        assert "table" not in m.exact_law.__dict__
+        kn.density(m, 1.0, 1.0)
+        assert "table" in m.exact_law.__dict__
+        assert "table" not in kn.from_id("stable:1.5,3").exact_law.__dict__
 
 
 class TestTailProbability:

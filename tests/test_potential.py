@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from heatrates import kernels as kn
@@ -29,3 +31,15 @@ def test_classification_is_per_model_not_per_id():
         pt.capacity_bound(recurrent, 1.0)
     assert pt.capacity_bound(transient, 1.0).lower == 1.0
     assert (recurrent.long_run, transient.long_run) == (kn.RECURRENT, kn.TRANSIENT)
+
+
+@pytest.mark.parametrize(
+    "spec", ["stable:1,3", "stable:1.5,3", "stable:0.5,1", "stable:0.5,3", "stable:1.9,3"]
+)
+def test_green_quadrature_against_riesz_potential(spec):
+    # G(d) = Gamma((n - alpha)/2) / (2^alpha pi^(n/2) Gamma(alpha/2)) d^(alpha - n)
+    m = kn.from_id(spec)
+    a, n = m.alpha, m.dim
+    for d in (0.5, 2.0, 8.0):
+        riesz = math.gamma((n - a) / 2) / (2**a * math.pi ** (n / 2) * math.gamma(a / 2)) * d ** (a - n)
+        assert pt.green_function(m, d, pt.QUADRATURE) == pytest.approx(riesz, rel=1e-8), d
