@@ -25,13 +25,12 @@ Cauchy law with density t / (pi (x^2 + t^2)).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import PreconditionError, UnsupportedModelError
 from .integral_tests import CONVERGENT, DIVERGENT, Verdict, classify_tail_integral
@@ -204,34 +203,29 @@ def from_id(spec: str) -> KernelModel:
 # ---------------------------------------------------------------------------
 
 
-def envelope_density(model: KernelModel, t: float, d: float) -> float:
+def envelope_density(model: KernelModel, t, d):
     """Comparison-class representative of p(t, x, y) at distance d.
 
+    t and d take numbers or arrays (they broadcast); floats stay floats.
     Constants are folded to one; the true density sits inside
-    [c_lo, c_hi] times this value.  d = 0 returns the on-diagonal branch.
+    [c_lo, c_hi] times this value.  d = 0 gives the on-diagonal branch.
     """
-    if t <= 0:
+    t, d = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
+    if not (t > 0).all():  # false for NaN too
         raise PreconditionError("t must be positive")
-    if d < 0:
+    if not (d >= 0).all():
         raise PreconditionError("distance must be nonnegative")
-    if model.form == STABLE_LIKE:
-        a, b = model.V.envelope.d_lo, model.phi.envelope.d_lo
-        on_diag = t ** (-a / b)
-        if d == 0.0:
-            return on_diag
-        return min(on_diag, t * d ** -(a + b))
-    if model.form == SUB_GAUSSIAN:
-        a, b = model.V.envelope.d_lo, model.phi.envelope.d_lo
-        on_diag = t ** (-a / b)
-        if d == 0.0:
-            return on_diag
-        x = -model.c0 * (d / t ** (1.0 / b)) ** (b / (b - 1.0))
-        return on_diag * (math.exp(x) if x > -745.0 else 0.0)
-    # two-sided-jump
-    on_diag = 1.0 / model.V(inverse(model.phi, t))
-    if d == 0.0:
-        return on_diag
-    return min(on_diag, t / (model.V(d) * model.phi(d)))
+    a, b = model.V.envelope.d_lo, model.phi.envelope.d_lo
+    with np.errstate(divide="ignore"):  # the off-diagonal branch is inf at d = 0
+        if model.form == STABLE_LIKE:
+            out = np.minimum(t ** (-a / b), t * d ** -(a + b))
+        elif model.form == SUB_GAUSSIAN:
+            out = t ** (-a / b) * np.exp(-model.c0 * (d / t ** (1.0 / b)) ** (b / (b - 1.0)))
+        else:  # two-sided-jump: V and phi take one float at a time
+            on_diag = 1.0 / np.vectorize(lambda s: model.V(inverse(model.phi, s)), otypes=[float])(t)
+            v_phi = np.vectorize(lambda s: model.V(s) * model.phi(s) if s else 0.0, otypes=[float])(d)
+            out = np.minimum(on_diag, t / v_phi)
+    return float(out) if out.ndim == 0 else out
 
 
 def tail_profile(model: KernelModel) -> tuple[ScalingFunction, ScalingFunction]:
@@ -374,13 +368,6 @@ class StableLaw:
         return np.sqrt(2.0 * s)[:, None] * rng.standard_normal((m, self.dim))
 
 
-def _quad(f, a, b, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, a, b, **kw)
-    return val
-
-
 # -- exact increment samplers -----------------------------------------------
 #
 # A law's increments(dts, rng) draws the increment over each step of length
@@ -441,6 +428,29 @@ def positive_stable(rng: np.random.Generator, gamma: float, size) -> np.ndarray:
     return flat.reshape(size)
 
 
+# -- composite Gauss-Legendre rules (the table, the tail midpoint, Green) ------
+
+#: nodes and weights on [-1, 1], by number of points
+_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (16, 24)}
+
+
+def _piece_ends(knots, step: float) -> np.ndarray:
+    """The knots, with every gap between them cut into equal pieces at most step wide."""
+    pieces = np.ceil(np.diff(knots) / step).astype(int)
+    ends = [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(knots, knots[1:], pieces)]
+    return np.concatenate(ends + [knots[-1:]])
+
+
+def _gauss_legendre(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule on each piece between consecutive
+    ends (along the last axis), window-major: the n nodes of the first piece,
+    then those of the next."""
+    u, w = _LEGENDRE[n]
+    half = 0.5 * np.diff(ends)[..., None]
+    shape = ends.shape[:-1] + (-1,)
+    return (ends[..., :-1, None] + half * (u + 1.0)).reshape(shape), (half * w).reshape(shape)
+
+
 # -- the stable law by subordination ------------------------------------------
 #
 # X_1 = B(S): Brownian motion of variance 2v per coordinate at the time S of
@@ -482,11 +492,11 @@ _ETA_SERIES_K = np.arange(1.0, 22.0)
 #: right of it (where exp(L - e^L) is e^-41 of its peak)
 _KANTER_LEFT = np.array([-41.0, -30.0, -20.0, -12.0, -7.0, -4.0, -2.0, -1.0, 0.0])
 _KANTER_RIGHT = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 45.0])
-_KANTER_U, _KANTER_W = np.polynomial.legendre.leggauss(16)
+_KANTER_U, _KANTER_W = _LEGENDRE[16]
 _KANTER_NEWTON = 3
 #: grid of u for reading the window ends off log a, dense at both ends
 _KANTER_GRID = 0.5 * math.pi * (1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 2049)[1:-1]))
-_MIX_U, _MIX_W = np.polynomial.legendre.leggauss(24)
+_MIX_POINTS = 24
 _MIX_END = 60.0
 #: a query sums node by node the windows where z meets [1e-3, 100], and the
 #: windows above them by the terms n = 0..4 of each kernel's expansion
@@ -640,9 +650,8 @@ class _MixtureTable:
     def __init__(self, gamma: float, dim: int):
         s = 0.5 * dim
         knots = _mixture_knots(gamma)
-        half = 0.5 * np.diff(knots)[:, None]
-        x = (knots[:-1, None] + half * (_MIX_U + 1.0)).ravel()
-        log_mix = np.log((half * _MIX_W).ravel()) + _log_eta1(gamma, np.exp(x)) + x
+        x, weight = _gauss_legendre(knots, _MIX_POINTS)
+        log_mix = np.log(weight) + _log_eta1(gamma, np.exp(x)) + x
         log_dens = log_mix - s * (x + math.log(4.0 * math.pi))
         mix, dens = np.exp(log_mix), np.exp(log_dens)
         self.dim, self.s = dim, s
@@ -651,7 +660,7 @@ class _MixtureTable:
         # exp(-z) = sum_n (-z)^n / n! and of
         # P(s, z) = z^s / Gamma(s) sum_n (-z)^n / (n! (s + n))
         n = _TAIL_N[:, None]
-        shape = (n.size, knots.size - 1, _MIX_U.size)
+        shape = (n.size, knots.size - 1, _MIX_POINTS)
         self.dens_above = _suffix(np.exp(log_dens - n * x).reshape(shape).sum(axis=2))
         self.ball_above = _suffix(np.exp(log_mix - (s + n) * x).reshape(shape).sum(axis=2))
         self.dens_terms = (-1.0) ** _TAIL_N / special.gamma(_TAIL_N + 1.0)
@@ -679,7 +688,7 @@ class _MixtureTable:
         both kernels are 0 already)."""
         i, j = self.knots.searchsorted(np.array([log_q.min() - _LOG_Z_MAX, log_q.max() - _LOG_Z_MIN]))
         lo, hi = max(i - 1, 0), min(j, self.knots.size - 1)
-        nodes = slice(lo * _MIX_U.size, hi * _MIX_U.size)
+        nodes = slice(lo * _MIX_POINTS, hi * _MIX_POINTS)
         return hi, nodes, np.minimum(np.subtract.outer(log_q, self.x[nodes]), 700.0)
 
     def _above(self, log_q, hi, power, terms, sums):
@@ -748,9 +757,9 @@ def tail_probability(
     from the midpoint of the envelope annulus integral.  The bound holds for
     t >= 1 (the large-time envelope regime).
     """
-    if t < 1.0:
+    if not t >= 1.0:  # false for NaN too
         raise PreconditionError("the tail bound is asserted for t >= 1")
-    if r < 0:
+    if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
     h, rho = tail_profile(model)
     if c1 is None:
@@ -765,18 +774,29 @@ def tail_probability(
     return TailEstimate(estimate=est, upper_bound=bound, c1=c1)
 
 
+#: the tail midpoint's rule in log s: pieces at most _TAIL_STEP wide, and
+#: knots halving towards log r, as far past the walk scale a sub-Gaussian
+#: envelope falls by up to about e^-(745 gamma) per unit of log s
+_TAIL_STEP = 0.5
+_TAIL_GRADING = _TAIL_STEP * 2.0 ** -np.arange(1.0, 17.0)
+
+
 def _envelope_tail_midpoint(model: KernelModel, t: float, r: float) -> float:
-    """Midpoint of the envelope bracket for the tail mass beyond r."""
+    """Midpoint of the envelope bracket for the tail mass beyond r.
 
-    def integrand(s: float) -> float:
-        # d(mu)(s) ~ mu_ball * dV(s); integrate in log s
-        dv = model.V.envelope.d_hi
-        return envelope_density(model, t, s) * model.mu_ball * dv * model.V(s)
-
+    With d(mu)(s) ~ mu_ball dV(s) ~ mu_ball d2 V(s) d(log s), the envelope
+    is integrated in log s from log r to log(10 max(r, phi^-1(t))) + 40,
+    by 16-point pieces (see _TAIL_STEP) with a knot at phi^-1(t), where the
+    stable-like and jump envelopes have their kink.
+    """
+    scale = inverse(model.phi, t)
     lo = math.log(r)
-    hi = math.log(max(10.0 * r, 10.0 * inverse(model.phi, t))) + 40.0
-    val = _quad(lambda u: integrand(math.exp(u)), lo, hi, limit=400)
-    mid = 0.5 * (model.c_lo + model.c_hi) * val
+    hi = math.log(10.0 * max(r, scale)) + 40.0
+    knots = np.unique(np.clip(np.append(lo + _TAIL_GRADING, [lo, math.log(scale), hi]), lo, hi))
+    u, weight = _gauss_legendre(_piece_ends(knots, _TAIL_STEP), 16)
+    s = np.exp(u)
+    val = float(weight @ (envelope_density(model, t, s) * np.vectorize(model.V, otypes=[float])(s)))
+    mid = 0.5 * (model.c_lo + model.c_hi) * model.mu_ball * model.V.envelope.d_hi * val
     return min(max(mid, 0.0), 1.0)
 
 
@@ -788,7 +808,7 @@ class BallProbability:
 
 def ball_probability(model: KernelModel, t: float, r: float) -> BallProbability:
     """P(d(X_t, x) <= r) and its envelope 1 AND V(r)/V(phi^-1(t))."""
-    if t <= 0 or r <= 0:
+    if not (t > 0 and r > 0):  # false for NaN too
         raise PreconditionError("t and r must be positive")
     env = min(1.0, model.V(r) / model.V(inverse(model.phi, t)))
     prob = radial_cdf(model, t, r) if model.has_density else None
@@ -895,7 +915,6 @@ def comparability_sweep(
     for t in map(float, t_grid):
         reach = d_max_factor * inverse(model.phi, t)
         dists = np.concatenate([[0.0], np.geomspace(1e-3 * reach, reach, n_dist)])
-        envelope = np.array([envelope_density(model, t, float(d)) for d in dists])
-        ratio = density(model, t, dists) / envelope
+        ratio = density(model, t, dists) / envelope_density(model, t, dists)
         lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
     return lo, hi

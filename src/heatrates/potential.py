@@ -1,11 +1,11 @@
-"""Green function, capacity, hitting and occupation bounds in closed form.
+"""Green function, capacity, hitting and occupation bounds.
 
-Every operation evaluates a bound *shape* determined by the volume profile
-V and the walk scale phi, with its constants set to 1 ("unit" mode), which
-preserves all shapes, orderings and scalings but not absolute levels.  The
-Green function envelope is the exception: it integrates the two-sided
-envelope exactly and scales it by the model's declared comparability
-constants ("derived" mode).
+Capacity, hitting and occupation bounds are bound *shapes* in closed form,
+set by the volume profile V and the walk scale phi with constants 1 ("unit"
+mode): shapes, orderings and scalings hold, absolute levels do not.  The
+Green function integrates the two-sided envelope over time and scales it
+by the declared comparability constants ("derived" mode), or the exact
+density (quadrature mode), by one fixed Gauss-Legendre rule.
 
 Transient-case shapes (volume exponent strictly above the walk exponent):
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedRegimeError
-from .kernels import TRANSIENT, KernelModel, density
+from .kernels import TRANSIENT, KernelModel, _gauss_legendre, _piece_ends, density, envelope_density
 from .scaling import inverse
 
 UNIT = "unit"
@@ -71,78 +71,42 @@ def _require_transient(model: KernelModel) -> None:
 ENVELOPE = "envelope"
 QUADRATURE = "quadrature"
 
-#: QUADRATURE mode's rule in log t: Gauss-Legendre pieces at most this wide
+#: the time integral's rule in log t: knots at log phi(d) plus these offsets
+#: (at 0 the envelope's min(.,.) has its kink), pieces at most _GREEN_STEP
+#: wide, up to t_big = _GREEN_REACH * max(phi(2d), 1)
+_GREEN_KNOTS = np.array([-35.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0])
 _GREEN_STEP = 2.0
-_GREEN_U, _GREEN_W = np.polynomial.legendre.leggauss(16)
-
-
-def _envelope_time_integral(model: KernelModel, d: float) -> float:
-    """Exact time integral of the two-sided envelope at distance d.
-
-    int_0^phi(d) t/(V(d) phi(d)) dt + int_phi(d)^inf dt/V(phi^-1(t));
-    the tail is integrated numerically and extended by its power-law decay.
-    """
-    t_star = model.phi(d)
-    head = t_star / (2.0 * model.V(d))
-    ratio = model.d1 / model.d4
-    t_big = t_star * 1e9
-
-    from scipy import integrate as _integrate
-
-    body, _ = _integrate.quad(
-        lambda u: math.exp(u) / model.V(inverse(model.phi, math.exp(u))),
-        math.log(t_star),
-        math.log(t_big),
-        limit=200,
-    )
-    tail = t_big / (model.V(inverse(model.phi, t_big)) * (ratio - 1.0))
-    return head + body + tail
+_GREEN_REACH = 1e9
 
 
 def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     """Time-integrated transition density at distance d.
 
-    ENVELOPE mode returns a BoundPair, the exact time integral of the
-    two-sided envelope times the declared comparability constants;
-    QUADRATURE mode (exact-law models) integrates the density by one fixed
-    composite Gauss-Legendre rule in log t (one array density call), with
-    the tail beyond 1e4 * phi(2d) supplied by on-diagonal power decay.
-    Requires a transient model.
+    Both modes integrate p(t, d) over t by one composite 16-point
+    Gauss-Legendre rule in log t (one array call), from phi(d) e^-35 to
+    t_big, and add the tail t_big p(t_big, 0) / (d1/d4 - 1) of the
+    on-diagonal decay beyond it.  ENVELOPE mode takes p = envelope_density
+    and returns a BoundPair, the integral times the declared comparability
+    constants; QUADRATURE mode (exact-law models) takes p = density and
+    returns the value.  Requires a transient model.
     """
-    if d <= 0:
+    if not d > 0:  # false for NaN too
         raise PreconditionError("distance must be positive")
     _require_transient(model)
-    if mode == ENVELOPE:
-        a_val = _envelope_time_integral(model, d)
-        return BoundPair(
-            lower=model.c_lo * a_val,
-            upper=model.c_hi * a_val,
-            formula_id="green-envelope",
-            constants_source=DERIVED,
-        )
+    p = {ENVELOPE: envelope_density, QUADRATURE: density}.get(mode)
+    if p is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    if p is density and not model.has_density:
+        raise UnsupportedRegimeError("quadrature mode needs an exact law")
+    t_big = _GREEN_REACH * max(model.phi(2.0 * d), 1.0)
+    knots = np.append(math.log(model.phi(d)) + _GREEN_KNOTS, math.log(t_big))
+    u, weight = _gauss_legendre(_piece_ends(knots, _GREEN_STEP), 16)
+    t = np.exp(u)
+    body = float((weight * t) @ p(model, t, d))
+    value = body + t_big * p(model, t_big, 0.0) / (model.d1 / model.d4 - 1.0)
     if mode == QUADRATURE:
-        if not model.has_density:
-            raise UnsupportedRegimeError("quadrature mode needs an exact law")
-        t_big = 1e4 * max(model.phi(2.0 * d), 1.0)
-        center = math.log(model.phi(d))
-        knots = [center + o for o in (-35.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0)]
-        knots = np.array([k for k in knots if k < math.log(t_big)] + [math.log(t_big)])
-        # each knot interval cut into pieces at most _GREEN_STEP wide
-        pieces = np.ceil(np.diff(knots) / _GREEN_STEP).astype(int)
-        ends = np.concatenate(
-            [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(knots, knots[1:], pieces)]
-            + [knots[-1:]]
-        )
-        half = 0.5 * np.diff(ends)[:, None]
-        u = (ends[:-1, None] + half * (_GREEN_U + 1.0)).ravel()
-        t = np.exp(u)
-        body = float(((half * _GREEN_W).ravel() * t) @ density(model, t, d))
-        # on-diagonal tail: density(t, d) ~ density(t, 0) = psi0 t^(-dim/alpha)
-        p = model.dim / model.alpha
-        psi0 = density(model, 1.0, 0.0)
-        tail = psi0 * t_big ** (1.0 - p) / (p - 1.0)
-        return body + tail
-    raise ValueError(f"unknown mode {mode!r}")
+        return value
+    return BoundPair(model.c_lo * value, model.c_hi * value, "green-envelope", DERIVED)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +120,7 @@ def capacity_bound(model: KernelModel, r: float) -> BoundPair:
     The headline guarantee is the lower member; the matching upper member
     carries the same shape with its own constant.
     """
-    if r <= 0:
+    if not r > 0:  # false for NaN too
         raise PreconditionError("radius must be positive")
     _require_transient(model)
     shape = model.V(r) / model.phi(r)
@@ -171,9 +135,9 @@ def hit_ball_from_distance(model: KernelModel, r: float, D: float) -> BoundPair:
     clamped to the walk scale's domain floor (the lower side already uses
     the 2r argument).
     """
-    if r <= 0:
+    if not r > 0:  # false for NaN too
         raise PreconditionError("radius must be positive")
-    if D < r:
+    if not D >= r:
         raise PreconditionError("start distance must satisfy D >= r")
     _require_transient(model)
     cap_shape = model.V(r) / model.phi(r)
@@ -193,9 +157,9 @@ def q_bound(model: KernelModel, r: float, t: float, side: str) -> float:
     """
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    if r <= 0:
+    if not r > 0:  # false for NaN too
         raise PreconditionError("radius must be positive")
-    if t < model.phi(r) * (1 - 1e-12):
+    if not t >= model.phi(r) * (1 - 1e-12):
         raise PreconditionError(
             f"q bound needs t >= phi(r) = {model.phi(r):g}, got t = {t:g}"
         )
@@ -229,7 +193,7 @@ def occupation_sandwich(model: KernelModel, r: float, a: float, b: float) -> Bou
     """
     if not (0 < a < b):
         raise PreconditionError("need 0 < a < b")
-    if r <= 0:
+    if not r > 0:  # false for NaN too
         raise PreconditionError("radius must be positive")
     _require_critical(model)
     pr = model.phi(r)

@@ -137,6 +137,54 @@ class TestEnvelopeDensity:
         vals = [kn.envelope_density(m, 5.0, d) for d in np.linspace(0, 50, 40)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize(
+        "spec", ["stablelike:3,1.5", "subgaussian:3,2,0.25", "jump:power:3;powerlog:1.5,1", "gaussian:3"]
+    )
+    def test_arrays_match_scalar_calls(self, spec):
+        m = kn.from_id(spec)
+        t = np.array([0.5, 4.0, 300.0])[:, None]
+        d = np.array([0.0, 1.5, 6.0, 40.0])
+        grid = kn.envelope_density(m, t, d)
+        assert grid.shape == (3, 4)
+        for i, tt in enumerate(t[:, 0]):
+            for j, dd in enumerate(d):
+                one = kn.envelope_density(m, float(tt), float(dd))
+                assert type(one) is float
+                assert grid[i, j] == one
+        assert grid[:, 0].tolist() == kn.envelope_density(m, t[:, 0], 0.0).tolist()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: kn.envelope_density(m, math.nan, 1.0),
+        lambda m: kn.envelope_density(m, 1.0, math.nan),
+        lambda m: kn.ball_probability(m, math.nan, 1.0),
+        lambda m: kn.ball_probability(m, 1.0, math.nan),
+        lambda m: kn.tail_probability(m, math.nan, 1.0),
+        lambda m: kn.tail_probability(m, 4.0, math.nan),
+    ],
+    ids=["envelope-t", "envelope-d", "ball-t", "ball-r", "tail-t", "tail-r"],
+)
+def test_nan_arguments_raise_precondition_error(call):
+    with pytest.raises(PreconditionError):
+        call(kn.from_id("stable:1.5,3"))
+
+
+@pytest.mark.parametrize("spec", ["gaussian:3", "cauchy1d", "stable:1.9,3", "stable:0.5,2"])
+def test_comparability_sweep_matches_scalar_envelope_calls(spec):
+    # the sweep makes one array envelope call per t; the same grid through
+    # one scalar call per distance gives the same pair
+    m = kn.from_id(spec)
+    lo, hi = math.inf, -math.inf
+    for t in np.geomspace(1.0, 1e3, 7):
+        reach = 10.0 * kn.inverse(m.phi, t)
+        dists = np.concatenate([[0.0], np.geomspace(1e-3 * reach, reach, 24)])
+        envelope = np.array([kn.envelope_density(m, t, float(d)) for d in dists])
+        ratio = kn.density(m, t, dists) / envelope
+        lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
+    assert kn.comparability_sweep(m) == (lo, hi)
+
 
 class TestExactLaws:
     def test_cauchy_density(self, cauchy):
@@ -505,6 +553,51 @@ class TestTailProbability:
         te = kn.tail_probability(m, 4.0, 64.0)
         assert 0.0 <= te.estimate <= 1.0
         assert te.estimate <= te.upper_bound
+
+    @staticmethod
+    def _log_s_range(m, t, r):
+        """The midpoint's range of integration in log s."""
+        return math.log(r), math.log(10.0 * max(r, kn.inverse(m.phi, t))) + 40.0
+
+    @pytest.mark.parametrize("spec", ["stablelike:3,1.5", "stablelike:1,0.5", "stablelike:2,1.8"])
+    def test_midpoint_stable_like_closed_form(self, spec):
+        # envelope min(t^(-a/b), t s^(-a-b)) against a s^a d(log s): the
+        # on-diagonal branch up to rho = t^(1/b), then a t s^-b
+        c = 1e-3
+        m = kn.from_id(spec).with_comparability(c, c)
+        a, b = m.d1, m.d3
+        for t in (1.0, 4.0, 16.0, 100.0):
+            rho = t ** (1.0 / b)
+            for r in (0.5, 3.0, 16.0, 40.0):
+                lo, hi = self._log_s_range(m, t, r)
+                knee = max(r, rho)
+                exact = t ** (-a / b) * (knee**a - r**a) + a * t * (knee**-b - math.exp(-b * hi)) / b
+                got = kn._envelope_tail_midpoint(m, t, r)
+                assert got == pytest.approx(c * exact, rel=1e-13), (t, r)
+
+    @pytest.mark.parametrize("spec", ["subgaussian:3,2,0.25", "subgaussian:2,3,0.5"])
+    def test_midpoint_subgaussian_against_quad(self, spec):
+        # t^(-a/b) exp(-c0 (s / t^(1/b))^(b/(b-1))) against a s^a d(log s),
+        # by adaptive quadrature on 2000 pieces (epsabs only keeps quad from
+        # refining subnormal values); r = 16 at t = 1 lies far
+        # past the walk scale, where the integrand falls by e^-128 per unit
+        c = 1e-3
+        m = kn.from_id(spec).with_comparability(c, c)
+        a, b, c0 = m.d1, m.d3, m.c0
+
+        def integrand(u, t):
+            s = math.exp(u)
+            return t ** (-a / b) * math.exp(-c0 * (s / t ** (1.0 / b)) ** (b / (b - 1.0))) * a * s**a
+
+        for t in (1.0, 4.0, 16.0):
+            for r in (0.5, 3.0, 16.0):
+                ends = np.linspace(*self._log_s_range(m, t, r), 2001)
+                ref = sum(
+                    integrate.quad(integrand, u0, u1, args=(t,), epsrel=1e-13, epsabs=1e-300)[0]
+                    for u0, u1 in zip(ends, ends[1:])
+                )
+                got = kn._envelope_tail_midpoint(m, t, r)
+                assert got == pytest.approx(c * ref, rel=1e-12), (t, r)
 
 
 class TestBallProbability:

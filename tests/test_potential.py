@@ -4,7 +4,7 @@ import pytest
 
 from heatrates import kernels as kn
 from heatrates import potential as pt
-from heatrates.errors import DomainError
+from heatrates.errors import DomainError, PreconditionError
 
 
 @pytest.mark.parametrize(
@@ -33,13 +33,63 @@ def test_classification_is_per_model_not_per_id():
     assert (recurrent.long_run, transient.long_run) == (kn.RECURRENT, kn.TRANSIENT)
 
 
-@pytest.mark.parametrize(
-    "spec", ["stable:1,3", "stable:1.5,3", "stable:0.5,1", "stable:0.5,3", "stable:1.9,3"]
-)
-def test_green_quadrature_against_riesz_potential(spec):
-    # G(d) = Gamma((n - alpha)/2) / (2^alpha pi^(n/2) Gamma(alpha/2)) d^(alpha - n)
-    m = kn.from_id(spec)
+#: the transient presets whose Green function the bounds benchmark checks
+GREEN_PRESETS = [
+    "gaussian:3", "stable:1,3", "stable:1.5,3", "stable:1.5,2", "stable:1,2",
+    "stable:0.5,1", "stable:0.8,1", "stable:0.5,2", "stable:0.5,3", "stable:1.9,2", "stable:1.9,3",
+]
+
+
+def _riesz(m, d):
+    # G(d) = Gamma((n - alpha)/2) / (2^alpha pi^(n/2) Gamma(alpha/2)) d^(alpha - n);
+    # at alpha = 2, n = 3 the Newton kernel 1 / (4 pi d)
     a, n = m.alpha, m.dim
+    return math.gamma((n - a) / 2) / (2**a * math.pi ** (n / 2) * math.gamma(a / 2)) * d ** (a - n)
+
+
+@pytest.mark.parametrize("spec", GREEN_PRESETS)
+def test_green_quadrature_against_riesz_potential(spec):
+    m = kn.from_id(spec)
     for d in (0.5, 2.0, 8.0):
-        riesz = math.gamma((n - a) / 2) / (2**a * math.pi ** (n / 2) * math.gamma(a / 2)) * d ** (a - n)
-        assert pt.green_function(m, d, pt.QUADRATURE) == pytest.approx(riesz, rel=1e-8), d
+        assert pt.green_function(m, d, pt.QUADRATURE) == pytest.approx(_riesz(m, d), rel=1e-12), d
+
+
+@pytest.mark.parametrize("spec", [p for p in GREEN_PRESETS if p.startswith("stable")] + ["stablelike:3,1.5"])
+def test_green_envelope_stable_like_closed_form(spec):
+    # int min(t^(-a/b), t d^(-a-b)) dt = d^(b-a) (1/2 + b/(a-b))
+    m = kn.from_id(spec)
+    a, b = m.d1, m.d3
+    for d in (0.5, 2.0, 8.0):
+        exact = d ** (b - a) * (0.5 + b / (a - b))
+        pair = pt.green_function(m, d)
+        assert pair.lower == pytest.approx(m.c_lo * exact, rel=1e-13), d
+        assert pair.upper == pytest.approx(m.c_hi * exact, rel=1e-13), d
+
+
+def test_green_envelope_gaussian_is_the_newton_kernel():
+    # c_lo int t^(-3/2) exp(-d^2/4t) dt = 1 / (4 pi d) with c_lo = c_hi = (4 pi)^(-3/2)
+    m = kn.from_id("gaussian:3")
+    for d in (0.5, 2.0, 8.0):
+        pair = pt.green_function(m, d)
+        assert pair.lower == pytest.approx(1.0 / (4.0 * math.pi * d), rel=1e-12), d
+        assert pair.lower == pair.upper
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: pt.green_function(m, math.nan),
+        lambda m: pt.green_function(m, math.nan, pt.QUADRATURE),
+        lambda m: pt.capacity_bound(m, math.nan),
+        lambda m: pt.hit_ball_from_distance(m, math.nan, 5.0),
+        lambda m: pt.hit_ball_from_distance(m, 1.0, math.nan),
+        lambda m: pt.q_bound(m, math.nan, 5.0, "upper"),
+        lambda m: pt.q_bound(m, 1.0, math.nan, "upper"),
+        lambda m: pt.occupation_sandwich(kn.from_id("cauchy1d"), math.nan, 1.0, 100.0),
+    ],
+    ids=["green-envelope", "green-quadrature", "capacity", "hit-r", "hit-D", "q-r", "q-t", "occupation"],
+)
+def test_nan_arguments_raise_precondition_error(call):
+    # checked up front, not after computing a non-finite bound
+    with pytest.raises(PreconditionError):
+        call(kn.from_id("stable:1.5,3"))
