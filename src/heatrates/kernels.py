@@ -34,6 +34,7 @@ from scipy import special
 
 from .errors import PreconditionError, UnsupportedModelError
 from .integral_tests import CONVERGENT, DIVERGENT, Verdict, classify_tail_integral
+from .integral_tests import _LEGENDRE, _gauss_legendre, _piece_ends
 from .scaling import (
     INCREASING,
     UPPER_DECAY,
@@ -428,29 +429,6 @@ def positive_stable(rng: np.random.Generator, gamma: float, size) -> np.ndarray:
     return flat.reshape(size)
 
 
-# -- composite Gauss-Legendre rules (the table, the tail midpoint, Green) ------
-
-#: nodes and weights on [-1, 1], by number of points
-_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (16, 24)}
-
-
-def _piece_ends(knots, step: float) -> np.ndarray:
-    """The knots, with every gap between them cut into equal pieces at most step wide."""
-    pieces = np.ceil(np.diff(knots) / step).astype(int)
-    ends = [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(knots, knots[1:], pieces)]
-    return np.concatenate(ends + [knots[-1:]])
-
-
-def _gauss_legendre(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule on each piece between consecutive
-    ends (along the last axis), window-major: the n nodes of the first piece,
-    then those of the next."""
-    u, w = _LEGENDRE[n]
-    half = 0.5 * np.diff(ends)[..., None]
-    shape = ends.shape[:-1] + (-1,)
-    return (ends[..., :-1, None] + half * (u + 1.0)).reshape(shape), (half * w).reshape(shape)
-
-
 # -- the stable law by subordination ------------------------------------------
 #
 # X_1 = B(S): Brownian motion of variance 2v per coordinate at the time S of
@@ -748,9 +726,7 @@ def tail_constant(model: KernelModel) -> float:
     return max(1.0 / h(1.0), model.c_hi * model.mu_ball * c_v / (1.0 - c0))
 
 
-def tail_probability(
-    model: KernelModel, t: float, r: float, c1: Optional[float] = None
-) -> TailEstimate:
+def tail_probability(model: KernelModel, t: float, r: float) -> TailEstimate:
     """Exceedance probability P(d(X_t, x) >= r) with its theoretical bound.
 
     The estimate comes from the exact law when the model has one, otherwise
@@ -762,8 +738,7 @@ def tail_probability(
     if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
     h, rho = tail_profile(model)
-    if c1 is None:
-        c1 = tail_constant(model)
+    c1 = tail_constant(model)
     if r == 0.0:
         return TailEstimate(estimate=1.0, upper_bound=math.inf, c1=c1)
     bound = c1 * h(r / rho(t))

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedRegimeError
-from .kernels import TRANSIENT, KernelModel, _gauss_legendre, _piece_ends, density, envelope_density
+from .integral_tests import _gauss_legendre, _piece_ends
+from .kernels import TRANSIENT, KernelModel, density, envelope_density
 from .scaling import inverse
 
 UNIT = "unit"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from heatrates import scaling as sc
@@ -8,6 +9,7 @@ from heatrates.integral_tests import (
     CONVERGENT,
     DIVERGENT,
     INCONCLUSIVE,
+    K_MAX,
     ONE_PROB,
     ZERO_PROB,
     classify_tail_integral,
@@ -123,6 +125,29 @@ class TestClassifyTailIntegral:
             if vf.label == DIVERGENT:
                 assert vg.label != CONVERGENT
 
+    def test_one_evaluation_per_node_in_increasing_t(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return t**-2.0
+
+        classify_tail_integral(f, 16.0)
+        assert len(seen) == K_MAX * 16 == 3840
+        assert all(type(t) is float for t in seen)
+        assert 16.0 < seen[0] and all(a < b for a, b in zip(seen, seen[1:]))
+        assert seen[-1] < 16.0 * 2.0**K_MAX
+
+    @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan, math.inf, 1e250])
+    def test_block_range_must_be_positive_and_finite(self, t0):
+        # 1e250 is finite, but the last block end t0 2^K_MAX is not
+        with pytest.raises(PreconditionError, match="t0"):
+            classify_tail_integral(lambda t: 1.0 / t, t0)
+
+    def test_negative_integrand_raises_with_block(self):
+        with pytest.raises(PreconditionError, match="block 3: integrand negative"):
+            classify_tail_integral(lambda t: -1.0 if t > 200.0 else 1.0 / t**2, 16.0)
+
     def test_nonfinite_integrand_raises_with_block(self):
         def f(t):
             return float("inf") if t > 1e6 else 1.0 / t**2
@@ -142,6 +167,42 @@ class TestClassifyTailIntegral:
         assert "monotone" in v.reason
 
 
+def _block_closed_forms(u):
+    """Exact block integrals for each family, from the rule's own block ends
+    u_k = log t0 + k log 2 (so rounding of t0 2^k does not count), written
+    without cancellation."""
+    ua, du = u[:-1], np.diff(u)
+
+    def power(p):  # t^-p
+        return np.exp((1.0 - p) * ua) * -np.expm1((1.0 - p) * du) / (p - 1.0)
+
+    d1 = np.log1p(du / ua)  # log log t
+    d2 = np.log1p(d1 / np.log(ua))  # log log log t
+    d3 = np.log1p(d2 / np.log(np.log(ua)))  # log log log log t
+    ub = ua + du
+    return {
+        "p2": power(2.0),
+        "p15": power(1.5),
+        "p05": power(0.5),
+        "log15": 2.0 * du / (np.sqrt(ua * ub) * (np.sqrt(ua) + np.sqrt(ub))),
+        "log1": d1,
+        "ll2": d1 / (np.log(ua) * np.log(ub)),
+        "lll1_borderline": d3,
+    }
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize(
+        "name", ["p2", "p15", "p05", "log15", "log1", "ll2", "lll1_borderline"]
+    )
+    def test_blocks_match_closed_form_antiderivatives(self, name):
+        f, t0 = {c[0]: (c[1], c[2]) for c in LABELED_SUITE}[name]
+        u = math.log(t0) + math.log(2.0) * np.arange(K_MAX + 1)
+        exact = _block_closed_forms(u)[name]
+        blocks = np.array([s for _, s in classify_tail_integral(f, t0).block_table])
+        np.testing.assert_allclose(blocks, exact, rtol=1e-13, atol=0.0)
+
+
 class TestKolmogorov:
     def test_loglog_threshold(self):
         def make(c):
@@ -158,6 +219,10 @@ class TestKolmogorov:
         with pytest.raises(PreconditionError):
             kolmogorov_test(sc.power(-1.0), 1)
 
+    def test_nan_t0_raises_up_front(self):
+        with pytest.raises(PreconditionError, match="t0"):
+            kolmogorov_test(sc.power(0.25), 3, t0=math.nan)
+
 
 class TestDvoretzkyErdos:
     def test_log_threshold(self):
@@ -170,6 +235,10 @@ class TestDvoretzkyErdos:
     def test_dimension_requirement(self):
         with pytest.raises(PreconditionError):
             dvoretzky_erdos_test(sc.power(-0.1), 2)
+
+    def test_infinite_t0_raises(self):
+        with pytest.raises(PreconditionError, match="t0"):
+            dvoretzky_erdos_test(sc.powerlog(0.0, -1.0), 3, t0=math.inf)
 
 
 class TestUpperRate:
@@ -208,6 +277,12 @@ class TestUpperRate:
         h, rho = sc.power(-self.BETA), sc.power(1.0 / self.BETA)
         with pytest.raises(PreconditionError):
             upper_rate_test(h, rho, self._phi(1.0), 0.0, ONE_PROB)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, eps):
+        h, rho = sc.power(-self.BETA), sc.power(1.0 / self.BETA)
+        with pytest.raises(PreconditionError, match="eps"):
+            upper_rate_test(h, rho, self._phi(0.0), eps, ONE_PROB)
 
 
 class TestSubcriticalLowerRate:
@@ -249,6 +324,11 @@ class TestSubcriticalLowerRate:
         m = kn.from_id("jump:power:3;powerlog:1.5,0.9")
         assert subcritical_lower_rate_test(m, sc.from_id("powerlog:0,-1.67")).label == CONVERGENT
 
+    @pytest.mark.parametrize("t0", [0.0, math.nan, math.inf])
+    def test_nonfinite_or_nonpositive_t0_raises(self, t0):
+        with pytest.raises(PreconditionError, match="t0"):
+            subcritical_lower_rate_test(self._Model(), sc.powerlog(0.0, -1.0), t0)
+
     def test_radius_never_reaching_phis_domain_raises(self):
         class M:
             V = sc.power(3.0)
@@ -266,3 +346,8 @@ class TestCriticalLowerRate:
 
     def test_power_g(self):
         assert critical_lower_rate_test(sc.power(-1.0)).label == DIVERGENT
+
+    @pytest.mark.parametrize("t0", [0.0, math.nan, math.inf])
+    def test_nonfinite_or_nonpositive_t0_raises(self, t0):
+        with pytest.raises(PreconditionError, match="t0"):
+            critical_lower_rate_test(sc.power(-1.0), t0)

@@ -518,6 +518,12 @@ class TestTailProbability:
         te = kn.tail_probability(gaussian3, 1.0, 0.0)
         assert te.estimate == 1.0
 
+    def test_reports_the_annulus_constant(self, cauchy):
+        te = kn.tail_probability(cauchy, 4.0, 16.0)
+        h, rho = kn.tail_profile(cauchy)
+        assert te.c1 == kn.tail_constant(cauchy)
+        assert te.upper_bound == te.c1 * h(16.0 / rho(4.0))
+
     def test_bound_respected_on_grid(self, cauchy):
         for t in (1.0, 4.0, 16.0):
             for r in (1.0, 4.0, 16.0, 64.0):
@@ -662,7 +668,7 @@ class TestClassifyLongRun:
         m = dataclasses.replace(m, V=counted(m.V, "V"), phi=counted(m.phi, "phi"))
         calls.update(V=0, phi=0)
         assert kn.classify_long_run(m)[0] == kn.TRANSIENT
-        assert calls["V"] == 5040  # 240 blocks of one 21-point Gauss-Kronrod rule
+        assert calls["V"] == 3840  # 240 blocks of the 16-point Gauss-Legendre rule
         assert calls["phi"] < 25 * calls["V"]
 
 

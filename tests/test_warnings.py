@@ -1,6 +1,9 @@
-"""Numerical warnings are not silenced outside the classifier, and none arise."""
+"""Numerical warnings are not silenced, quad is not used, and no warnings arise."""
 
 import ast
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,9 +13,10 @@ from heatrates import kernels as kn
 from heatrates import potential as pt
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heatrates"
-#: the block quadrature of integral_tests still runs on adaptive quad and
-#: silences its IntegrationWarning
-ALLOWED = {"integral_tests"}
+#: modules allowed to import scipy.integrate or silence warnings: every
+#: integral, the classifier's blocks included, runs on the shared
+#: Gauss-Legendre rule of integral_tests
+ALLOWED = set()
 
 
 def _offences(path: Path) -> list[str]:
@@ -38,9 +42,24 @@ def _offences(path: Path) -> list[str]:
     return found
 
 
-def test_only_the_classifier_uses_quad_or_silences_warnings():
+def test_no_module_uses_quad_or_silences_warnings():
     offences = {p.stem: _offences(p) for p in PACKAGE.glob("*.py")}
     assert {name for name, found in offences.items() if found} == ALLOWED, offences
+
+
+def test_importing_the_package_does_not_load_scipy_integrate():
+    # a fresh interpreter, so that no other test's imports count
+    code = (
+        "import importlib, pkgutil, sys, heatrates\n"
+        "for m in pkgutil.iter_modules(heatrates.__path__):\n"
+        "    importlib.import_module('heatrates.' + m.name)\n"
+        "print(sorted(n for n in sys.modules if n.startswith('scipy.integrate')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("spec", ["stable:1.5,3", "stable:0.5,1", "stable:1.9,2", "gaussian:3"])
