@@ -15,7 +15,10 @@ at the deepest condensation the engine abstains.
 
 The named tests at the bottom wrap the engine with the specific integrands
 of the classical rate-function criteria (Kolmogorov, Dvoretzky-Erdos,
-Spitzer-type) and their heat-kernel generalizations.
+Spitzer-type) and their heat-kernel generalizations.  Each writes its
+integrand as one array expression in the scaling functions, so the engine
+evaluates it once on all 3840 block nodes and every phi^-1 in it is one
+array ``inverse``.
 """
 
 from __future__ import annotations
@@ -112,19 +115,17 @@ class Verdict:
         }
 
 
-def _block_integrals(f, t0: float) -> np.ndarray:
-    """Dyadic block integrals: the 16-point rule in u = log t on every block,
-    with f evaluated once per node, in increasing t."""
+def _block_nodes(t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t, in increasing order, and weights in dt of the dyadic blocks:
+    the 16-point rule in u = log t on every block."""
     u, w = _gauss_legendre(math.log(t0) + LOG2 * np.arange(K_MAX + 1), 16)
     t = np.exp(u)
-    vals = []
-    try:
-        for x in t.tolist():
-            vals.append(f(x))
-    except (EvaluationError, PreconditionError) as exc:
-        raise type(exc)(f"block {len(vals) // 16}: {exc}") from None
-    v = np.array(vals, dtype=float)
-    g = w * t * v
+    return t, w * t
+
+
+def _block_sums(t: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dyadic block integrals from the integrand's values v at the nodes t."""
+    g = weight * v
     ok = np.isfinite(g) & (v >= 0)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -146,9 +147,31 @@ def classify_tail_integral(f: Callable[[float], float], t0: float = 16.0) -> Ver
     f must be finite and nonnegative on [t0, t0 * 2**K_MAX]; the block
     sequence must be eventually monotone (checked empirically), which rules
     out oscillating integrands the ratio machinery cannot speak about.
+    f is called once per node, with a float, in increasing t; an error it
+    raises is raised again with the block's number in front.
     """
     _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
-    s = _block_integrals(f, t0)
+    t, weight = _block_nodes(t0)
+    vals = []
+    try:
+        for x in t.tolist():
+            vals.append(f(x))
+    except (EvaluationError, PreconditionError) as exc:
+        raise type(exc)(f"block {len(vals) // 16}: {exc}") from None
+    return _classify_blocks(_block_sums(t, weight, np.array(vals, dtype=float)), t0)
+
+
+def _classify_nodes(f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdict:
+    """classify_tail_integral for an integrand written as an array
+    expression: f is called once, on the array of all block nodes (an
+    error it raises names its argument, not the block)."""
+    _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
+    t, weight = _block_nodes(t0)
+    return _classify_blocks(_block_sums(t, weight, f(t)), t0)
+
+
+def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
+    """The verdict on the block integrals s of the blocks from t0 on."""
     table = [(k, float(s[k])) for k in range(K_MAX)]
     partial = float(np.sum(s))
 
@@ -235,6 +258,11 @@ def classify_tail_integral(f: Callable[[float], float], t0: float = 16.0) -> Ver
 # named tests
 # ---------------------------------------------------------------------------
 
+def _exp_or_zero(x: np.ndarray) -> np.ndarray:
+    """exp(x), and 0 where x <= -745 (where exp is 0 or subnormal)."""
+    return np.where(x > -745.0, np.exp(x), 0.0)
+
+
 ONE_PROB = "one-prob"
 ZERO_PROB = "zero-prob"
 UPPER = "upper"
@@ -249,12 +277,15 @@ def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
     if g.monotonicity != INCREASING:
         raise PreconditionError("kolmogorov test requires increasing g")
 
-    def f(t: float) -> float:
+    def f(t: np.ndarray) -> np.ndarray:
         x = g(t)
-        ex = -0.5 * x * x + dim * math.log(x) if x > 0 else -math.inf
-        return math.exp(ex - math.log(t)) if ex - math.log(t) > -745.0 else 0.0
+        # the log is only kept where x > 0, and x * x past the float range
+        # gives the -inf wanted, as it does for a Python float
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ex = np.where(x > 0, -0.5 * x * x + dim * np.log(x), -np.inf)
+        return _exp_or_zero(ex - np.log(t))
 
-    return classify_tail_integral(f, t0)
+    return _classify_nodes(f, t0)
 
 
 def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
@@ -267,11 +298,10 @@ def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = 16.0) -> Verd
     if h.monotonicity != DECREASING:
         raise PreconditionError("dvoretzky-erdos test requires decreasing h")
 
-    def f(t: float) -> float:
-        lo = (dim - 2) * h.log_value(t) - math.log(t)
-        return math.exp(lo) if lo > -745.0 else 0.0
+    def f(t: np.ndarray) -> np.ndarray:
+        return _exp_or_zero((dim - 2) * h.log_value(t) - np.log(t))
 
-    return classify_tail_integral(f, t0)
+    return _classify_nodes(f, t0)
 
 
 def upper_rate_test(
@@ -299,19 +329,18 @@ def upper_rate_test(
 
     if direction == ONE_PROB:
 
-        def f(t: float) -> float:
-            arg = evaluate_rate(phi_candidate, t) / (2.0 * rho(2.0 * (1.0 + eps) * t))
-            lo = h.log_value(arg) - math.log(t)
-            return math.exp(lo) if lo > -745.0 else 0.0
+        def arg(t: np.ndarray) -> np.ndarray:
+            return evaluate_rate(phi_candidate, t) / (2.0 * rho(2.0 * (1.0 + eps) * t))
 
     else:
 
-        def f(t: float) -> float:
-            arg = 2.0 * evaluate_rate(phi_candidate, 4.0 * t) / rho(t)
-            lo = h.log_value(arg) - math.log(t)
-            return math.exp(lo) if lo > -745.0 else 0.0
+        def arg(t: np.ndarray) -> np.ndarray:
+            return 2.0 * evaluate_rate(phi_candidate, 4.0 * t) / rho(t)
 
-    return classify_tail_integral(f, t0)
+    def f(t: np.ndarray) -> np.ndarray:
+        return _exp_or_zero(h.log_value(arg(t)) - np.log(t))
+
+    return _classify_nodes(f, t0)
 
 
 def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> Verdict:
@@ -345,12 +374,12 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> 
     else:
         raise PreconditionError("phi^-1(t) g(t) does not reach phi's domain on any reachable scale")
 
-    def f(t: float) -> float:
+    def f(t: np.ndarray) -> np.ndarray:
         phi_inv_t = inverse(phi, t)
         r = phi_inv_t * g(t)
         return V(r) / (phi(r) * V(phi_inv_t))
 
-    return classify_tail_integral(f, start)
+    return _classify_nodes(f, start)
 
 
 def critical_lower_rate_test(g: ScalingFunction, t0: float = 16.0) -> Verdict:
@@ -371,7 +400,7 @@ def critical_lower_rate_test(g: ScalingFunction, t0: float = 16.0) -> Verdict:
     else:
         raise PreconditionError("g does not drop below 1 on any reachable scale")
 
-    def f(t: float) -> float:
-        return 1.0 / (t * abs(g.log_value(t)))
+    def f(t: np.ndarray) -> np.ndarray:
+        return 1.0 / (t * np.abs(g.log_value(t)))
 
-    return classify_tail_integral(f, start)
+    return _classify_nodes(f, start)

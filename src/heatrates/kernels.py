@@ -33,8 +33,8 @@ import numpy as np
 from scipy import special
 
 from .errors import PreconditionError, UnsupportedModelError
-from .integral_tests import CONVERGENT, DIVERGENT, Verdict, classify_tail_integral
-from .integral_tests import _LEGENDRE, _gauss_legendre, _piece_ends
+from .integral_tests import CONVERGENT, DIVERGENT, Verdict
+from .integral_tests import _LEGENDRE, _classify_nodes, _gauss_legendre, _piece_ends
 from .scaling import (
     INCREASING,
     UPPER_DECAY,
@@ -222,9 +222,11 @@ def envelope_density(model: KernelModel, t, d):
             out = np.minimum(t ** (-a / b), t * d ** -(a + b))
         elif model.form == SUB_GAUSSIAN:
             out = t ** (-a / b) * np.exp(-model.c0 * (d / t ** (1.0 / b)) ** (b / (b - 1.0)))
-        else:  # two-sided-jump: V and phi take one float at a time
-            on_diag = 1.0 / np.vectorize(lambda s: model.V(inverse(model.phi, s)), otypes=[float])(t)
-            v_phi = np.vectorize(lambda s: model.V(s) * model.phi(s) if s else 0.0, otypes=[float])(d)
+        else:  # two-sided-jump; V phi only off the diagonal (powerlog's V(0) is undefined)
+            on_diag = 1.0 / model.V(inverse(model.phi, t))
+            off = d > 0
+            v_phi = np.zeros(d.shape)
+            v_phi[off] = model.V(d[off]) * model.phi(d[off])
             out = np.minimum(on_diag, t / v_phi)
     return float(out) if out.ndim == 0 else out
 
@@ -770,7 +772,7 @@ def _envelope_tail_midpoint(model: KernelModel, t: float, r: float) -> float:
     knots = np.unique(np.clip(np.append(lo + _TAIL_GRADING, [lo, math.log(scale), hi]), lo, hi))
     u, weight = _gauss_legendre(_piece_ends(knots, _TAIL_STEP), 16)
     s = np.exp(u)
-    val = float(weight @ (envelope_density(model, t, s) * np.vectorize(model.V, otypes=[float])(s)))
+    val = float(weight @ (envelope_density(model, t, s) * model.V(s)))
     mid = 0.5 * (model.c_lo + model.c_hi) * model.mu_ball * model.V.envelope.d_hi * val
     return min(max(mid, 0.0), 1.0)
 
@@ -799,10 +801,10 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
     through log V, so it underflows towards 0 where V itself would overflow.
     """
 
-    def f(t: float) -> float:
-        return math.exp(-model.V.log_value(inverse(model.phi, t)))
+    def f(t: np.ndarray) -> np.ndarray:
+        return np.exp(-model.V.log_value(inverse(model.phi, t)))
 
-    verdict = classify_tail_integral(f, 16.0)
+    verdict = _classify_nodes(f, 16.0)
     if verdict.label == CONVERGENT:
         return TRANSIENT, verdict
     if verdict.label == DIVERGENT:

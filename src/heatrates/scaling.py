@@ -9,6 +9,12 @@ sandwiched between two power laws:
 Decreasing functions simply carry non-positive exponents.  The envelope is
 *declared* at construction and *verified* on a logarithmic grid; it is data,
 not an inference, because the bound constants feed every later formula.
+
+Evaluators take a float or an ndarray: a float argument gives a float, an
+array the array of values, so an integrand over many nodes is one array
+expression.  The presets are written for both; an evaluator that only
+takes floats is applied element by element on arrays (see
+``ScalingFunction``).  ``inverse`` solves one target or an array of them.
 """
 
 from __future__ import annotations
@@ -60,7 +66,11 @@ class ScalingFunction:
     """A positive monotone function on (0, inf) with a verified envelope.
 
     Attributes:
-        evaluator: the function itself; must be pure.
+        evaluator: the function itself; must be pure.  It takes a float
+            and, where it can, an ndarray of arguments (a numpy expression
+            such as ``r**p``).  Construction makes one array call on the
+            verification grid; unless it returns the per-element values,
+            arrays are evaluated one element at a time.
         monotonicity: INCREASING or DECREASING.  Verified as non-strict
             monotonicity on the grid, so constants are admissible.
         envelope: declared two-sided power bracket, asserted only above
@@ -70,9 +80,12 @@ class ScalingFunction:
             behaviour above this.
         log_evaluator: optional exact evaluation of log f, used where f
             itself underflows (e.g. stretched-exponential decay at huge
-            arguments).
+            arguments).  Arrays are handled as for ``evaluator``.
         exact_inverse: optional closed-form inverse, used by ``inverse``
-            to skip bisection.
+            to skip bisection; it must take arrays of targets.
+
+    Calls, ``log_value`` and ``_eval_checked`` take a float (a float comes
+    back) or an array (an array of the same shape comes back).
     """
 
     evaluator: Callable[[float], float]
@@ -82,22 +95,31 @@ class ScalingFunction:
     name: str = ""
     log_evaluator: Optional[Callable[[float], float]] = None
     exact_inverse: Optional[Callable[[float], float]] = None
+    #: set at construction: the evaluator (log_evaluator) only takes floats
+    _scalar_only: bool = field(default=False, init=False, repr=False, compare=False)
+    _log_scalar_only: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.monotonicity not in (INCREASING, DECREASING):
             raise ValueError(f"unknown monotonicity {self.monotonicity!r}")
         if self.domain_floor <= 0:
             raise ValueError("domain_floor must be positive")
-        self._verify_on_grid()
+        g, vals = self._verify_on_grid()
+        object.__setattr__(self, "_scalar_only", not _maps_arrays(self.evaluator, g, vals, 0.0))
+        if self.log_evaluator is not None:
+            log_ok = _maps_arrays(self.log_evaluator, g, np.log(vals), _PROBE_RTOL)
+            object.__setattr__(self, "_log_scalar_only", not log_ok)
 
     # -- construction-time checks -------------------------------------
 
     def grid(self) -> np.ndarray:
         return log_grid(self.domain_floor, self.domain_floor * 10.0**GRID_DECADES)
 
-    def _verify_on_grid(self) -> None:
+    def _verify_on_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check positivity, monotonicity and the envelope on the grid, one
+        float at a time; returns the grid and the values."""
         g = self.grid()
-        vals = np.array([self._eval_checked(r) for r in g])
+        vals = np.array([self._eval_float(r) for r in g])
         if np.any(vals <= 0):
             bad = g[np.argmax(vals <= 0)]
             raise EvaluationError(
@@ -118,9 +140,10 @@ class ScalingFunction:
                     f"{self.name or 'scaling function'}: not nonincreasing near r={g[k]:g}"
                 )
         self._verify_envelope(g, vals)
+        return g, vals
 
     def _verify_envelope(self, g: np.ndarray, vals: np.ndarray) -> None:
-        i, j = np.triu_indices(len(g), k=1)
+        i, j = _GRID_PAIRS
         env = self.envelope
         span = g[j] / g[i]
         ratio = vals[j] / vals[i]
@@ -134,7 +157,23 @@ class ScalingFunction:
                 f"(r={g[i[k]]:g}, R={g[j[k]]:g}): ratio={ratio[k]:g} outside [{lo[k]:g}, {hi[k]:g}]"
             )
 
-    def _eval_checked(self, r: float) -> float:
+    def _eval_checked(self, r):
+        """f(r), raising EvaluationError where the value is not finite."""
+        if isinstance(r, float):
+            return self._eval_float(r)
+        r = np.asarray(r, dtype=float)
+        if not r.ndim:
+            return self._eval_float(float(r))
+        v = _apply(self.evaluator, self._scalar_only, r)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise EvaluationError(
+                f"{self.name or 'scaling function'}: non-finite value at r={r[bad][0]:g}"
+            )
+        return v
+
+    def _eval_float(self, r: float) -> float:
+        """_eval_checked for a float, called directly by the float loops."""
         v = float(self.evaluator(r))
         if not math.isfinite(v):
             raise EvaluationError(
@@ -144,17 +183,60 @@ class ScalingFunction:
 
     # -- evaluation ----------------------------------------------------
 
-    def __call__(self, r: float) -> float:
-        return float(self.evaluator(r))
+    def __call__(self, r):
+        if isinstance(r, float):
+            return float(self.evaluator(r))
+        r = np.asarray(r, dtype=float)
+        if not r.ndim:
+            return float(self.evaluator(float(r)))
+        return _apply(self.evaluator, self._scalar_only, r)
 
-    def log_value(self, r: float) -> float:
+    def log_value(self, r):
         """log f(r), exact even where f underflows."""
+        if not isinstance(r, float):
+            r = np.asarray(r, dtype=float)
+            if not r.ndim:
+                return self.log_value(float(r))
+            if self.log_evaluator is not None:
+                return _apply(self.log_evaluator, self._log_scalar_only, r)
+            v = self(r)
+            bad = v <= 0
+            if bad.any():
+                raise EvaluationError(f"cannot take log of f({r[bad][0]:g})={v[bad][0]:g}")
+            return np.log(v)
         if self.log_evaluator is not None:
             return float(self.log_evaluator(r))
         v = float(self.evaluator(r))
         if v <= 0:
             raise EvaluationError(f"cannot take log of f({r:g})={v:g}")
         return math.log(v)
+
+
+#: index pairs (i < j) of a verification grid of GRID_POINTS points
+_GRID_PAIRS = np.triu_indices(GRID_POINTS, k=1)
+#: how closely an evaluator's one array call must reproduce its per-element
+#: values (a numpy expression may round differently in the last bits)
+_PROBE_RTOL = 1e-12
+
+
+def _maps_arrays(fn: Callable, g: np.ndarray, expected: np.ndarray, atol: float) -> bool:
+    """Whether fn(g), one array call, gives the per-element values expected."""
+    try:
+        out = fn(g)
+    except (TypeError, ValueError):  # math functions, and `if r <= c`, reject arrays
+        return False
+    return (
+        isinstance(out, np.ndarray)
+        and out.shape == g.shape
+        and bool(np.all(np.abs(out - expected) <= _PROBE_RTOL * np.abs(expected) + atol))
+    )
+
+
+def _apply(fn: Callable, scalar_only: bool, r: np.ndarray) -> np.ndarray:
+    """fn on an array of arguments: one call, or one call per element."""
+    if scalar_only:
+        return np.array([float(fn(x)) for x in r.ravel().tolist()]).reshape(r.shape)
+    return fn(r)
 
 
 def fit_envelope(
@@ -271,32 +353,48 @@ def check_h_conditions(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def inverse(
-    f: ScalingFunction, y: float, bracket: Optional[tuple[float, float]] = None
-) -> float:
+def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None):
     """Solve f(t) = y for increasing f, to relative tolerance 1e-12.
 
+    y is a float (a float comes back) or an array of targets (an array of
+    the same shape comes back, each entry the root the float call gives up
+    to the rounding of numpy's log and exp).
+
     Uses the exact inverse when the function carries one and no explicit
-    bracket was requested.  Otherwise it takes the given bracket, or
-    gallops out from t = 1 to find one, and runs regula falsi on
+    bracket was requested; a root that overflows raises OverflowError
+    naming its target.  Otherwise it takes the given bracket, or gallops
+    out from t = 1 to find one, and runs regula falsi on
     (log t, log f(t) - log y) with the Illinois modification (Dowell &
     Jarratt 1971).  A bisection step in log t replaces every interpolated
     point that is unusable, so the bracket stays valid and no smoothness is
     assumed.  Returns the first point t with |f(t) - y| <= 1e-12 y, or the
-    middle of the bracket after 200 steps.
+    middle of the bracket after 200 steps.  An array of targets shares one
+    gallop, then takes the same steps on all targets at once: one
+    evaluation of f on the whole array per step, with the state of the
+    targets already solved left as it is.
     """
     if f.monotonicity != INCREASING:
         raise PreconditionError("inverse requires an increasing function")
+    if type(y) is not float:  # np.float64 too: the float path wants ** to raise on overflow
+        y = np.asarray(y, dtype=float)
+        if y.ndim:
+            return _inverse_array(f, y, bracket)
+        y = float(y)
     if y <= 0 or not math.isfinite(y):
         raise BracketError(f"target value {y!r} not a positive real")
 
     if bracket is None and f.exact_inverse is not None:
-        return float(f.exact_inverse(y))
+        try:
+            return float(f.exact_inverse(y))
+        except OverflowError:
+            raise OverflowError(
+                f"{f.name or 'scaling function'}: inverse of y={y:g} overflows"
+            ) from None
     if bracket is None:
         lo, f_lo, hi, f_hi = _auto_bracket(f, y)
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
-        f_lo, f_hi = f._eval_checked(lo), f._eval_checked(hi)
+        f_lo, f_hi = f._eval_float(lo), f._eval_float(hi)
         if not (f_lo <= y * (1 + _INVERSE_RTOL) and f_hi >= y * (1 - _INVERSE_RTOL)):
             raise BracketError(
                 f"bracket [{lo:g}, {hi:g}] maps to [{f_lo:g}, {f_hi:g}], "
@@ -320,7 +418,7 @@ def inverse(
             t = _split(lo, hi)
             if not lo < t < hi:
                 break  # the bracket is two adjacent floats
-        v = f._eval_checked(t)
+        v = f._eval_float(t)
         if abs(v - y) <= _INVERSE_RTOL * y:
             return t
         g = math.log(v) - log_y if v > 0.0 else -math.inf
@@ -337,9 +435,80 @@ def inverse(
     return _split(lo, hi)
 
 
-def _split(lo: float, hi: float) -> float:
+def _split(lo, hi):
     """Bisection point of [lo, hi]: the middle in log t when lo > 0."""
-    return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * (lo + hi)
+    if isinstance(lo, float):
+        return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * (lo + hi)
+    return np.where(lo > 0.0, np.sqrt(np.maximum(lo, 0.0)) * np.sqrt(hi), 0.5 * (lo + hi))
+
+
+def _log_ratio(v: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """log v - log y, and -inf where v <= 0 (the float loop's g)."""
+    with np.errstate(divide="ignore"):  # log 0 is the -inf wanted
+        return np.log(np.maximum(v, 0.0)) - log_y
+
+
+def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
+    """inverse on an array of targets: the float algorithm, step by step."""
+    bad = ~((y > 0.0) & (y < math.inf))
+    if bad.any():
+        raise BracketError(f"target value {float(y[bad][0])!r} not a positive real")
+    if bracket is None and f.exact_inverse is not None:
+        with np.errstate(over="ignore"):  # an overflow raises below, naming its target
+            t = np.asarray(f.exact_inverse(y), dtype=float)
+        over = t == math.inf
+        if over.any():
+            raise OverflowError(
+                f"{f.name or 'scaling function'}: inverse of y={y[over][0]:g} overflows"
+            )
+        return t
+    shape, y = y.shape, y.ravel()
+    if bracket is None:
+        lo, f_lo, hi, f_hi = _auto_brackets(f, y)
+    else:
+        lo, hi = float(bracket[0]), float(bracket[1])
+        f_lo, f_hi = f._eval_float(lo), f._eval_float(hi)
+        miss = ~((f_lo <= y * (1 + _INVERSE_RTOL)) & (f_hi >= y * (1 - _INVERSE_RTOL)))
+        if miss.any():
+            raise BracketError(
+                f"bracket [{lo:g}, {hi:g}] maps to [{f_lo:g}, {f_hi:g}], "
+                f"which does not straddle y={y[miss][0]:g}"
+            )
+        lo, f_lo, hi, f_hi = (np.full(y.shape, x) for x in (lo, f_lo, hi, f_hi))
+    # the float loop's state, one entry per target, updated in place where the
+    # target is unsolved; fixed shapes keep the allocations alike from step
+    # to step, so that they reuse the memory freed by the step before
+    out = np.where(np.abs(f_lo - y) <= _INVERSE_RTOL * y, lo, hi)
+    unsolved = (np.abs(f_lo - y) > _INVERSE_RTOL * y) & (np.abs(f_hi - y) > _INVERSE_RTOL * y)
+    log_y = np.log(y)
+    g_lo, g_hi = _log_ratio(f_lo, log_y), _log_ratio(f_hi, log_y)
+    kept = np.zeros(y.shape)  # +1 / -1 where the last step kept lo / hi
+    for _ in range(_INVERSE_MAX_ITER):
+        if not unsolved.any():
+            break
+        slope = (lo > 0.0) & (g_lo > -math.inf)
+        x_lo, x_hi = np.log(np.where(slope, lo, 1.0)), np.log(hi)
+        with np.errstate(over="ignore", invalid="ignore"):  # unused where not slope
+            t = np.exp(x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo))
+        t = np.where(slope & (lo < t) & (t < hi), t, _split(lo, hi))
+        v = f._eval_checked(t)
+        # done: solved, or the bracket is two adjacent floats (t is lo or hi)
+        done = unsolved & ((np.abs(v - y) <= _INVERSE_RTOL * y) | ~((lo < t) & (t < hi)))
+        np.copyto(out, t, where=done)
+        unsolved &= ~done
+        g = _log_ratio(v, log_y)
+        below = unsolved & (v < y)
+        above = unsolved & ~(v < y)
+        np.multiply(g_hi, 0.5, out=g_hi, where=below & (kept < 0))  # kept twice: halve
+        np.multiply(g_lo, 0.5, out=g_lo, where=above & (kept > 0))
+        np.copyto(lo, t, where=below)
+        np.copyto(g_lo, g, where=below)
+        np.copyto(hi, t, where=above)
+        np.copyto(g_hi, g, where=above)
+        np.copyto(kept, -1.0, where=below)
+        np.copyto(kept, 1.0, where=above)
+    np.copyto(out, _split(lo, hi), where=unsolved)
+    return out.reshape(shape)
 
 
 #: the bracketing gallop multiplies t by a factor that starts at 2 and
@@ -347,16 +516,21 @@ def _split(lo: float, hi: float) -> float:
 _GALLOP_MAX_STEP = 2.0**64
 
 
-def _auto_bracket(f: ScalingFunction, y: float) -> tuple[float, float, float, float]:
+def _auto_bracket(
+    f: ScalingFunction, y: float, passed: Optional[list] = None
+) -> tuple[float, float, float, float]:
     """(lo, f(lo), hi, f(hi)) with f(lo) < y <= f(hi) or f(lo) <= y < f(hi).
 
     Starts at t = 1, so functions only defined above 1 are never evaluated
     below it, and gallops towards y; the last point passed becomes the other
     end.  A step that leaves the float range, in t or in f(t), is retried
     from the same t with the square root of its factor; once the factor is
-    down to 1, BracketError.
+    down to 1, BracketError.  The points depend on f alone, so the gallop
+    towards y passes a prefix of the points of the gallop towards any target
+    farther out; each point (t, f(t)) it passes after t = 1 is appended to
+    ``passed`` when that is given.
     """
-    t, v = 1.0, f._eval_checked(1.0)
+    t, v = 1.0, f._eval_float(1.0)
     up = v < y
     step = 2.0
     while True:
@@ -369,16 +543,50 @@ def _auto_bracket(f: ScalingFunction, y: float) -> tuple[float, float, float, fl
         nv = None
         if 0.0 < nt < math.inf:
             try:
-                nv = f._eval_checked(nt)
+                nv = f._eval_float(nt)
             except (OverflowError, EvaluationError):
                 pass
         if nv is None:
             step = math.sqrt(step)
             continue
+        if passed is not None:
+            passed.append((nt, nv))
         if (nv >= y) if up else (nv <= y):
             return (t, v, nt, nv) if up else (nt, nv, t, v)
         t, v = nt, nv
         step = min(step * step, _GALLOP_MAX_STEP)
+
+
+def _auto_brackets(f: ScalingFunction, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_auto_bracket for each target of a 1-d y, from one gallop up to the
+    largest target above f(1) and one down to the smallest of the others.
+
+    Each target gets the two points where its own gallop would stop: the
+    first point past it (searchsorted on the running extreme, so that it is
+    the first even where f was not verified monotone) and the one before.
+    """
+    lo, f_lo, hi, f_hi = (np.empty_like(y) for _ in range(4))
+    f1 = f._eval_float(1.0)
+    up = y > f1
+    if up.any():
+        ts, vs = _gallop_points(f, float(y[up].max()), f1)
+        k = np.searchsorted(np.maximum.accumulate(vs), y[up])  # first vs[k] >= y
+        lo[up], f_lo[up], hi[up], f_hi[up] = ts[k - 1], vs[k - 1], ts[k], vs[k]
+    down = ~up
+    if down.any():
+        ts, vs = _gallop_points(f, float(y[down].min()), f1)
+        # first k >= 1 with vs[k] <= y: the gallop tests its steps, not t = 1
+        run = np.minimum.accumulate(vs[1:])[::-1]
+        k = len(vs) - np.searchsorted(run, y[down], side="right")
+        lo[down], f_lo[down], hi[down], f_hi[down] = ts[k], vs[k], ts[k - 1], vs[k - 1]
+    return lo, f_lo, hi, f_hi
+
+
+def _gallop_points(f: ScalingFunction, y: float, f1: float) -> np.ndarray:
+    """Arguments and values of t = 1 and of every point the gallop to y passes."""
+    passed = [(1.0, f1)]
+    _auto_bracket(f, y, passed)
+    return np.array(passed).T
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +628,28 @@ class RateCandidate:
                 raise PreconditionError("phi must be increasing for inverse recipes")
 
 
-def evaluate_rate(candidate: RateCandidate, t: float) -> float:
-    """Evaluate a rate candidate at a time t > 1."""
-    if t <= 1:
-        raise PreconditionError(f"rate candidates are defined for t > 1, got {t!r}")
+def evaluate_rate(candidate: RateCandidate, t):
+    """Evaluate a rate candidate at a time t > 1, or at an array of times."""
+    if isinstance(t, float):
+        if t <= 1:
+            raise PreconditionError(f"rate candidates are defined for t > 1, got {t!r}")
+    else:
+        t = np.asarray(t, dtype=float)
+        early = t <= 1
+        if early.any():
+            raise PreconditionError(
+                f"rate candidates are defined for t > 1, got {float(t[early][0])!r}"
+            )
     if candidate.recipe == DIRECT:
         v = candidate.phi(t)
     elif candidate.recipe == SUBCRITICAL:
         v = inverse(candidate.phi, t) * candidate.g(t)
     else:
         v = inverse(candidate.phi, t * candidate.g(t))
-    if not (math.isfinite(v) and v > 0):
-        raise EvaluationError(f"rate candidate evaluated to {v!r} at t={t:g}")
+    bad = ~(np.isfinite(v) & (v > 0))
+    if bad.any():
+        v_bad, t_bad = (float(np.asarray(a)[bad][0]) for a in (v, t))
+        raise EvaluationError(f"rate candidate evaluated to {v_bad!r} at t={t_bad:g}")
     return v
 
 
@@ -441,6 +659,16 @@ def evaluate_rate(candidate: RateCandidate, t: float) -> float:
 
 _E = math.e
 _EE = math.exp(math.e)
+
+
+# The presets' evaluators take a float or an ndarray.  Each picks its module
+# once per call, `xp = math if isinstance(r, float) else np`: math keeps a
+# float call as cheap as a plain math expression, numpy serves arrays.
+
+
+def _full(r, value: float):
+    """value at every argument: a float for a float, else an array like r."""
+    return value if isinstance(r, float) else np.full(np.shape(r), value)
 
 
 def power(exponent: float, domain_floor: float = 1e-6) -> ScalingFunction:
@@ -453,7 +681,7 @@ def power(exponent: float, domain_floor: float = 1e-6) -> ScalingFunction:
         envelope=Envelope(1.0, exponent, 1.0, exponent),
         domain_floor=domain_floor,
         name=f"power:{exponent:g}",
-        log_evaluator=lambda r, p=exponent: p * math.log(r),
+        log_evaluator=lambda r, p=exponent: p * (math if isinstance(r, float) else np).log(r),
         exact_inverse=inv,
     )
 
@@ -463,12 +691,12 @@ def constant(value: float) -> ScalingFunction:
     if value <= 0:
         raise PreconditionError("constant preset must be positive")
     return ScalingFunction(
-        evaluator=lambda r, v=value: v,
+        evaluator=lambda r, v=value: _full(r, v),
         monotonicity=DECREASING,
         envelope=Envelope(1.0, 0.0, 1.0, 0.0),
         domain_floor=1e-6,
         name=f"const:{value:g}",
-        log_evaluator=lambda r, v=value: math.log(v),
+        log_evaluator=lambda r, lv=math.log(value): _full(r, lv),
     )
 
 
@@ -481,16 +709,22 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
 
     def log_r(r):
         # below r = 1, (log r)**q is complex or of alternating sign
-        lr = math.log(r)
-        if lr < 0.0:
-            raise EvaluationError(f"{name}: undefined at r={r:g} (log r < 0)")
+        if isinstance(r, float):
+            lr = math.log(r)
+            if lr < 0.0:
+                raise EvaluationError(f"{name}: undefined at r={r:g} (log r < 0)")
+            return lr
+        lr = np.log(r)
+        if (lr < 0.0).any():
+            raise EvaluationError(f"{name}: undefined at r={r[lr < 0.0][0]:g} (log r < 0)")
         return lr
 
     def ev(r, p=exponent, q=log_exponent):
         return r**p * log_r(r) ** q
 
     def log_ev(r, p=exponent, q=log_exponent):
-        return p * math.log(r) + q * math.log(log_r(r))
+        xp = math if isinstance(r, float) else np
+        return p * xp.log(r) + q * xp.log(log_r(r))
 
     sample = [ev(domain_floor), ev(domain_floor * 10**GRID_DECADES)]
     mono = INCREASING if sample[1] >= sample[0] else DECREASING
@@ -512,7 +746,7 @@ def exp_decay(c0: float, gamma: float) -> ScalingFunction:
     floor = min(1e-6, (700.0 / c0) ** (1.0 / gamma) / 10.0**GRID_DECADES)
 
     def ev(s, a=c0, g=gamma):
-        return math.exp(-a * s**g)
+        return (math if isinstance(s, float) else np).exp(-a * s**g)
 
     return ScalingFunction(
         evaluator=ev,
@@ -528,12 +762,15 @@ def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
     """g(t) = exp(-(log t) * (log log t)**(1+eps)); decays faster than any power."""
 
     def log_ev(t, e=eps):
-        lt = math.log(t)
-        return -lt * math.log(lt) ** (1.0 + e)
+        xp = math if isinstance(t, float) else np
+        lt = xp.log(t)
+        return -lt * xp.log(lt) ** (1.0 + e)
 
     def ev(t, e=eps):
         x = log_ev(t, e)
-        return math.exp(x) if x > -745.0 else 0.0
+        if isinstance(x, float):
+            return math.exp(x) if x > -745.0 else 0.0
+        return np.where(x > -745.0, np.exp(x), 0.0)
 
     # the verification grid stays within exp range for moderate eps
     return ScalingFunction(
@@ -553,7 +790,12 @@ def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
     """
 
     def ev(t, e=eps):
-        return math.log(math.log(_EE + t)) ** e / math.log(_E + t)
+        xp = math if isinstance(t, float) else np
+        return xp.log(xp.log(_EE + t)) ** e / xp.log(_E + t)
+
+    def log_ev(t, e=eps):
+        xp = math if isinstance(t, float) else np
+        return e * xp.log(xp.log(xp.log(_EE + t))) - xp.log(xp.log(_E + t))
 
     return ScalingFunction(
         evaluator=ev,
@@ -561,8 +803,7 @@ def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
         envelope=fit_envelope(ev, domain_floor),
         domain_floor=domain_floor,
         name=f"loglog-g:{eps:g}",
-        log_evaluator=lambda t, e=eps: e * math.log(math.log(math.log(_EE + t)))
-        - math.log(math.log(_E + t)),
+        log_evaluator=log_ev,
     )
 
 

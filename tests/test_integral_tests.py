@@ -351,3 +351,83 @@ class TestCriticalLowerRate:
     def test_nonfinite_or_nonpositive_t0_raises(self, t0):
         with pytest.raises(PreconditionError, match="t0"):
             critical_lower_rate_test(sc.power(-1.0), t0)
+
+
+def _float_reference(name):
+    """Each named test's integrand as one float call per node, and its t0."""
+    from heatrates import kernels as kn
+
+    beta = 1.5
+    h, rho = sc.power(-beta), sc.power(1.0 / beta)
+    sub = sc.RateCandidate("subcritical", sc.powerlog(1.6, 1.0), sc.powerlog(0.0, -0.5))
+    crit = sc.RateCandidate("critical", sc.powerlog(1.6, 1.0), sc.loglog_g(0.5))
+    lil = sc.ScalingFunction(
+        lambda t: math.sqrt(3.0 * loglog(t)), sc.INCREASING,
+        sc.fit_envelope(lambda t: math.sqrt(3.0 * loglog(t)), 16.0), 16.0,
+    )
+    model = kn.from_id("jump:power:3;powerlog:1.5,1")
+    g_sub = sc.powerlog(0.0, -0.8)
+
+    def cut(lo):
+        return math.exp(lo) if lo > -745.0 else 0.0
+
+    def kolmogorov(g, dim):
+        def f(t):
+            x = g(t)
+            return cut(-0.5 * x * x + dim * math.log(x) - math.log(t))
+
+        return (lambda: kolmogorov_test(g, dim)), f, 16.0
+
+    def upper(cand, direction):
+        if direction == ONE_PROB:
+            arg = lambda t: sc.evaluate_rate(cand, t) / (2.0 * rho(4.0 * t))
+        else:
+            arg = lambda t: 2.0 * sc.evaluate_rate(cand, 4.0 * t) / rho(t)
+        f = lambda t: cut(h.log_value(arg(t)) - math.log(t))
+        return (lambda: upper_rate_test(h, rho, cand, 1.0, direction)), f, 16.0
+
+    def subcritical(t):
+        phi_inv_t = sc.inverse(model.phi, t)
+        r = phi_inv_t * g_sub(t)
+        return model.V(r) / (model.phi(r) * model.V(phi_inv_t))
+
+    de = sc.powerlog(0.0, -1.5)
+    cases = {
+        "kolmogorov-lil": kolmogorov(lil, 1),
+        "kolmogorov-power": kolmogorov(sc.power(0.25), 3),
+        "dvoretzky-erdos": (
+            lambda: dvoretzky_erdos_test(de, 3),
+            lambda t: cut(de.log_value(t) - math.log(t)),
+            16.0,
+        ),
+        "upper-subcritical": upper(sub, ONE_PROB),
+        "upper-critical-zero": upper(crit, ZERO_PROB),
+        "subcritical-lower": (
+            lambda: subcritical_lower_rate_test(model, g_sub), subcritical, 16.0,
+        ),
+        "critical-lower": (
+            lambda: critical_lower_rate_test(sc.iterated_log_g(0.5)),
+            lambda t: 1.0 / (t * abs(sc.iterated_log_g(0.5).log_value(t))),
+            16.0,
+        ),
+    }
+    return cases[name]
+
+
+class TestNamedTestsOnArrays:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "kolmogorov-lil", "kolmogorov-power", "dvoretzky-erdos", "upper-subcritical",
+            "upper-critical-zero", "subcritical-lower", "critical-lower",
+        ],
+    )
+    def test_matches_float_integrand(self, name):
+        # one array evaluation of the integrand gives the verdict, and the
+        # blocks, of one float call per node
+        run, f, t0 = _float_reference(name)
+        got, want = run(), classify_tail_integral(f, t0)
+        assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
+        np.testing.assert_allclose(
+            [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=1e-13, atol=0.0
+        )

@@ -11,6 +11,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from heatrates import kernels as kn
+from heatrates.integral_tests import classify_tail_integral
 from heatrates.errors import PreconditionError, UnsupportedModelError
 
 
@@ -138,7 +139,11 @@ class TestEnvelopeDensity:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize(
-        "spec", ["stablelike:3,1.5", "subgaussian:3,2,0.25", "jump:power:3;powerlog:1.5,1", "gaussian:3"]
+        "spec",
+        [
+            "stablelike:3,1.5", "subgaussian:3,2,0.25", "jump:power:3;powerlog:1.5,1",
+            "jump:power:2;power:1.5", "gaussian:3",
+        ],
     )
     def test_arrays_match_scalar_calls(self, spec):
         m = kn.from_id(spec)
@@ -606,6 +611,31 @@ class TestTailProbability:
                 assert got == pytest.approx(c * ref, rel=1e-12), (t, r)
 
 
+    @pytest.mark.parametrize("spec", ["jump:power:3;powerlog:1.5,1", "jump:power:2;power:1.5"])
+    def test_midpoint_jump_against_quad(self, spec):
+        # min(1/V(phi^-1(t)), t / (V(s) phi(s))) against d2 V(s) d(log s),
+        # with V and phi called one float at a time, by adaptive quadrature
+        # on 2000 pieces
+        c = 1e-3
+        m = kn.from_id(spec).with_comparability(c, c)
+        d2 = m.V.envelope.d_hi
+        for t in (4.0, 100.0):
+            on_diag = 1.0 / m.V(kn.inverse(m.phi, t))
+
+            def integrand(u):
+                s = math.exp(u)
+                return min(on_diag, t / (m.V(s) * m.phi(s))) * d2 * m.V(s)
+
+            for r in (3.0, 40.0):
+                ends = np.linspace(*self._log_s_range(m, t, r), 2001)
+                ref = sum(
+                    integrate.quad(integrand, u0, u1, epsrel=1e-13, epsabs=1e-300)[0]
+                    for u0, u1 in zip(ends, ends[1:])
+                )
+                got = kn._envelope_tail_midpoint(m, t, r)
+                assert got == pytest.approx(c * ref, rel=1e-12), (t, r)
+
+
 class TestBallProbability:
     def test_saturated_envelope(self, cauchy):
         bp = kn.ball_probability(cauchy, 1.0, 2.0)
@@ -647,15 +677,40 @@ class TestClassifyLongRun:
         # integrand itself only underflows towards 0
         assert kn.classify_long_run(kn.from_id(f"stable:{alpha:g},3"))[0] == kn.TRANSIENT
 
+    @pytest.mark.parametrize("spec", ["stable:0.1,1", "stable:0.2,3"])
+    def test_overflowing_exact_inverse_raises(self, spec):
+        # phi^-1(t) = t^(1/alpha) leaves the float range inside the block
+        # range; the array inverse raises as the float one does, instead of
+        # classifying on blocks of 0
+        with pytest.raises(OverflowError, match="inverse of y="):
+            kn.classify_long_run(kn.from_id(spec))
+
+    @pytest.mark.parametrize(
+        "spec", ["jump:power:3;powerlog:1.5,1", "jump:power:1;powerlog:2,0.5", "stable:1.5,3", "gaussian:1"]
+    )
+    def test_matches_float_integrand(self, spec):
+        # reference: the integrand as one float call per node
+        m = kn.from_id(spec)
+        label, got = kn.classify_long_run(m)
+        want = classify_tail_integral(
+            lambda t: math.exp(-m.V.log_value(kn.inverse(m.phi, t))), 16.0
+        )
+        assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
+        np.testing.assert_allclose(
+            [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=1e-13, atol=0.0
+        )
+
     def test_inverse_cost_per_integrand_evaluation(self):
-        # phi = powerlog has no exact inverse, so each integrand evaluation
-        # 1 / V(phi^-1(t)) solves phi(r) = t; V is evaluated once per call,
-        # through its evaluator or its log_evaluator
+        # phi = powerlog has no exact inverse, so the integrand 1 / V(phi^-1(t))
+        # solves phi(r) = t at every node; V is evaluated once, through its
+        # evaluator or its log_evaluator, on the array of all 3840 roots
+        elements = {"V": 0, "phi": 0}
         calls = {"V": 0, "phi": 0}
 
         def counted(f, key):
             def wrap(g):
                 def ev(r):
+                    elements[key] += np.size(r)
                     calls[key] += 1
                     return g(r)
 
@@ -666,10 +721,12 @@ class TestClassifyLongRun:
 
         m = kn.from_id("jump:power:2;powerlog:1.5,1")
         m = dataclasses.replace(m, V=counted(m.V, "V"), phi=counted(m.phi, "phi"))
+        elements.update(V=0, phi=0)
         calls.update(V=0, phi=0)
         assert kn.classify_long_run(m)[0] == kn.TRANSIENT
-        assert calls["V"] == 3840  # 240 blocks of the 16-point Gauss-Legendre rule
-        assert calls["phi"] < 25 * calls["V"]
+        assert elements["V"] == 3840  # 240 blocks of the 16-point Gauss-Legendre rule
+        assert calls["V"] == 1  # one array call, not one call per node
+        assert elements["phi"] < 25 * elements["V"]
 
 
 class TestCompHeat:

@@ -356,3 +356,137 @@ class TestPresetGrammar:
     def test_bad_arity(self):
         with pytest.raises(ValueError):
             sc.from_id("power:1,2")
+
+
+# every preset the id grammar builds, with arguments inside its domain
+PRESET_IDS = [
+    "power:2", "power:-1.5", "power:0.1", "const:0.5", "powerlog:1.5,1", "powerlog:0,-2",
+    "powerlog:1.2,0.6", "exp-decay:0.25,2", "iterated-log-g:0.5", "iterated-log-g:-0.5",
+    "loglog-g:0", "loglog-g:1",
+]
+
+
+def _kinked(r):
+    # continuous, increasing, with slope jumps at r = 10 and r = 1e3
+    if r <= 10.0:
+        return r**0.5
+    if r <= 1e3:
+        return 10.0**0.5 * (r / 10.0) ** 4
+    return 10.0**8.5 * (r / 1e3) ** 1.1
+
+
+def _scalar_only_functions():
+    return {
+        "kinked": sc.ScalingFunction(
+            _kinked, sc.INCREASING, sc.fit_envelope(_kinked, 1e-3), domain_floor=1e-3
+        ),
+        "exp": sc.ScalingFunction(
+            math.exp, sc.INCREASING, sc.fit_envelope(math.exp, 1e-8), domain_floor=1e-8
+        ),
+    }
+
+
+class TestArrays:
+    @pytest.mark.parametrize("spec", PRESET_IDS)
+    def test_presets_match_scalar_calls(self, spec):
+        f = sc.from_id(spec)
+        assert not f._scalar_only and not f._log_scalar_only  # one numpy call per array
+        r = np.geomspace(max(f.domain_floor, 2.0), 1e70, 37)
+        logs = f.log_value(r)
+        for method in (f, f.log_value):
+            got = method(r)
+            assert isinstance(got, np.ndarray) and got.shape == r.shape
+            want = np.array([method(float(x)) for x in r])
+            # a value exp(x) carries a last-bit difference of x, times |x|
+            rtol = 1e-15 * (1.0 + np.abs(logs)) if method is f else 1e-15
+            assert np.all(np.abs(got - want) <= rtol * np.abs(want)), spec
+            assert method(r.reshape(37, 1)).shape == (37, 1)
+        assert type(f(3.0)) is float and type(f(np.float64(3.0))) is float
+        assert type(f(3)) is float and type(f.log_value(np.array(3.0))) is float
+
+    @pytest.mark.parametrize("name", ["kinked", "exp"])
+    def test_scalar_only_evaluators_take_arrays(self, name):
+        f = _scalar_only_functions()[name]
+        assert f._scalar_only
+        r = np.array([[0.5, 10.0, 37.0], [99.0, 1e2, 7e2]])
+        want = np.array([[f.evaluator(float(x)) for x in row] for row in r])
+        assert f(r).tolist() == want.tolist()
+        assert f.log_value(r) == pytest.approx(np.log(want), rel=1e-15)
+
+    def test_array_errors_name_the_argument(self):
+        f = sc.powerlog(1.5, 0.9)
+        with pytest.raises(EvaluationError, match="r=0.9"):
+            f(np.array([2.0, 0.9, 0.5]))
+        with pytest.raises(EvaluationError, match="r=0.5"):
+            f.log_value(np.array([3.0, 0.5]))
+
+    @pytest.mark.parametrize("name", ["powerlog", "kinked", "exp"])
+    def test_inverse_matches_float_inverse(self, name):
+        f = sc.powerlog(1.5, 1.0) if name == "powerlog" else _scalar_only_functions()[name]
+        # exp overflows past the roots of the largest targets; below f(1)
+        # (1 for the kinked function, e for exp) the gallop goes down
+        below = {"powerlog": [], "kinked": np.geomspace(1e-2, 1.0, 5), "exp": [1.1, 2.0, math.e]}
+        ys = np.concatenate([below[name], np.geomspace(1e2, 1e300, 43)])
+        ys = ys.reshape(-1, 2) if ys.size % 2 == 0 else ys
+        got = sc.inverse(f, ys)
+        assert got.shape == ys.shape
+        want = np.array([sc.inverse(f, float(y)) for y in ys.ravel()]).reshape(ys.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(f(got) - ys) <= 1e-12 * ys)
+
+    def test_inverse_in_an_explicit_bracket(self):
+        f = _scalar_only_functions()["kinked"]
+        ys = np.concatenate([np.geomspace(1e-2, 1e12, 40), [_kinked(10.0), _kinked(1e3)]])
+        got = sc.inverse(f, ys, bracket=(1e-6, 1e10))
+        want = [sc.inverse(f, float(y), bracket=(1e-6, 1e10)) for y in ys]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        with pytest.raises(BracketError, match="y=1e\\+40"):
+            sc.inverse(f, np.array([1.0, 1e40]), bracket=(1e-6, 1e10))
+
+    def test_exact_inverse_on_arrays(self):
+        f = sc.power(1.5)
+        ys = np.array([[1.0, 8.0], [1e3, 1e300]])
+        assert sc.inverse(f, ys).tolist() == [[sc.inverse(f, float(y)) for y in row] for row in ys]
+
+    def test_exact_inverse_overflow_raises(self):
+        f = sc.power(0.1)
+        with pytest.raises(OverflowError, match="y=1e\\+40"):
+            sc.inverse(f, np.array([10.0, 1e40]))
+        for y in (1e40, np.float64(1e40)):
+            with pytest.raises(OverflowError):
+                sc.inverse(f, y)
+
+    def test_float_in_float_out(self):
+        f = sc.powerlog(1.5, 1.0)
+        for y in (50.0, np.float64(50.0), 50, np.array(50.0)):
+            assert type(sc.inverse(f, y)) is float
+            assert type(sc.inverse(sc.power(2.0), y)) is float
+        assert sc.inverse(f, np.array([50.0])).shape == (1,)
+        assert sc.inverse(f, np.array([50.0]))[0] == sc.inverse(f, 50.0)
+
+    @pytest.mark.parametrize(
+        "ev, ys",
+        [
+            (lambda r: r / (1.0 + r), [0.3, 2.0, 0.1]),
+            (lambda r: 1.0 + r / (1.0 + r), [1.7, 0.5]),
+        ],
+    )
+    def test_unreachable_target_in_an_array(self, ev, ys):
+        f = sc.ScalingFunction(ev, sc.INCREASING, sc.fit_envelope(ev, 1e-6))
+        with pytest.raises(BracketError):
+            sc.inverse(f, np.array(ys))
+
+    @pytest.mark.parametrize("y", [0.0, -1.0, math.nan, math.inf])
+    def test_targets_must_be_positive_reals(self, y):
+        with pytest.raises(BracketError):
+            sc.inverse(sc.powerlog(1.5, 1.0), np.array([5.0, y]))
+
+    @pytest.mark.parametrize("recipe, g", [("direct", None), ("subcritical", "powerlog:0,-0.5"),
+                                           ("critical", "loglog-g:1")])
+    def test_evaluate_rate_matches_scalar_calls(self, recipe, g):
+        cand = sc.RateCandidate(recipe, sc.powerlog(1.5, 1.0), g and sc.from_id(g))
+        t = np.geomspace(16.0, 1e60, 25)
+        want = [sc.evaluate_rate(cand, float(x)) for x in t]
+        np.testing.assert_allclose(sc.evaluate_rate(cand, t), want, rtol=1e-12, atol=0.0)
+        with pytest.raises(PreconditionError, match="0.5"):
+            sc.evaluate_rate(cand, np.array([4.0, 0.5]))

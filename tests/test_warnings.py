@@ -7,10 +7,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from heatrates import integral_tests as it
 from heatrates import kernels as kn
 from heatrates import potential as pt
+from heatrates import scaling as sc
+from heatrates.errors import BracketError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heatrates"
 #: modules allowed to import scipy.integrate or silence warnings: every
@@ -79,3 +83,33 @@ def test_envelope_only_tail_raises_no_warnings():
         for t in (1.0, 4.0, 100.0):
             for r in (0.5, 3.0, 64.0):
                 kn.tail_probability(m, t, r)
+
+
+def test_array_integrands_raise_no_warnings():
+    # the named tests and the long-run class evaluate their integrands on
+    # arrays, and inverse solves arrays of targets: none of it warns
+    import numpy as np
+
+    from heatrates import integral_tests as it
+    from heatrates import scaling as sc
+    from heatrates.errors import BracketError
+
+    beta = 1.5
+    h, rho = sc.power(-beta), sc.power(1.0 / beta)
+    phi = sc.powerlog(beta, 1.0)
+    subcritical = sc.RateCandidate(sc.SUBCRITICAL, phi, sc.powerlog(0.0, -0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        it.kolmogorov_test(sc.power(0.25), 3)
+        it.dvoretzky_erdos_test(sc.powerlog(0.0, -2.0), 3)
+        it.upper_rate_test(h, rho, subcritical, 1.0, it.ONE_PROB)
+        it.upper_rate_test(h, rho, subcritical, 1.0, it.ZERO_PROB)
+        it.subcritical_lower_rate_test(kn.from_id("jump:power:3;powerlog:1.5,1"), sc.powerlog(0.0, -1.0))
+        it.critical_lower_rate_test(sc.iterated_log_g(0.5))
+        kn.classify_long_run(kn.from_id("jump:power:2;powerlog:1.5,1"))
+        kn.classify_long_run(kn.from_id("stable:1.5,3"))
+        bounded = sc.ScalingFunction(
+            lambda r: r / (1.0 + r), sc.INCREASING, sc.fit_envelope(lambda r: r / (1.0 + r), 1e-6)
+        )
+        with pytest.raises(BracketError):
+            sc.inverse(bounded, np.array([0.5, 2.0]))
