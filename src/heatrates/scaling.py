@@ -478,8 +478,9 @@ def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
     # the float loop's state, one entry per target, updated in place where the
     # target is unsolved; fixed shapes keep the allocations alike from step
     # to step, so that they reuse the memory freed by the step before
-    out = np.where(np.abs(f_lo - y) <= _INVERSE_RTOL * y, lo, hi)
-    unsolved = (np.abs(f_lo - y) > _INVERSE_RTOL * y) & (np.abs(f_hi - y) > _INVERSE_RTOL * y)
+    at_lo = np.abs(f_lo - y) <= _INVERSE_RTOL * y
+    out = np.where(at_lo, lo, hi)
+    unsolved = ~at_lo & (np.abs(f_hi - y) > _INVERSE_RTOL * y)
     log_y = np.log(y)
     g_lo, g_hi = _log_ratio(f_lo, log_y), _log_ratio(f_hi, log_y)
     kept = np.zeros(y.shape)  # +1 / -1 where the last step kept lo / hi
@@ -497,8 +498,8 @@ def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
         np.copyto(out, t, where=done)
         unsolved &= ~done
         g = _log_ratio(v, log_y)
-        below = unsolved & (v < y)
-        above = unsolved & ~(v < y)
+        short = v < y
+        below, above = unsolved & short, unsolved & ~short
         np.multiply(g_hi, 0.5, out=g_hi, where=below & (kept < 0))  # kept twice: halve
         np.multiply(g_lo, 0.5, out=g_lo, where=above & (kept > 0))
         np.copyto(lo, t, where=below)

@@ -392,6 +392,7 @@ def _float_reference(name):
         return model.V(r) / (model.phi(r) * model.V(phi_inv_t))
 
     de = sc.powerlog(0.0, -1.5)
+    g_crit = sc.iterated_log_g(0.5)
     cases = {
         "kolmogorov-lil": kolmogorov(lil, 1),
         "kolmogorov-power": kolmogorov(sc.power(0.25), 3),
@@ -406,8 +407,8 @@ def _float_reference(name):
             lambda: subcritical_lower_rate_test(model, g_sub), subcritical, 16.0,
         ),
         "critical-lower": (
-            lambda: critical_lower_rate_test(sc.iterated_log_g(0.5)),
-            lambda t: 1.0 / (t * abs(sc.iterated_log_g(0.5).log_value(t))),
+            lambda: critical_lower_rate_test(g_crit),
+            lambda t: 1.0 / (t * abs(g_crit.log_value(t))),
             16.0,
         ),
     }
