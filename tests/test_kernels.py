@@ -11,8 +11,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from heatrates import kernels as kn
-from heatrates.integral_tests import classify_tail_integral
 from heatrates.errors import PreconditionError, UnsupportedModelError
+from heatrates.integral_tests import classify_tail_integral
 
 
 @pytest.fixture(scope="module")
@@ -610,7 +610,6 @@ class TestTailProbability:
                 got = kn._envelope_tail_midpoint(m, t, r)
                 assert got == pytest.approx(c * ref, rel=1e-12), (t, r)
 
-
     @pytest.mark.parametrize("spec", ["jump:power:3;powerlog:1.5,1", "jump:power:2;power:1.5"])
     def test_midpoint_jump_against_quad(self, spec):
         # min(1/V(phi^-1(t)), t / (V(s) phi(s))) against d2 V(s) d(log s),
@@ -691,7 +690,7 @@ class TestClassifyLongRun:
     def test_matches_float_integrand(self, spec):
         # reference: the integrand as one float call per node
         m = kn.from_id(spec)
-        label, got = kn.classify_long_run(m)
+        _, got = kn.classify_long_run(m)
         want = classify_tail_integral(
             lambda t: math.exp(-m.V.log_value(kn.inverse(m.phi, t))), 16.0
         )
