@@ -172,7 +172,7 @@ def _classify_nodes(f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdict
 
 def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     """The verdict on the block integrals s of the blocks from t0 on."""
-    table = [(k, float(s[k])) for k in range(K_MAX)]
+    table = list(enumerate(s.tolist()))
     partial = float(np.sum(s))
 
     # vanishing tail: everything beyond some block is numerically zero

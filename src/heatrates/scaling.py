@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .errors import BracketError, EvaluationError, PreconditionError
 
@@ -82,7 +83,9 @@ class ScalingFunction:
             itself underflows (e.g. stretched-exponential decay at huge
             arguments).  Arrays are handled as for ``evaluator``.
         exact_inverse: optional closed-form inverse, used by ``inverse``
-            to skip bisection; it must take arrays of targets.
+            to skip the root search.  On a float target it returns a float
+            and raises OverflowError where the root leaves the float range;
+            on an array of targets it returns an array, with inf there.
 
     Calls, ``log_value`` and ``_eval_checked`` take a float (a float comes
     back) or an array (an array of the same shape comes back).
@@ -253,7 +256,7 @@ def fit_envelope(
     g = log_grid(domain_floor, domain_floor * 10.0**GRID_DECADES)
     logs = np.log(np.array([float(evaluator(r)) for r in g]))
     lg = np.log(g)
-    i, j = np.triu_indices(len(g), k=1)
+    i, j = _GRID_PAIRS
     slopes = (logs[j] - logs[i]) / (lg[j] - lg[i])
     return Envelope(
         c_lo=1.0 - margin, d_lo=float(slopes.min()), c_hi=1.0 + margin, d_hi=float(slopes.max())
@@ -354,7 +357,7 @@ def check_h_conditions(
 
 
 def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None):
-    """Solve f(t) = y for increasing f, to relative tolerance 1e-12.
+    """Solve f(t) = y for increasing f.
 
     y is a float (a float comes back) or an array of targets (an array of
     the same shape comes back, each entry the root the float call gives up
@@ -362,16 +365,17 @@ def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None
 
     Uses the exact inverse when the function carries one and no explicit
     bracket was requested; a root that overflows raises OverflowError
-    naming its target.  Otherwise it takes the given bracket, or gallops
-    out from t = 1 to find one, and runs regula falsi on
-    (log t, log f(t) - log y) with the Illinois modification (Dowell &
-    Jarratt 1971).  A bisection step in log t replaces every interpolated
-    point that is unusable, so the bracket stays valid and no smoothness is
-    assumed.  Returns the first point t with |f(t) - y| <= 1e-12 y, or the
-    middle of the bracket after 200 steps.  An array of targets shares one
-    gallop, then takes the same steps on all targets at once: one
-    evaluation of f on the whole array per step, with the state of the
-    targets already solved left as it is.
+    naming its target.  Its accuracy is the float conditioning of the
+    closed form, not the 1e-12 stopping rule below.  Otherwise it takes
+    the given bracket, or gallops out from t = 1 to find one, and runs
+    regula falsi on (log t, log f(t) - log y) with the Illinois
+    modification (Dowell & Jarratt 1971).  A bisection step in log t
+    replaces every interpolated point that is unusable, so the bracket
+    stays valid and no smoothness is assumed.  Returns the first point t
+    with |f(t) - y| <= 1e-12 y, or the middle of the bracket after 200
+    steps.  An array of targets shares one gallop, then takes the same
+    steps on all targets at once: one evaluation of f on the whole array
+    per step, with the state of the targets already solved left as it is.
     """
     if f.monotonicity != INCREASING:
         raise PreconditionError("inverse requires an increasing function")
@@ -660,6 +664,8 @@ def evaluate_rate(candidate: RateCandidate, t):
 
 _E = math.e
 _EE = math.exp(math.e)
+#: log of the smallest positive float: |log y| is at most this for every float y > 0
+_LOG_TINY = -math.log(math.ulp(0.0))
 
 
 # The presets' evaluators take a float or an ndarray.  Each picks its module
@@ -702,7 +708,21 @@ def constant(value: float) -> ScalingFunction:
 
 
 def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) -> ScalingFunction:
-    """f(r) = r**exponent * (log r)**log_exponent, for r > 1."""
+    """f(r) = r**exponent * (log r)**log_exponent, for r > 1.
+
+    With p = exponent > 0 and q = log_exponent > 0, f increases from 0 at
+    r = 1 and its inverse has a closed form.  With s = log r, f(r) = y reads
+    p s + q log s = log y, so
+
+        s = (q/p) * omega(log y / q - log(q/p)),
+
+    where omega is the Wright omega function, the solution w of
+    w + log w = z (Corless & Jeffrey 2002); this is de Bruijn conjugation
+    (Bingham, Goldie & Teugels, Regular Variation, 1987, section 1.5.7).
+    ``inverse`` then solves no equation.  For p <= 0 or q <= 0 (or q so
+    small that log y / q overflows) there is no exact inverse, and
+    ``inverse`` solves by regula falsi.
+    """
     if domain_floor <= 1.0:
         raise PreconditionError("powerlog needs domain_floor > 1 (log r must be positive)")
 
@@ -727,6 +747,16 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
         xp = math if isinstance(r, float) else np
         return p * xp.log(r) + q * xp.log(log_r(r))
 
+    inv = None
+    k = log_exponent / exponent if exponent > 0.0 else math.nan
+    # the closed form needs q/p, and log y / q for every positive float y, finite
+    if log_exponent > 0.0 and math.isfinite(k) and math.isfinite(_LOG_TINY / log_exponent):
+
+        def inv(y, q=log_exponent, k=k):
+            if isinstance(y, float):  # math.exp raises OverflowError past the float range
+                return math.exp(k * wrightomega(math.log(y) / q - math.log(k)))
+            return np.exp(k * wrightomega(np.log(y) / q - math.log(k)))
+
     sample = [ev(domain_floor), ev(domain_floor * 10**GRID_DECADES)]
     mono = INCREASING if sample[1] >= sample[0] else DECREASING
     return ScalingFunction(
@@ -736,6 +766,7 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
         domain_floor=domain_floor,
         name=name,
         log_evaluator=log_ev,
+        exact_inverse=inv,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -432,3 +433,61 @@ class TestNamedTestsOnArrays:
         np.testing.assert_allclose(
             [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=1e-13, atol=0.0
         )
+
+
+def _powerlog_inverting(name, exact):
+    """The classify deck's configurations that invert a powerlog phi, with
+    phi's exact inverse (exact) or without it (regula falsi)."""
+    from heatrates import kernels as kn
+
+    def phi(beta, lq):
+        f = sc.powerlog(beta, lq)
+        return f if exact else dataclasses.replace(f, exact_inverse=None)
+
+    def model(spec, beta, lq):
+        return dataclasses.replace(kn.from_id(f"{spec};powerlog:{beta!r},{lq!r}"), phi=phi(beta, lq))
+
+    def upper(beta, lq, g, recipe, direction):
+        h, rho = sc.power(-beta), sc.power(1.0 / beta)
+        return upper_rate_test(h, rho, sc.RateCandidate(recipe, phi(beta, lq), g), 1.0, direction)
+
+    def lower(beta, lq, s):
+        return subcritical_lower_rate_test(
+            model("jump:power:3", beta, lq), sc.powerlog(0.0, -s / (3.0 - beta))
+        )
+
+    cases = {
+        "upper-subcritical": lambda: upper(1.6, 1.1, sc.powerlog(0.0, -0.6), "subcritical", ONE_PROB),
+        "upper-subcritical-zero": lambda: upper(1.5, 0.8, sc.powerlog(0.0, -0.4), "subcritical", ZERO_PROB),
+        "upper-subcritical-zero-small-beta": lambda: upper(
+            1.2, 0.6, sc.powerlog(0.0, -0.7), "subcritical", ZERO_PROB
+        ),
+        "upper-critical": lambda: upper(1.7, 0.5, sc.loglog_g(0.4), "critical", ONE_PROB),
+        "subcritical-lower": lambda: lower(1.4, 0.7, 1.3),
+        "subcritical-lower-steep-g": lambda: lower(1.5, 0.9, 2.5),
+        "long-run-3": lambda: kn.classify_long_run(model("jump:power:3", 2.2, 1.3))[1],
+        "long-run-2": lambda: kn.classify_long_run(model("jump:power:2", 1.5, 0.6))[1],
+        "long-run-1": lambda: kn.classify_long_run(model("jump:power:1", 1.8, 1.4))[1],
+    }
+    return cases[name]()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "upper-subcritical", "upper-subcritical-zero", "upper-subcritical-zero-small-beta",
+        "upper-critical", "subcritical-lower", "subcritical-lower-steep-g",
+        "long-run-3", "long-run-2", "long-run-1",
+    ],
+)
+def test_exact_powerlog_inverse_keeps_the_verdicts(name):
+    # powerlog's closed-form inverse in place of regula falsi changes no label,
+    # reason or depth.  Regula falsi leaves a root 1e-12 / e wide relative to
+    # it (e = d log phi / d log r >= 1.2 here), and the integrands take powers
+    # up to 3 of the roots, so a block may move by up to 3e-12 of itself
+    got, want = _powerlog_inverting(name, True), _powerlog_inverting(name, False)
+    assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
+    assert got.partial_sum == pytest.approx(want.partial_sum, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(
+        [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=3e-12, atol=0.0
+    )

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from heatrates import scaling as sc
 from heatrates.errors import BracketError, EvaluationError, PreconditionError
+from heatrates.integral_tests import _block_nodes
 
 
 class TestScalingFunctionConstruction:
@@ -224,7 +228,7 @@ class TestInverse:
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_evaluations_per_solve(self):
-        # powerlog has no exact inverse: gallop from 1, then regula falsi
+        # an evaluator with no exact inverse: gallop from 1, then regula falsi
         base = sc.powerlog(1.5, 1.0)
         calls = [0]
 
@@ -241,7 +245,8 @@ class TestInverse:
 
     def test_target_beyond_two_to_the_200(self):
         # the root sits near 2^200: a doubling search capped there missed it
-        f = sc.powerlog(1.2, 0.6)
+        # (the gallop and regula falsi, without powerlog's exact inverse)
+        f = _illinois(sc.powerlog(1.2, 0.6))
         y = 64.0 * 2.0**240
         t = sc.inverse(f, y)
         assert t > 2.0**190
@@ -386,6 +391,11 @@ def _scalar_only_functions():
     }
 
 
+def _illinois(f):
+    """f without its exact inverse: inverse then gallops and runs regula falsi."""
+    return dataclasses.replace(f, exact_inverse=None)
+
+
 class TestArrays:
     @pytest.mark.parametrize("spec", PRESET_IDS)
     def test_presets_match_scalar_calls(self, spec):
@@ -420,13 +430,19 @@ class TestArrays:
         with pytest.raises(EvaluationError, match="r=0.5"):
             f.log_value(np.array([3.0, 0.5]))
 
-    @pytest.mark.parametrize("name", ["powerlog", "kinked", "exp"])
+    @pytest.mark.parametrize("name", ["powerlog", "powerlog-exact", "kinked", "exp"])
     def test_inverse_matches_float_inverse(self, name):
-        f = sc.powerlog(1.5, 1.0) if name == "powerlog" else _scalar_only_functions()[name]
+        # regula falsi on arrays (powerlog without its exact inverse), and
+        # powerlog's closed form on arrays against its float path
+        if name.startswith("powerlog"):
+            f = sc.powerlog(1.5, 1.0)
+            f = f if name == "powerlog-exact" else _illinois(f)
+        else:
+            f = _scalar_only_functions()[name]
         # exp overflows past the roots of the largest targets; below f(1)
         # (1 for the kinked function, e for exp) the gallop goes down
-        below = {"powerlog": [], "kinked": np.geomspace(1e-2, 1.0, 5), "exp": [1.1, 2.0, math.e]}
-        ys = np.concatenate([below[name], np.geomspace(1e2, 1e300, 43)])
+        below = {"kinked": np.geomspace(1e-2, 1.0, 5), "exp": [1.1, 2.0, math.e]}.get(name, [])
+        ys = np.concatenate([below, np.geomspace(1e2, 1e300, 43)])
         ys = ys.reshape(-1, 2) if ys.size % 2 == 0 else ys
         got = sc.inverse(f, ys)
         assert got.shape == ys.shape
@@ -490,3 +506,39 @@ class TestArrays:
         np.testing.assert_allclose(sc.evaluate_rate(cand, t), want, rtol=1e-12, atol=0.0)
         with pytest.raises(PreconditionError, match="0.5"):
             sc.evaluate_rate(cand, np.array([4.0, 0.5]))
+
+
+class TestPowerlogExactInverse:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(p=st.floats(0.05, 4.0, exclude_min=True), q=st.floats(1e-300, 3.0))
+    def test_matches_regula_falsi(self, p, q):
+        f = sc.powerlog(p, q)
+        assert f.exact_inverse is not None
+        # targets from f(2) to 1e300, and the classifier's block nodes from
+        # t0 = 16, as far as their roots stay below 1e300
+        top = min(math.log(1e300), f.log_value(1e300))
+        nodes = _block_nodes(16.0)[0]
+        ys = np.concatenate(
+            [np.exp(np.linspace(math.log(f(2.0)), top, 40)), nodes[np.log(nodes) <= top]]
+        )
+        got, want = sc.inverse(f, ys), sc.inverse(_illinois(f), ys)
+        assert np.all(np.abs(f(got) - ys) <= 1e-12 * ys)
+        # regula falsi stops at |f(t) - y| <= 1e-12 y, which leaves its root
+        # 1e-12 / e wide relative to r, where e = d log f / d log r = p + q / log r
+        e = p + q / np.log(want)
+        assert np.all(np.abs(got - want) * e <= 2e-12 * want)
+
+    def test_overflow_raises_naming_the_target(self):
+        f = sc.powerlog(0.4, 0.5)
+        with pytest.raises(OverflowError, match="y=1e\\+300"):
+            sc.inverse(f, np.array([10.0, 1e300]))
+        for y in (1e300, np.float64(1e300)):
+            with pytest.raises(OverflowError, match="y=1e\\+300"):
+                sc.inverse(f, y)
+
+    @pytest.mark.parametrize(
+        "p, q", [(0.0, -1.0), (1.5, 0.0), (1.5, -0.5), (-1.0, 0.5), (-1.0, -1.0), (1.5, 1e-310)]
+    )
+    def test_no_closed_form_outside_its_domain(self, p, q):
+        # p <= 0 or q <= 0; and q so small that log y / q overflows
+        assert sc.powerlog(p, q).exact_inverse is None

@@ -113,3 +113,17 @@ def test_array_integrands_raise_no_warnings():
         )
         with pytest.raises(BracketError):
             sc.inverse(bounded, np.array([0.5, 2.0]))
+
+
+def test_exact_powerlog_inverse_raises_no_warnings():
+    # the Wright omega closed form, on floats and arrays, from targets near 0
+    # to targets whose roots overflow (an OverflowError, not a RuntimeWarning)
+    f = sc.powerlog(0.4, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc.inverse(f, np.geomspace(1e-300, 1e100, 50))
+        sc.inverse(f, 1e-300)
+        sc.inverse(sc.powerlog(4.0, 3.0), np.geomspace(1e-300, 1e300, 50))
+        for y in (np.array([10.0, 1e300]), 1e300):
+            with pytest.raises(OverflowError):
+                sc.inverse(f, y)
