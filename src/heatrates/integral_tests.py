@@ -35,6 +35,7 @@ from .scaling import (
     INCREASING,
     RateCandidate,
     ScalingFunction,
+    _exp_or_zero,
     evaluate_rate,
     inverse,
 )
@@ -257,11 +258,6 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
 # ---------------------------------------------------------------------------
 # named tests
 # ---------------------------------------------------------------------------
-
-def _exp_or_zero(x: np.ndarray) -> np.ndarray:
-    """exp(x), and 0 where x <= -745 (where exp is 0 or subnormal)."""
-    return np.where(x > -745.0, np.exp(x), 0.0)
-
 
 ONE_PROB = "one-prob"
 ZERO_PROB = "zero-prob"

@@ -724,7 +724,7 @@ def tail_constant(model: KernelModel) -> float:
         raise UnsupportedModelError(f"{model.model_id}: no geometric tail decay found")
     theta, c0 = rep.theta, rep.c0
     grid = model.V.grid()
-    c_v = max(model.V(theta * r) / model.V(r) for r in grid)
+    c_v = float(np.max(model.V(theta * grid) / model.V(grid)))
     return max(1.0 / h(1.0), model.c_hi * model.mu_ball * c_v / (1.0 - c0))
 
 

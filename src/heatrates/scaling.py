@@ -15,6 +15,9 @@ array the array of values, so an integrand over many nodes is one array
 expression.  The presets are written for both; an evaluator that only
 takes floats is applied element by element on arrays (see
 ``ScalingFunction``).  ``inverse`` solves one target or an array of them.
+Each algorithm is written once, for arrays: the grid checks are array
+expressions, and a float target without a closed-form inverse is solved
+as a one-element array.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ class Envelope:
     d_hi: float
 
     def __post_init__(self):
+        # a NaN would pass every comparison below, and every grid check
+        if not all(map(math.isfinite, (self.c_lo, self.d_lo, self.c_hi, self.d_hi))):
+            raise ValueError("envelope constants and exponents must be finite")
         if self.c_lo <= 0 or self.c_hi <= 0:
             raise ValueError("envelope constants must be positive")
         if self.d_lo > self.d_hi:
@@ -87,8 +93,9 @@ class ScalingFunction:
             and raises OverflowError where the root leaves the float range;
             on an array of targets it returns an array, with inf there.
 
-    Calls, ``log_value`` and ``_eval_checked`` take a float (a float comes
-    back) or an array (an array of the same shape comes back).
+    Calls, ``log_value`` and ``_eval_checked`` go through one dispatch,
+    ``_apply``: a float or 0-d argument gives a float, an array an array of
+    the same shape.
     """
 
     evaluator: Callable[[float], float]
@@ -119,29 +126,19 @@ class ScalingFunction:
         return log_grid(self.domain_floor, self.domain_floor * 10.0**GRID_DECADES)
 
     def _verify_on_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check positivity, monotonicity and the envelope on the grid, one
-        float at a time; returns the grid and the values."""
+        """Check positivity, monotonicity and the envelope on the grid;
+        returns the grid and the values."""
         g = self.grid()
-        vals = np.array([self._eval_float(r) for r in g])
-        if np.any(vals <= 0):
-            bad = g[np.argmax(vals <= 0)]
-            raise EvaluationError(
-                f"{self.name or 'scaling function'}: non-positive value at r={bad:g}"
-            )
+        vals = _grid_values(self.evaluator, g, self.name)
         diffs = np.diff(vals)
         slack = GRID_RTOL * np.maximum(vals[:-1], vals[1:])
-        if self.monotonicity == INCREASING:
-            if np.any(diffs < -slack):
-                k = int(np.argmax(diffs < -slack))
-                raise PreconditionError(
-                    f"{self.name or 'scaling function'}: not nondecreasing near r={g[k]:g}"
-                )
-        else:
-            if np.any(diffs > slack):
-                k = int(np.argmax(diffs > slack))
-                raise PreconditionError(
-                    f"{self.name or 'scaling function'}: not nonincreasing near r={g[k]:g}"
-                )
+        up = self.monotonicity == INCREASING
+        wrong = diffs < -slack if up else diffs > slack
+        if wrong.any():
+            kind = "nondecreasing" if up else "nonincreasing"
+            raise PreconditionError(
+                f"{self.name or 'scaling function'}: not {kind} near r={g[int(np.argmax(wrong))]:g}"
+            )
         self._verify_envelope(g, vals)
         return g, vals
 
@@ -162,57 +159,30 @@ class ScalingFunction:
 
     def _eval_checked(self, r):
         """f(r), raising EvaluationError where the value is not finite."""
-        if isinstance(r, float):
-            return self._eval_float(r)
-        r = np.asarray(r, dtype=float)
-        if not r.ndim:
-            return self._eval_float(float(r))
-        v = _apply(self.evaluator, self._scalar_only, r)
+        v = self(r)
         bad = ~np.isfinite(v)
         if bad.any():
             raise EvaluationError(
-                f"{self.name or 'scaling function'}: non-finite value at r={r[bad][0]:g}"
-            )
-        return v
-
-    def _eval_float(self, r: float) -> float:
-        """_eval_checked for a float, called directly by the float loops."""
-        v = float(self.evaluator(r))
-        if not math.isfinite(v):
-            raise EvaluationError(
-                f"{self.name or 'scaling function'}: non-finite value at r={r:g}"
+                f"{self.name or 'scaling function'}: non-finite value at r={_first(r, bad):g}"
             )
         return v
 
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, r):
-        if isinstance(r, float):
+        if type(r) is float:  # the common case, without the dispatch
             return float(self.evaluator(r))
-        r = np.asarray(r, dtype=float)
-        if not r.ndim:
-            return float(self.evaluator(float(r)))
         return _apply(self.evaluator, self._scalar_only, r)
 
     def log_value(self, r):
         """log f(r), exact even where f underflows."""
-        if not isinstance(r, float):
-            r = np.asarray(r, dtype=float)
-            if not r.ndim:
-                return self.log_value(float(r))
-            if self.log_evaluator is not None:
-                return _apply(self.log_evaluator, self._log_scalar_only, r)
-            v = self(r)
-            bad = v <= 0
-            if bad.any():
-                raise EvaluationError(f"cannot take log of f({r[bad][0]:g})={v[bad][0]:g}")
-            return np.log(v)
         if self.log_evaluator is not None:
-            return float(self.log_evaluator(r))
-        v = float(self.evaluator(r))
-        if v <= 0:
-            raise EvaluationError(f"cannot take log of f({r:g})={v:g}")
-        return math.log(v)
+            return _apply(self.log_evaluator, self._log_scalar_only, r)
+        v = self(r)
+        bad = v <= 0
+        if np.any(bad):
+            raise EvaluationError(f"cannot take log of f({_first(r, bad):g})={_first(v, bad):g}")
+        return math.log(v) if isinstance(v, float) else np.log(v)
 
 
 #: index pairs (i < j) of a verification grid of GRID_POINTS points
@@ -220,6 +190,21 @@ _GRID_PAIRS = np.triu_indices(GRID_POINTS, k=1)
 #: how closely an evaluator's one array call must reproduce its per-element
 #: values (a numpy expression may round differently in the last bits)
 _PROBE_RTOL = 1e-12
+
+
+def _first(a, mask) -> float:
+    """The first entry of a where mask holds; a and mask may be scalars."""
+    return float(np.asarray(a, dtype=float)[mask][0])
+
+
+def _grid_values(evaluator: Callable, g: np.ndarray, name: str = "") -> np.ndarray:
+    """The evaluator on a grid, one float call per point, checked finite and
+    positive: EvaluationError names the first r where it is not."""
+    vals = np.array([float(evaluator(r)) for r in g])
+    for bad, what in ((~np.isfinite(vals), "non-finite"), (vals <= 0, "non-positive")):
+        if bad.any():
+            raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
+    return vals
 
 
 def _maps_arrays(fn: Callable, g: np.ndarray, expected: np.ndarray, atol: float) -> bool:
@@ -235,8 +220,14 @@ def _maps_arrays(fn: Callable, g: np.ndarray, expected: np.ndarray, atol: float)
     )
 
 
-def _apply(fn: Callable, scalar_only: bool, r: np.ndarray) -> np.ndarray:
-    """fn on an array of arguments: one call, or one call per element."""
+def _apply(fn: Callable, scalar_only: bool, r):
+    """fn at r: a float for a float or 0-d r, else an array of r's shape,
+    from one call, or one call per element where fn only takes floats."""
+    if isinstance(r, float):
+        return float(fn(r))
+    r = np.asarray(r, dtype=float)
+    if not r.ndim:
+        return float(fn(float(r)))
     if scalar_only:
         return np.array([float(fn(x)) for x in r.ravel().tolist()]).reshape(r.shape)
     return fn(r)
@@ -251,10 +242,11 @@ def fit_envelope(
 
     Returns the tightest power bracket consistent with all grid pairs,
     with a small multiplicative safety margin.  Intended for functions
-    whose exact exponent range is awkward to state by hand.
+    whose exact exponent range is awkward to state by hand.  The values
+    must be finite and positive on the grid, as for ``ScalingFunction``.
     """
     g = log_grid(domain_floor, domain_floor * 10.0**GRID_DECADES)
-    logs = np.log(np.array([float(evaluator(r)) for r in g]))
+    logs = np.log(_grid_values(evaluator, g))
     lg = np.log(g)
     i, j = _GRID_PAIRS
     slopes = (logs[j] - logs[i]) / (lg[j] - lg[i])
@@ -277,11 +269,7 @@ def check_doubling(
     pts = np.asarray(f.grid() if grid is None else grid, dtype=float)
     if pts.size == 0 or np.any(np.diff(pts) <= 0):
         raise PreconditionError("grid must be nonempty and sorted")
-    worst = -math.inf
-    for r in pts:
-        num = f._eval_checked(factor * r)
-        den = f._eval_checked(r)
-        worst = max(worst, num / den)
+    worst = float(np.max(f._eval_checked(factor * pts) / f._eval_checked(pts)))
     return bool(worst <= c * (1 + GRID_RTOL)), worst
 
 
@@ -321,12 +309,7 @@ def check_h_conditions(
         # report the sweep's smallest c0 so the failure is quantified
         best: Optional[tuple[float, float, float]] = None  # (c0, theta, argmax)
         for theta in (2.0, 4.0, 8.0):
-            worst, arg = -math.inf, pts[0]
-            for r in pts:
-                diff = h.log_value(theta * r) - h.log_value(r)
-                ratio = math.exp(diff) if diff < 700.0 else math.inf
-                if ratio > worst:
-                    worst, arg = ratio, r
+            worst, arg = _worst_log_ratio(h, pts, theta, 1.0)
             if 0 < worst < 1:
                 return HConditionReport(
                     ok=True, mode=mode, theta=theta, c0=worst, worst_point=arg
@@ -341,13 +324,8 @@ def check_h_conditions(
     if mode == LOWER_DOUBLING:
         if c0 is None or c0 <= 1:
             raise PreconditionError("lower-doubling mode needs declared c0 > 1")
-        worst, arg = -math.inf, pts[0]
-        for r in pts:
-            # log-domain ratio: h may underflow to 0 at 2r
-            diff = h.log_value(r) - h.log_value(2 * r)
-            ratio = math.exp(diff) if diff < 700.0 else math.inf
-            if ratio > worst:
-                worst, arg = ratio, r
+        # log-domain ratio: h may underflow to 0 at 2r
+        worst, arg = _worst_log_ratio(h, pts, 1.0, 2.0)
         return HConditionReport(
             ok=bool(worst <= c0 * (1 + GRID_RTOL)), mode=mode, theta=None,
             c0=worst, worst_point=arg,
@@ -356,12 +334,21 @@ def check_h_conditions(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _worst_log_ratio(h: ScalingFunction, pts: np.ndarray, a: float, b: float):
+    """The largest h(a r)/h(b r) over r in pts, taken in logs and inf past
+    e**700, and the first r where it is reached."""
+    diff = h.log_value(a * pts) - h.log_value(b * pts)
+    with np.errstate(over="ignore"):  # exp past 709 is inf, which is not kept
+        ratio = np.where(diff < 700.0, np.exp(diff), math.inf)
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), float(pts[k])
+
+
 def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None):
     """Solve f(t) = y for increasing f.
 
     y is a float (a float comes back) or an array of targets (an array of
-    the same shape comes back, each entry the root the float call gives up
-    to the rounding of numpy's log and exp).
+    the same shape comes back).
 
     Uses the exact inverse when the function carries one and no explicit
     bracket was requested; a root that overflows raises OverflowError
@@ -373,9 +360,11 @@ def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None
     replaces every interpolated point that is unusable, so the bracket
     stays valid and no smoothness is assumed.  Returns the first point t
     with |f(t) - y| <= 1e-12 y, or the middle of the bracket after 200
-    steps.  An array of targets shares one gallop, then takes the same
-    steps on all targets at once: one evaluation of f on the whole array
-    per step, with the state of the targets already solved left as it is.
+    steps.  The solve is written for arrays: a float target is solved as
+    a one-element array.  An array of targets shares one gallop, then takes
+    the same steps on all targets at once: one evaluation of f on the whole
+    array per step, with the state of the targets already solved left as
+    it is.
     """
     if f.monotonicity != INCREASING:
         raise PreconditionError("inverse requires an increasing function")
@@ -384,79 +373,34 @@ def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None
         if y.ndim:
             return _inverse_array(f, y, bracket)
         y = float(y)
-    if y <= 0 or not math.isfinite(y):
+    if bracket is not None or f.exact_inverse is None:
+        return float(_inverse_array(f, np.array([y]), bracket)[0])
+    if not 0.0 < y < math.inf:  # false for NaN too
         raise BracketError(f"target value {y!r} not a positive real")
-
-    if bracket is None and f.exact_inverse is not None:
-        try:
-            return float(f.exact_inverse(y))
-        except OverflowError:
-            raise OverflowError(
-                f"{f.name or 'scaling function'}: inverse of y={y:g} overflows"
-            ) from None
-    if bracket is None:
-        lo, f_lo, hi, f_hi = _auto_bracket(f, y)
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        f_lo, f_hi = f._eval_float(lo), f._eval_float(hi)
-        if not (f_lo <= y * (1 + _INVERSE_RTOL) and f_hi >= y * (1 - _INVERSE_RTOL)):
-            raise BracketError(
-                f"bracket [{lo:g}, {hi:g}] maps to [{f_lo:g}, {f_hi:g}], "
-                f"which does not straddle y={y:g}"
-            )
-    for t, v in ((lo, f_lo), (hi, f_hi)):
-        if abs(v - y) <= _INVERSE_RTOL * y:
-            return t
-
-    # from here f(lo) < y < f(hi); g is log f - log y, -inf where f <= 0
-    log_y = math.log(y)
-    g_lo = math.log(f_lo) - log_y if f_lo > 0.0 else -math.inf
-    g_hi = math.log(f_hi) - log_y
-    kept = 0  # +1 / -1 when the last step kept lo / hi
-    for _ in range(_INVERSE_MAX_ITER):
-        t = lo  # outside the bracket: bisect (a NaN would raise the FPU's invalid flag)
-        if lo > 0.0 and g_lo > -math.inf:
-            x_lo, x_hi = math.log(lo), math.log(hi)
-            t = math.exp(x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo))
-        if not lo < t < hi:
-            t = _split(lo, hi)
-            if not lo < t < hi:
-                break  # the bracket is two adjacent floats
-        v = f._eval_float(t)
-        if abs(v - y) <= _INVERSE_RTOL * y:
-            return t
-        g = math.log(v) - log_y if v > 0.0 else -math.inf
-        if v < y:
-            lo, g_lo = t, g
-            if kept < 0:
-                g_hi *= 0.5  # hi kept twice in a row: halve its weight
-            kept = -1
-        else:
-            hi, g_hi = t, g
-            if kept > 0:
-                g_lo *= 0.5
-            kept = 1
-    return _split(lo, hi)
+    try:
+        return float(f.exact_inverse(y))
+    except OverflowError:
+        raise OverflowError(
+            f"{f.name or 'scaling function'}: inverse of y={y:g} overflows"
+        ) from None
 
 
-def _split(lo, hi):
-    """Bisection point of [lo, hi]: the middle in log t when lo > 0."""
-    if isinstance(lo, float):
-        return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * (lo + hi)
+def _split(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisection points of [lo, hi]: the middle in log t where lo > 0."""
     return np.where(lo > 0.0, np.sqrt(np.maximum(lo, 0.0)) * np.sqrt(hi), 0.5 * (lo + hi))
 
 
 def _log_ratio(v: np.ndarray, log_y: np.ndarray) -> np.ndarray:
-    """log v - log y, and -inf where v <= 0 (the float loop's g)."""
+    """log v - log y, and -inf where v <= 0."""
     with np.errstate(divide="ignore"):  # log 0 is the -inf wanted
         return np.log(np.maximum(v, 0.0)) - log_y
 
 
 def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
-    """inverse on an array of targets: the float algorithm, step by step."""
+    """inverse on an array of targets."""
     bad = ~((y > 0.0) & (y < math.inf))
     if bad.any():
-        raise BracketError(f"target value {float(y[bad][0])!r} not a positive real")
+        raise BracketError(f"target value {_first(y, bad)!r} not a positive real")
     if bracket is None and f.exact_inverse is not None:
         with np.errstate(over="ignore"):  # an overflow raises below, naming its target
             t = np.asarray(f.exact_inverse(y), dtype=float)
@@ -471,7 +415,7 @@ def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
         lo, f_lo, hi, f_hi = _auto_brackets(f, y)
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
-        f_lo, f_hi = f._eval_float(lo), f._eval_float(hi)
+        f_lo, f_hi = f._eval_checked(lo), f._eval_checked(hi)
         miss = ~((f_lo <= y * (1 + _INVERSE_RTOL)) & (f_hi >= y * (1 - _INVERSE_RTOL)))
         if miss.any():
             raise BracketError(
@@ -479,9 +423,9 @@ def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
                 f"which does not straddle y={y[miss][0]:g}"
             )
         lo, f_lo, hi, f_hi = (np.full(y.shape, x) for x in (lo, f_lo, hi, f_hi))
-    # the float loop's state, one entry per target, updated in place where the
-    # target is unsolved; fixed shapes keep the allocations alike from step
-    # to step, so that they reuse the memory freed by the step before
+    # the state, one entry per target, updated in place where the target is
+    # unsolved; fixed shapes keep the allocations alike from step to step,
+    # so that they reuse the memory freed by the step before
     at_lo = np.abs(f_lo - y) <= _INVERSE_RTOL * y
     out = np.where(at_lo, lo, hi)
     unsolved = ~at_lo & (np.abs(f_hi - y) > _INVERSE_RTOL * y)
@@ -491,6 +435,8 @@ def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
     for _ in range(_INVERSE_MAX_ITER):
         if not unsolved.any():
             break
+        # interpolate where the bracket is inside (0, inf) in t and in g;
+        # a point outside the bracket falls back to bisection
         slope = (lo > 0.0) & (g_lo > -math.inf)
         x_lo, x_hi = np.log(np.where(slope, lo, 1.0)), np.log(hi)
         with np.errstate(over="ignore", invalid="ignore"):  # unused where not slope
@@ -521,57 +467,18 @@ def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
 _GALLOP_MAX_STEP = 2.0**64
 
 
-def _auto_bracket(
-    f: ScalingFunction, y: float, passed: Optional[list] = None
-) -> tuple[float, float, float, float]:
-    """(lo, f(lo), hi, f(hi)) with f(lo) < y <= f(hi) or f(lo) <= y < f(hi).
-
-    Starts at t = 1, so functions only defined above 1 are never evaluated
-    below it, and gallops towards y; the last point passed becomes the other
-    end.  A step that leaves the float range, in t or in f(t), is retried
-    from the same t with the square root of its factor; once the factor is
-    down to 1, BracketError.  The points depend on f alone, so the gallop
-    towards y passes a prefix of the points of the gallop towards any target
-    farther out; each point (t, f(t)) it passes after t = 1 is appended to
-    ``passed`` when that is given.
-    """
-    t, v = 1.0, f._eval_float(1.0)
-    up = v < y
-    step = 2.0
-    while True:
-        nt = t * step if up else t / step
-        if nt == t:
-            side = "above" if up else "below"
-            raise BracketError(
-                f"could not bracket y={y:g} from {side}: no finite value past t={t:g}"
-            )
-        nv = None
-        if 0.0 < nt < math.inf:
-            try:
-                nv = f._eval_float(nt)
-            except (OverflowError, EvaluationError):
-                pass
-        if nv is None:
-            step = math.sqrt(step)
-            continue
-        if passed is not None:
-            passed.append((nt, nv))
-        if (nv >= y) if up else (nv <= y):
-            return (t, v, nt, nv) if up else (nt, nv, t, v)
-        t, v = nt, nv
-        step = min(step * step, _GALLOP_MAX_STEP)
-
-
 def _auto_brackets(f: ScalingFunction, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_auto_bracket for each target of a 1-d y, from one gallop up to the
-    largest target above f(1) and one down to the smallest of the others.
+    """(lo, f(lo), hi, f(hi)) for each target of a 1-d y, with f(lo) < y <=
+    f(hi) or f(lo) <= y < f(hi), from one gallop up to the largest target
+    above f(1) and one down to the smallest of the others.
 
-    Each target gets the two points where its own gallop would stop: the
-    first point past it (searchsorted on the running extreme, so that it is
-    the first even where f was not verified monotone) and the one before.
+    Each target gets the two points where a gallop towards it alone would
+    stop: the first point past it (searchsorted on the running extreme, so
+    that it is the first even where f was not verified monotone) and the
+    one before.
     """
     lo, f_lo, hi, f_hi = (np.empty_like(y) for _ in range(4))
-    f1 = f._eval_float(1.0)
+    f1 = f._eval_checked(1.0)
     up = y > f1
     if up.any():
         ts, vs = _gallop_points(f, float(y[up].max()), f1)
@@ -587,11 +494,42 @@ def _auto_brackets(f: ScalingFunction, y: np.ndarray) -> tuple[np.ndarray, ...]:
     return lo, f_lo, hi, f_hi
 
 
-def _gallop_points(f: ScalingFunction, y: float, f1: float) -> np.ndarray:
-    """Arguments and values of t = 1 and of every point the gallop to y passes."""
-    passed = [(1.0, f1)]
-    _auto_bracket(f, y, passed)
-    return np.array(passed).T
+def _gallop_points(f: ScalingFunction, y: float, f1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arguments and values of t = 1 and of every point a gallop to y passes.
+
+    The gallop starts at t = 1, so functions only defined above 1 are never
+    evaluated below it, and steps towards y until a value reaches it.  A
+    step that leaves the float range, in t or in f(t), is retried from the
+    same t with the square root of its factor; once the factor is down to
+    1, BracketError.  The points depend on f alone, so the gallop towards y
+    passes a prefix of the points of the gallop towards any target farther
+    out.
+    """
+    t, ts, vs = 1.0, [1.0], [f1]
+    up = f1 < y
+    step = 2.0
+    while True:
+        nt = t * step if up else t / step
+        if nt == t:
+            side = "above" if up else "below"
+            raise BracketError(
+                f"could not bracket y={y:g} from {side}: no finite value past t={t:g}"
+            )
+        nv = None
+        if 0.0 < nt < math.inf:
+            try:
+                nv = f._eval_checked(nt)
+            except (OverflowError, EvaluationError):
+                pass
+        if nv is None:
+            step = math.sqrt(step)
+            continue
+        ts.append(nt)
+        vs.append(nv)
+        if (nv >= y) if up else (nv <= y):
+            return np.array(ts), np.array(vs)
+        t = nt
+        step = min(step * step, _GALLOP_MAX_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +573,11 @@ class RateCandidate:
 
 def evaluate_rate(candidate: RateCandidate, t):
     """Evaluate a rate candidate at a time t > 1, or at an array of times."""
-    if isinstance(t, float):
-        if t <= 1:
-            raise PreconditionError(f"rate candidates are defined for t > 1, got {t!r}")
-    else:
+    if not isinstance(t, float):
         t = np.asarray(t, dtype=float)
-        early = t <= 1
-        if early.any():
-            raise PreconditionError(
-                f"rate candidates are defined for t > 1, got {float(t[early][0])!r}"
-            )
+    early = t <= 1
+    if np.any(early):
+        raise PreconditionError(f"rate candidates are defined for t > 1, got {_first(t, early)!r}")
     if candidate.recipe == DIRECT:
         v = candidate.phi(t)
     elif candidate.recipe == SUBCRITICAL:
@@ -653,8 +586,9 @@ def evaluate_rate(candidate: RateCandidate, t):
         v = inverse(candidate.phi, t * candidate.g(t))
     bad = ~(np.isfinite(v) & (v > 0))
     if bad.any():
-        v_bad, t_bad = (float(np.asarray(a)[bad][0]) for a in (v, t))
-        raise EvaluationError(f"rate candidate evaluated to {v_bad!r} at t={t_bad:g}")
+        raise EvaluationError(
+            f"rate candidate evaluated to {_first(v, bad)!r} at t={_first(t, bad):g}"
+        )
     return v
 
 
@@ -671,6 +605,13 @@ _LOG_TINY = -math.log(math.ulp(0.0))
 # The presets' evaluators take a float or an ndarray.  Each picks its module
 # once per call, `xp = math if isinstance(r, float) else np`: math keeps a
 # float call as cheap as a plain math expression, numpy serves arrays.
+
+
+def _exp_or_zero(x):
+    """exp(x), and 0 where x <= -745 (where exp is 0 or subnormal)."""
+    if isinstance(x, float):
+        return math.exp(x) if x > -745.0 else 0.0
+    return np.where(x > -745.0, np.exp(x), 0.0)
 
 
 def _full(r, value: float):
@@ -799,10 +740,7 @@ def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
         return -lt * xp.log(lt) ** (1.0 + e)
 
     def ev(t, e=eps):
-        x = log_ev(t, e)
-        if isinstance(x, float):
-            return math.exp(x) if x > -745.0 else 0.0
-        return np.where(x > -745.0, np.exp(x), 0.0)
+        return _exp_or_zero(log_ev(t, e))
 
     # the verification grid stays within exp range for moderate eps
     return ScalingFunction(

@@ -13,6 +13,7 @@ from scipy import integrate, special, stats
 from heatrates import kernels as kn
 from heatrates.errors import PreconditionError, UnsupportedModelError
 from heatrates.integral_tests import classify_tail_integral
+from heatrates.scaling import from_id as scaling_from_id
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +529,32 @@ class TestTailProbability:
         h, rho = kn.tail_profile(cauchy)
         assert te.c1 == kn.tail_constant(cauchy)
         assert te.upper_bound == te.c1 * h(16.0 / rho(4.0))
+
+    @pytest.mark.parametrize(
+        "spec, V",
+        [("cauchy1d", None), ("gaussian:3", None), ("stable:1,1", None), ("stable:1.5,3", None),
+         ("stable:0.5,2", None), ("stable:1.9,2", None), ("subgaussian:2.5,3,0.3", None),
+         ("stablelike:1.7,0.6", None),
+         # V(theta r) / V(r) is constant for the presets' power V, not here
+         ("stable:1.5,3", "powerlog:3,1"), ("gaussian:3", "powerlog:3,-1")],
+    )
+    def test_tail_constant_matches_loop(self, spec, V):
+        # reference: the annulus constant with the decay sweep and the volume
+        # doubling sup as Python loops over float grid points
+        m = kn.from_id(spec)
+        if V is not None:
+            m = dataclasses.replace(m, V=scaling_from_id(V))
+        h, _rho = kn.tail_profile(m)
+        pts = np.geomspace(1.0 + 1e-9, 1e4, 64).tolist()
+        for theta in (2.0, 4.0, 8.0):
+            c0 = max(math.exp(d) if d < 700.0 else math.inf
+                     for d in (h.log_value(theta * r) - h.log_value(r) for r in pts))
+            if 0 < c0 < 1:
+                break
+        c_v = max(m.V(theta * r) / m.V(r) for r in m.V.grid().tolist())
+        want = max(1.0 / h(1.0), m.c_hi * m.mu_ball * c_v / (1.0 - c0))
+        # numpy's array log, exp and power may round a last bit differently
+        assert kn.tail_constant(m) == pytest.approx(want, rel=1e-15)
 
     def test_bound_respected_on_grid(self, cauchy):
         for t in (1.0, 4.0, 16.0):

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from heatrates import scaling as sc
 from heatrates.errors import BracketError, EvaluationError, PreconditionError
@@ -27,12 +29,14 @@ class TestScalingFunctionConstruction:
             )
 
     def test_monotonicity_enforced(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="not nondecreasing near r=1e-06"):
             sc.ScalingFunction(
                 evaluator=lambda r: 1.0 / r,
                 monotonicity=sc.INCREASING,
                 envelope=sc.Envelope(1.0, -1.0, 1.0, -1.0),
             )
+        with pytest.raises(PreconditionError, match="not nonincreasing near r=1e-06"):
+            sc.ScalingFunction(lambda r: r, sc.DECREASING, sc.Envelope(1.0, 1.0, 1.0, 1.0))
 
     def test_envelope_violation_rejected(self):
         # r^2 cannot satisfy a linear upper envelope
@@ -42,6 +46,23 @@ class TestScalingFunctionConstruction:
                 monotonicity=sc.INCREASING,
                 envelope=sc.Envelope(0.5, 1.0, 2.0, 1.0),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c_lo", "d_lo", "c_hi", "d_hi"])
+    def test_envelope_must_be_finite(self, field, bad):
+        # a NaN fails every comparison, so it would pass every grid check
+        env = dict(c_lo=1.0, d_lo=2.0, c_hi=1.0, d_hi=2.0)
+        env[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sc.Envelope(**env)
+
+    @pytest.mark.parametrize("ev", [lambda r: 0.0 if r < 1 else r, lambda r: r - 1.0])
+    def test_fit_envelope_names_a_non_positive_value(self, ev):
+        # the log of the values would be -inf or NaN, and the exponents NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-positive value at r=1e-06"):
+                sc.fit_envelope(ev, 1e-6)
 
     def test_envelope_holds_on_grid_pairs(self):
         # accepted construction implies the bracket at every grid pair
@@ -119,6 +140,96 @@ class TestBroadcastEnvelope:
         assert str(info.value) == expected
 
 
+def _doubling_loop(f, factor, pts):
+    # reference: the worst doubling ratio as one Python loop over grid points
+    return max(f(factor * r) / f(r) for r in pts)
+
+
+def _h_loop(h, mode, pts, c0=None):
+    # reference: the decay checks as one Python loop over float grid points,
+    # (ok, theta, c0, worst_point) with the first point of the largest ratio
+    pts = [r for r in pts if r > 1.0]
+
+    def worst(num, den):
+        w, arg = -math.inf, pts[0]
+        for r in pts:
+            diff = h.log_value(num * r) - h.log_value(den * r)
+            ratio = math.exp(diff) if diff < 700.0 else math.inf
+            if ratio > w:
+                w, arg = ratio, r
+        return w, arg
+
+    if mode == sc.LOWER_DOUBLING:
+        w, arg = worst(1.0, 2.0)
+        return w <= c0 * (1 + sc.GRID_RTOL), None, w, arg
+    best = None
+    for theta in (2.0, 4.0, 8.0):
+        w, arg = worst(theta, 1.0)
+        if 0 < w < 1:
+            return True, theta, w, arg
+        if best is None or w < best[2]:
+            best = (False, theta, w, arg)
+    return best
+
+
+def _report(rep):
+    # numpy's array log, exp and power may round the last bit of a value
+    # differently from a float call, so the value is compared to 1e-15 and
+    # the point exactly
+    return rep.ok, rep.theta, pytest.approx(rep.c0, rel=1e-15), rep.worst_point
+
+
+class TestGridChecksMatchLoops:
+    # the array expressions against the loops, equal in value and point, on
+    # the function's own grid and on a grid of [1.01, 100] within its domain
+    GRID = np.geomspace(1.01, 100.0, 64)
+
+    @pytest.mark.parametrize(
+        "spec", ["power:-1.5", "exp-decay:0.25,2", "exp-decay:1,1.5", "loglog-g:1",
+                 "iterated-log-g:0.5", "const:0.5"],
+    )
+    def test_upper_decay(self, spec):
+        h = sc.from_id(spec)
+        for grid in (h.grid(), self.GRID[self.GRID >= h.domain_floor]):
+            got = sc.check_h_conditions(h, sc.UPPER_DECAY, grid=grid)
+            assert _report(got) == _h_loop(h, sc.UPPER_DECAY, grid.tolist()), (spec, grid[0])
+
+    @pytest.mark.parametrize(
+        "spec, c0", [("power:-1.5", 2.0**1.5), ("exp-decay:0.25,2", 1e6), ("exp-decay:1,1.5", 1e3),
+                     ("loglog-g:0", 1.5)],
+    )
+    def test_lower_doubling(self, spec, c0):
+        h = sc.from_id(spec)
+        got = sc.check_h_conditions(h, sc.LOWER_DOUBLING, grid=self.GRID, c0=c0)
+        assert _report(got) == _h_loop(h, sc.LOWER_DOUBLING, self.GRID.tolist(), c0)
+
+    def test_lower_doubling_past_the_cutoff(self):
+        # log h(r) - log h(2r) = 0.25 (4 - 1) r**2 passes 700 at r = 30.55:
+        # the ratio is inf from there, also at r = 30.66, where it is e**705
+        # and would still be a float, and the first such point is reported
+        h = sc.exp_decay(0.25, 2.0)
+        grid = np.sort(np.append(self.GRID, 30.66))
+        got = sc.check_h_conditions(h, sc.LOWER_DOUBLING, grid=grid, c0=1e6)
+        assert (got.ok, got.c0, got.worst_point) == (False, math.inf, 30.66)
+        assert _report(got) == _h_loop(h, sc.LOWER_DOUBLING, grid.tolist(), 1e6)
+
+    def test_scalar_only_profile(self):
+        h = sc.ScalingFunction(lambda s: math.exp(-s), sc.DECREASING,
+                               sc.fit_envelope(lambda s: math.exp(-s), 1e-6))
+        assert h._scalar_only
+        for mode, c0 in ((sc.UPPER_DECAY, None), (sc.LOWER_DOUBLING, 1e9)):
+            got = sc.check_h_conditions(h, mode, grid=self.GRID, c0=c0)
+            assert _report(got) == _h_loop(h, mode, self.GRID.tolist(), c0)
+
+    @pytest.mark.parametrize("spec", ["power:2", "power:1.7", "powerlog:1.5,1", "loglog-g:1"])
+    def test_doubling(self, spec):
+        f = sc.from_id(spec)
+        for factor in (2.0, 3.5):
+            ok, worst = sc.check_doubling(f, factor, 10.0)
+            want = _doubling_loop(f, factor, f.grid().tolist())
+            assert worst == pytest.approx(want, rel=1e-15) and ok == (want <= 10.0 * (1 + 1e-9))
+
+
 class TestCheckDoubling:
     def test_power_law_identity(self):
         alpha = 1.7
@@ -150,9 +261,14 @@ class TestCheckDoubling:
         assert worst <= c_sweep * (1 + 1e-9)
 
     def test_nonfinite_evaluation_reported(self):
-        f = sc.power(1.0)
-        object.__setattr__(f, "evaluator", lambda r: float("nan") if r > 50 else r)
-        with pytest.raises(EvaluationError):
+        # verified on [1e-8, 1]; NaN past r = 50, where the doubling grid reaches
+        f = sc.ScalingFunction(
+            lambda r: float("nan") if r > 50 else r,
+            sc.INCREASING,
+            sc.Envelope(1.0, 1.0, 1.0, 1.0),
+            domain_floor=1e-8,
+        )
+        with pytest.raises(EvaluationError, match="r=80"):
             sc.check_doubling(f, 2.0, 2.0, grid=np.array([1.0, 10.0, 40.0]))
 
 
@@ -181,7 +297,7 @@ class TestHConditions:
         low = sc.check_h_conditions(
             h, sc.LOWER_DOUBLING, c0=1e6, grid=np.geomspace(1.01, 40.0, 64)
         )
-        assert not low.ok  # ratio h(r)/h(2r) = exp(0.75 c0 r^2) grows past any c0
+        assert not low.ok  # ratio h(r)/h(2r) = exp(3 c0 r^2) grows past any c0
 
     def test_not_decreasing_rejected(self):
         f = sc.power(1.0)
@@ -228,20 +344,27 @@ class TestInverse:
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_evaluations_per_solve(self):
-        # an evaluator with no exact inverse: gallop from 1, then regula falsi
-        base = sc.powerlog(1.5, 1.0)
-        calls = [0]
+        # evaluators with no exact inverse: gallop from 1, then regula falsi;
+        # without the Illinois halving, exp and the kinked function take 77
+        # to 83 evaluations on some of these targets
+        cases = [
+            (sc.powerlog(1.5, 1.0).evaluator, 2.0, np.geomspace(1e2, 1e300, 16)),
+            (math.exp, 1e-8, np.geomspace(1.1, 1e307, 40)),
+            (_kinked, 1e-3, np.geomspace(1e-2, 1e12, 40)),
+        ]
+        for base, floor, ys in cases:
+            calls = [0]
 
-        def ev(r):
-            calls[0] += 1
-            return base.evaluator(r)
+            def ev(r, base=base):
+                calls[0] += 1
+                return base(r)
 
-        f = sc.ScalingFunction(ev, sc.INCREASING, base.envelope, domain_floor=2.0)
-        for y in np.geomspace(1e2, 1e300, 16):
-            calls[0] = 0
-            t = sc.inverse(f, float(y))
-            assert calls[0] <= 40, (y, calls[0])
-            assert abs(base(t) - y) <= 1e-12 * y
+            f = sc.ScalingFunction(ev, sc.INCREASING, sc.fit_envelope(base, floor), domain_floor=floor)
+            for y in ys:
+                calls[0] = 0
+                t = sc.inverse(f, float(y))
+                assert calls[0] <= 40, (base, y, calls[0])
+                assert abs(base(t) - y) <= 1e-12 * y
 
     def test_target_beyond_two_to_the_200(self):
         # the root sits near 2^200: a doubling search capped there missed it
@@ -251,6 +374,7 @@ class TestInverse:
         t = sc.inverse(f, y)
         assert t > 2.0**190
         assert abs(f(t) - y) <= 1e-12 * y
+        _assert_root(t, _omega_inverse(1.2, 0.6, y), 1.2 + 0.6 / math.log(t))
 
     def test_evaluator_overflow_past_root(self):
         # the gallop overshoots into math.exp overflow and backs off
@@ -260,6 +384,7 @@ class TestInverse:
         for y in (1e2, 1e250, 1e307):
             t = sc.inverse(f, y)
             assert abs(math.exp(t) - y) <= 1e-12 * y
+            _assert_root(t, math.log(y), t)
 
     @pytest.mark.parametrize(
         "ev, y",
@@ -272,19 +397,14 @@ class TestInverse:
 
     def test_kinked_piecewise_power(self):
         # continuous, increasing, with slope jumps at r = 10 and r = 1e3
-        def ev(r):
-            if r <= 10.0:
-                return r**0.5
-            if r <= 1e3:
-                return 10.0**0.5 * (r / 10.0) ** 4
-            return 10.0**8.5 * (r / 1e3) ** 1.1
-
-        f = sc.ScalingFunction(ev, sc.INCREASING, sc.fit_envelope(ev, 1e-3), domain_floor=1e-3)
-        ys = np.concatenate([np.geomspace(1e-2, 1e12, 40), [ev(10.0), ev(1e3)]])
+        f = _scalar_only_functions()["kinked"]
+        ys = np.concatenate([np.geomspace(1e-2, 1e12, 40), [_kinked(10.0), _kinked(1e3)]])
         for y in ys:
+            want = _kinked_inverse(y)
             for bracket in (None, (1e-6, 1e10)):
                 t = sc.inverse(f, float(y), bracket=bracket)
-                assert abs(ev(t) - y) <= 1e-12 * y, (y, bracket)
+                assert abs(_kinked(t) - y) <= 1e-12 * y, (y, bracket)
+                _assert_root(t, want, min(_kinked_slope(t), _kinked_slope(want)))
 
 
 class TestPowerlogDomain:
@@ -380,6 +500,32 @@ def _kinked(r):
     return 10.0**8.5 * (r / 1e3) ** 1.1
 
 
+def _kinked_inverse(y):
+    # the piecewise inverse of _kinked
+    y = np.asarray(y, dtype=float)
+    return np.where(
+        y <= 10.0**0.5, np.minimum(y, 10.0**0.5) ** 2,
+        np.where(y <= 10.0**8.5, 10.0 * (y / 10.0**0.5) ** 0.25, 1e3 * (y / 10.0**8.5) ** (1 / 1.1)),
+    )
+
+
+def _kinked_slope(r):
+    # d log f / d log r, the smaller one at a kink
+    r = np.asarray(r, dtype=float)
+    return np.where(r <= 10.0, 0.5, np.where(r < 1e3, 4.0, 1.1))
+
+
+def _omega_inverse(p, q, y):
+    # the root of r**p (log r)**q = y through the Wright omega function
+    return np.exp(q / p * wrightomega(np.log(y) / q - math.log(q / p)))
+
+
+def _assert_root(got, want, slope):
+    # regula falsi stops at |f(t) - y| <= 1e-12 y, which leaves its root
+    # 1e-12 / e wide relative to the root, where e = d log f / d log r
+    assert np.all(np.abs(got - want) * slope <= 2e-12 * want), np.max(np.abs(got / want - 1))
+
+
 def _scalar_only_functions():
     return {
         "kinked": sc.ScalingFunction(
@@ -432,13 +578,17 @@ class TestArrays:
 
     @pytest.mark.parametrize("name", ["powerlog", "powerlog-exact", "kinked", "exp"])
     def test_inverse_matches_float_inverse(self, name):
-        # regula falsi on arrays (powerlog without its exact inverse), and
-        # powerlog's closed form on arrays against its float path
+        # regula falsi (powerlog without its exact inverse, and two
+        # evaluators that only take floats) and powerlog's closed form, on
+        # arrays and on floats, against independent inverses
         if name.startswith("powerlog"):
             f = sc.powerlog(1.5, 1.0)
             f = f if name == "powerlog-exact" else _illinois(f)
+            oracle = lambda y: _omega_inverse(1.5, 1.0, y)
+            slope = lambda r: 1.5 + 1.0 / np.log(r)
         else:
             f = _scalar_only_functions()[name]
+            oracle, slope = {"kinked": (_kinked_inverse, _kinked_slope), "exp": (np.log, lambda r: r)}[name]
         # exp overflows past the roots of the largest targets; below f(1)
         # (1 for the kinked function, e for exp) the gallop goes down
         below = {"kinked": np.geomspace(1e-2, 1.0, 5), "exp": [1.1, 2.0, math.e]}.get(name, [])
@@ -446,9 +596,13 @@ class TestArrays:
         ys = ys.reshape(-1, 2) if ys.size % 2 == 0 else ys
         got = sc.inverse(f, ys)
         assert got.shape == ys.shape
-        want = np.array([sc.inverse(f, float(y)) for y in ys.ravel()]).reshape(ys.shape)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        want = oracle(ys)
+        _assert_root(got, want, np.minimum(slope(got), slope(want)))
         assert np.all(np.abs(f(got) - ys) <= 1e-12 * ys)
+        # a float target is a one-element array of targets
+        floats = np.array([sc.inverse(f, float(y)) for y in ys.ravel()]).reshape(ys.shape)
+        np.testing.assert_allclose(floats, got, rtol=1e-12, atol=0.0)
+        _assert_root(floats, want, np.minimum(slope(floats), slope(want)))
 
     def test_inverse_in_an_explicit_bracket(self):
         f = _scalar_only_functions()["kinked"]
