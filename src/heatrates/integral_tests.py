@@ -205,7 +205,9 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     last = usable[usable >= usable[-1] - max(8, usable.size // 3)]
     ratios = s[last[1:]] / s[last[:-1]]
     steps = np.diff(last).astype(float)
-    l0 = float(np.median(ratios ** (1.0 / steps)))
+    rates = np.sort(ratios ** (1.0 / steps)).tolist()  # their median, bit for bit np.median
+    mid = len(rates) // 2
+    l0 = rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
     if abs(l0 - 1.0) > RATIO_MARGIN:
         label = CONVERGENT if l0 < 1.0 else DIVERGENT
         return Verdict(label, partial, -math.log2(l0), 0, table, f"block ratio {l0:.4g}")

@@ -881,8 +881,10 @@ def comparability_sweep(
 ) -> tuple[float, float]:
     """Measure density/envelope bounds over a (t, d) grid.
 
-    Returns (min_ratio, max_ratio); these are the calibrated (C_lo, C_hi)
-    for exact-law presets.
+    Returns (min_ratio, max_ratio), the range seen on that grid.  It is not
+    the sharp (C_lo, C_hi): for a stable law the ratio is one profile in
+    z = d t**(-1/alpha), and the grid misses its extremes (on stable:1,3
+    its minimum is 21 % above the profile's).
     """
     if not model.has_density:
         raise UnsupportedModelError("comparability sweep needs an exact law")

@@ -64,8 +64,17 @@ class Envelope:
             raise ValueError("envelope exponents must satisfy d_lo <= d_hi")
 
 
-def log_grid(lo: float, hi: float, n: int = GRID_POINTS) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
+def log_grid(lo: float, hi: float) -> np.ndarray:
+    """np.geomspace(lo, hi, GRID_POINTS) for 0 < lo < hi, bit for bit: its
+    own steps (evenly spaced log10, powers of 10, both ends pinned) without
+    its argument handling."""
+    start, stop = np.log10(lo), np.log10(hi)
+    y = np.arange(GRID_POINTS, dtype=float) * ((stop - start) / (GRID_POINTS - 1))
+    y += start
+    y[-1] = stop
+    out = 10.0**y
+    out[0], out[-1] = lo, hi
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,19 +152,29 @@ class ScalingFunction:
         return g, vals
 
     def _verify_envelope(self, g: np.ndarray, vals: np.ndarray) -> None:
-        i, j = _GRID_PAIRS
+        """Check the envelope on every grid pair i < j, in logs: with a (b) =
+        log f - d_lo (d_hi) log r, a_j - a_i >= log c_lo and b_j - b_i <=
+        log c_hi, up to GRID_RTOL.  A violation names the first failing pair
+        in i-major order."""
         env = self.envelope
-        span = g[j] / g[i]
-        ratio = vals[j] / vals[i]
-        lo = env.c_lo * span**env.d_lo
-        hi = env.c_hi * span**env.d_hi
-        bad = (ratio < lo * (1 - GRID_RTOL)) | (ratio > hi * (1 + GRID_RTOL))
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise PreconditionError(
-                f"{self.name or 'scaling function'}: envelope violated at "
-                f"(r={g[i[k]]:g}, R={g[j[k]]:g}): ratio={ratio[k]:g} outside [{lo[k]:g}, {hi[k]:g}]"
-            )
+        lg, lv = np.log(g), np.log(vals)
+        a, b = lv - env.d_lo * lg, lv - env.d_hi * lg
+        tol_lo = math.log(env.c_lo) + math.log1p(-GRID_RTOL)
+        tol_hi = math.log(env.c_hi) + math.log1p(GRID_RTOL)
+        # min_j>i (a_j - a_i) = (min_j>i a_j) - a_i: extremes from the right check all pairs
+        a_min = np.minimum.accumulate(a[::-1])[::-1]
+        b_max = np.maximum.accumulate(b[::-1])[::-1]
+        bad = (a_min[1:] - a[:-1] < tol_lo) | (b_max[1:] - b[:-1] > tol_hi)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        j = i + 1 + int(np.argmax((a[i + 1 :] - a[i] < tol_lo) | (b[i + 1 :] - b[i] > tol_hi)))
+        span, ratio = g[j] / g[i], vals[j] / vals[i]
+        raise PreconditionError(
+            f"{self.name or 'scaling function'}: envelope violated at "
+            f"(r={g[i]:g}, R={g[j]:g}): ratio={ratio:g} outside "
+            f"[{env.c_lo * span**env.d_lo:g}, {env.c_hi * span**env.d_hi:g}]"
+        )
 
     def _eval_checked(self, r):
         """f(r), raising EvaluationError where the value is not finite."""
@@ -185,8 +204,6 @@ class ScalingFunction:
         return math.log(v) if isinstance(v, float) else np.log(v)
 
 
-#: index pairs (i < j) of a verification grid of GRID_POINTS points
-_GRID_PAIRS = np.triu_indices(GRID_POINTS, k=1)
 #: how closely an evaluator's one array call must reproduce its per-element
 #: values (a numpy expression may round differently in the last bits)
 _PROBE_RTOL = 1e-12
@@ -238,18 +255,19 @@ def fit_envelope(
     domain_floor: float,
     margin: float = 1e-6,
 ) -> Envelope:
-    """Measure an admissible envelope by a pairwise slope sweep.
+    """Measure an admissible envelope from the slopes of log f in log r.
 
     Returns the tightest power bracket consistent with all grid pairs,
-    with a small multiplicative safety margin.  Intended for functions
-    whose exact exponent range is awkward to state by hand.  The values
-    must be finite and positive on the grid, as for ``ScalingFunction``.
+    with a small multiplicative safety margin.  The slope of the chord
+    between two grid points is a weighted mean of the slopes between the
+    neighbouring points it spans, so the steepest and the shallowest chords
+    join neighbours: the neighbouring slopes alone give the bracket of all
+    pairs.  Intended for functions whose exact exponent range is awkward to
+    state by hand.  The values must be finite and positive on the grid, as
+    for ``ScalingFunction``.
     """
     g = log_grid(domain_floor, domain_floor * 10.0**GRID_DECADES)
-    logs = np.log(_grid_values(evaluator, g))
-    lg = np.log(g)
-    i, j = _GRID_PAIRS
-    slopes = (logs[j] - logs[i]) / (lg[j] - lg[i])
+    slopes = np.diff(np.log(_grid_values(evaluator, g))) / np.diff(np.log(g))
     return Envelope(
         c_lo=1.0 - margin, d_lo=float(slopes.min()), c_hi=1.0 + margin, d_hi=float(slopes.max())
     )
@@ -614,6 +632,22 @@ def _exp_or_zero(x):
     return np.where(x > -745.0, np.exp(x), 0.0)
 
 
+def _log_from(r, least: float, undefined: str):
+    """log r, raising EvaluationError with undefined.format(r) at the first
+    r (of a float or an array) where log r < least or r is not a number."""
+    if isinstance(r, float):
+        lr = math.log(r) if r > 0.0 else -math.inf
+        if not lr >= least:
+            raise EvaluationError(undefined.format(r))
+        return lr
+    with np.errstate(divide="ignore", invalid="ignore"):  # log of r <= 0 is named below
+        lr = np.log(r)
+    bad = ~(lr >= least)
+    if bad.any():
+        raise EvaluationError(undefined.format(r[bad][0]))
+    return lr
+
+
 def _full(r, value: float):
     """value at every argument: a float for a float, else an array like r."""
     return value if isinstance(r, float) else np.full(np.shape(r), value)
@@ -669,24 +703,15 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
 
     name = f"powerlog:{exponent:g},{log_exponent:g}"
 
-    def log_r(r):
-        # below r = 1, (log r)**q is complex or of alternating sign
-        if isinstance(r, float):
-            lr = math.log(r)
-            if lr < 0.0:
-                raise EvaluationError(f"{name}: undefined at r={r:g} (log r < 0)")
-            return lr
-        lr = np.log(r)
-        if (lr < 0.0).any():
-            raise EvaluationError(f"{name}: undefined at r={r[lr < 0.0][0]:g} (log r < 0)")
-        return lr
+    # below r = 1, (log r)**q is complex or of alternating sign
+    undefined = f"{name}: undefined at r={{:g}} (log r < 0)"
 
     def ev(r, p=exponent, q=log_exponent):
-        return r**p * log_r(r) ** q
+        return r**p * _log_from(r, 0.0, undefined) ** q
 
     def log_ev(r, p=exponent, q=log_exponent):
         xp = math if isinstance(r, float) else np
-        return p * xp.log(r) + q * xp.log(log_r(r))
+        return p * xp.log(r) + q * xp.log(_log_from(r, 0.0, undefined))
 
     inv = None
     k = log_exponent / exponent if exponent > 0.0 else math.nan
@@ -732,12 +757,16 @@ def exp_decay(c0: float, gamma: float) -> ScalingFunction:
 
 
 def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
-    """g(t) = exp(-(log t) * (log log t)**(1+eps)); decays faster than any power."""
+    """g(t) = exp(-(log t) * (log log t)**(1+eps)); decays faster than any power.
+
+    Defined for t >= e: below it log log t < 0, and its power is complex.
+    """
+    name = f"iterated-log-g:{eps:g}"
+    undefined = f"{name}: undefined at t={{:g}} (log log t < 0)"
 
     def log_ev(t, e=eps):
-        xp = math if isinstance(t, float) else np
-        lt = xp.log(t)
-        return -lt * xp.log(lt) ** (1.0 + e)
+        lt = _log_from(t, 1.0, undefined)
+        return -lt * (math if isinstance(t, float) else np).log(lt) ** (1.0 + e)
 
     def ev(t, e=eps):
         return _exp_or_zero(log_ev(t, e))
@@ -748,7 +777,7 @@ def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
         monotonicity=DECREASING,
         envelope=fit_envelope(ev, domain_floor),
         domain_floor=domain_floor,
-        name=f"iterated-log-g:{eps:g}",
+        name=name,
         log_evaluator=log_ev,
     )
 

@@ -1,10 +1,12 @@
+import bisect
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import wrightomega
@@ -91,20 +93,68 @@ def _pair_loop_fit(evaluator, domain_floor):
     return min(slopes), max(slopes)
 
 
-def _pair_loop_violation(ev, env, name, domain_floor=1e-6):
-    # reference: the first violating grid pair, in i-major order, as a message
+def _all_pairs_check(ev, env, name, domain_floor=1e-6):
+    # reference: the envelope on every grid pair i < j, as ratios of values
+    # against powers of the span; returns the message naming the first
+    # violating pair in i-major order (None if there is none) and the margin,
+    # the smallest relative distance of a ratio from either slackened bound
     g = sc.log_grid(domain_floor, domain_floor * 10.0**sc.GRID_DECADES)
-    vals = [ev(r) for r in g]
-    for i in range(len(g)):
-        for j in range(i + 1, len(g)):
-            span, ratio = g[j] / g[i], vals[j] / vals[i]
-            lo, hi = env.c_lo * span**env.d_lo, env.c_hi * span**env.d_hi
-            if ratio < lo * (1 - sc.GRID_RTOL) or ratio > hi * (1 + sc.GRID_RTOL):
-                return (
-                    f"{name}: envelope violated at (r={g[i]:g}, R={g[j]:g}): "
-                    f"ratio={ratio:g} outside [{lo:g}, {hi:g}]"
-                )
+    vals = np.array([float(ev(r)) for r in g])
+    i, j = np.triu_indices(len(g), k=1)
+    span, ratio = g[j] / g[i], vals[j] / vals[i]
+    lo = env.c_lo * span**env.d_lo * (1 - sc.GRID_RTOL)
+    hi = env.c_hi * span**env.d_hi * (1 + sc.GRID_RTOL)
+    with np.errstate(divide="ignore"):  # a bound that underflows to 0 is never near
+        margin = float(np.min(np.minimum(np.abs(ratio / lo - 1), np.abs(ratio / hi - 1))))
+    bad = (ratio < lo) | (ratio > hi)
+    if not bad.any():
+        return None, margin
+    k = int(np.argmax(bad))
+    return (
+        f"{name}: envelope violated at (r={g[i[k]]:g}, R={g[j[k]]:g}): "
+        f"ratio={ratio[k]:g} outside [{env.c_lo * span[k]**env.d_lo:g}, "
+        f"{env.c_hi * span[k]**env.d_hi:g}]"
+    ), margin
+
+
+def _construction_message(ev, env, name, domain_floor=1e-6, mono=sc.INCREASING):
+    # the message of the envelope check on construction, None if it passes
+    try:
+        sc.ScalingFunction(ev, mono, env, domain_floor=domain_floor, name=name)
+    except PreconditionError as exc:
+        return str(exc)
     return None
+
+
+# log r of the default grid's ends, from floor 1e-6
+_LOG_ENDS = (math.log(1e-6), math.log(1e2))
+
+
+def _piecewise_power(knots, slopes, scale):
+    # exp of a continuous piecewise-linear function of log r, slopes[k] after
+    # the k-th knot (slopes[0] before the first): monotone when the slopes
+    # share a sign
+    starts = [_LOG_ENDS[0], *knots]
+    levels = [0.0]
+    for k in range(len(knots)):
+        levels.append(levels[-1] + slopes[k] * (starts[k + 1] - starts[k]))
+
+    def ev(r):
+        x = math.log(r)
+        k = bisect.bisect_right(knots, x)
+        return scale * math.exp(levels[k] + slopes[k] * (x - starts[k]))
+
+    return ev
+
+
+@st.composite
+def _piecewise_functions(draw):
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    n = draw(st.integers(0, 4))
+    knots = sorted(draw(st.lists(st.floats(*_LOG_ENDS), min_size=n, max_size=n)))
+    slopes = [sign * draw(st.floats(0.0, 4.0)) for _ in range(n + 1)]
+    scale = draw(st.floats(1e-3, 1e3))
+    return _piecewise_power(knots, slopes, scale), sign
 
 
 class TestBroadcastEnvelope:
@@ -113,15 +163,31 @@ class TestBroadcastEnvelope:
         [
             lambda: sc.powerlog(1.5, 1.0),
             lambda: sc.powerlog(0.0, -0.7),
+            lambda: sc.powerlog(2.5, -1.5),
+            lambda: sc.powerlog(-1.0, 0.5),
             lambda: sc.exp_decay(0.25, 2.0),
+            lambda: sc.exp_decay(3.0, 0.3),
+            lambda: sc.loglog_g(0.0),
             lambda: sc.loglog_g(1.0),
             lambda: sc.iterated_log_g(0.5),
+            lambda: sc.iterated_log_g(-0.5),
         ],
     )
     def test_fit_matches_pair_loop(self, build):
+        # the neighbouring slopes give the all-pairs bracket bit for bit
         f = build()
         d_lo, d_hi = _pair_loop_fit(f.evaluator, f.domain_floor)
         assert (f.envelope.d_lo, f.envelope.d_hi) == (d_lo, d_hi)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(fn=_piecewise_functions())
+    def test_fit_matches_pair_slopes(self, fn):
+        # a chord's slope is a weighted mean of the neighbouring slopes it
+        # spans, so the extremes agree up to the rounding of one slope
+        ev, _sign = fn
+        env = sc.fit_envelope(ev, 1e-6)
+        for got, want in zip((env.d_lo, env.d_hi), _pair_loop_fit(ev, 1e-6)):
+            assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize(
         "ev, env",
@@ -133,11 +199,83 @@ class TestBroadcastEnvelope:
         ],
     )
     def test_violation_names_first_pair(self, ev, env):
-        expected = _pair_loop_violation(ev, env, "probe")
+        expected, _margin = _all_pairs_check(ev, env, "probe")
         assert expected is not None
-        with pytest.raises(PreconditionError) as info:
-            sc.ScalingFunction(ev, sc.INCREASING, env, name="probe")
-        assert str(info.value) == expected
+        assert _construction_message(ev, env, "probe") == expected
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        fn=_piecewise_functions(),
+        d_lo=st.floats(-0.5, 0.5),
+        d_hi=st.floats(-0.5, 0.5),
+        c_lo=st.floats(0.2, 1.2),
+        c_hi=st.floats(0.8, 5.0),
+    )
+    def test_check_matches_all_pairs(self, fn, d_lo, d_hi, c_lo, c_hi):
+        # envelopes around the fitted exponents: some hold, some break at
+        # one end of the grid or at a kink, in either bound
+        ev, sign = fn
+        fit = sc.fit_envelope(ev, 1e-6)
+        env = sc.Envelope(c_lo, fit.d_lo + min(d_lo, d_hi), c_hi, fit.d_hi + max(d_lo, d_hi))
+        expected, margin = _all_pairs_check(ev, env, "probe")
+        if margin > 1e-12:
+            mono = sc.INCREASING if sign > 0 else sc.DECREASING
+            assert _construction_message(ev, env, "probe", mono=mono) == expected
+
+    @pytest.mark.parametrize(
+        "spec", ["powerlog:1.5,1", "powerlog:0,-2", "exp-decay:0.25,2", "loglog-g:1",
+                 "iterated-log-g:0.5"],
+    )
+    @pytest.mark.parametrize(
+        "field, scale, shift",
+        [("c_lo", 0.9, 0.0), ("c_lo", 1.1, 0.0), ("c_hi", 0.9, 0.0), ("c_hi", 1.1, 0.0),
+         ("d_lo", 1.0, -1e-3), ("d_lo", 1.0, 1e-3), ("d_hi", 1.0, -1e-3), ("d_hi", 1.0, 1e-3)],
+    )
+    def test_presets_with_moved_envelopes(self, spec, field, scale, shift):
+        # a preset's own envelope with one constant or exponent moved
+        f = sc.from_id(spec)
+        env = dataclasses.replace(f.envelope, **{field: getattr(f.envelope, field) * scale + shift})
+        expected, margin = _all_pairs_check(f.evaluator, env, "probe", f.domain_floor)
+        assert margin > 1e-12
+        got = _construction_message(f.evaluator, env, "probe", f.domain_floor, f.monotonicity)
+        assert got == expected
+
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("nudge, holds", [(-1e-11, True), (1e-11, False)])
+    def test_slack_is_grid_rtol(self, side, nudge, holds):
+        # r**2 against its own exponents, with a constant 1e-11 inside (the
+        # envelope holds) or outside (it breaks) the one the GRID_RTOL slack allows
+        ev = lambda r: r**2
+        if side == "lo":
+            env = sc.Envelope(1.0 / (1 - sc.GRID_RTOL) * (1 + nudge), 2.0, 1.0, 2.0)
+        else:
+            env = sc.Envelope(1.0, 2.0, 1.0 / (1 + sc.GRID_RTOL) * (1 - nudge), 2.0)
+        expected, margin = _all_pairs_check(ev, env, "probe")
+        assert margin > 1e-12 and (expected is None) == holds
+        assert _construction_message(ev, env, "probe") == expected
+
+
+class TestLogGrid:
+    #: the largest floor whose grid top, floor * 10**GRID_DECADES, is finite
+    TOP = sys.float_info.max / 10.0**sc.GRID_DECADES
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(lo=st.floats(5e-324, TOP))
+    @example(lo=1e-300)
+    @example(lo=TOP)
+    @example(lo=5e-324)
+    @example(lo=1e-6)
+    @example(lo=16.0)
+    def test_matches_geomspace(self, lo):
+        hi = lo * 10.0**sc.GRID_DECADES
+        with np.errstate(over="ignore"):  # near TOP, 10**log10(hi) may pass the float range
+            got, want = sc.log_grid(lo, hi), np.geomspace(lo, hi, sc.GRID_POINTS)
+        assert got.tobytes() == want.tobytes()
+
+    def test_top_floor_is_the_largest(self):
+        assert math.isfinite(self.TOP * 10.0**sc.GRID_DECADES)
+        assert math.isinf(math.nextafter(self.TOP, math.inf) * 10.0**sc.GRID_DECADES)
 
 
 def _doubling_loop(f, factor, pts):
@@ -535,6 +673,30 @@ def _scalar_only_functions():
             math.exp, sc.INCREASING, sc.fit_envelope(math.exp, 1e-8), domain_floor=1e-8
         ),
     }
+
+
+class TestIteratedLogDomain:
+    @pytest.mark.parametrize(
+        "t, named", [(2.0, "t=2"), (np.array(2.0), "t=2"), (np.float64(2.5), "t=2.5"),
+                     (1.0, "t=1"), (0.5, "t=0.5"), (0.0, "t=0"), (-1.0, "t=-1"),
+                     (math.nan, "t=nan"), (np.array([2.0, 20.0]), "t=2"),
+                     (np.array([20.0, 0.0, -1.0]), "t=0"), (np.array([20.0, math.nan]), "t=nan")],
+    )
+    def test_below_e_raises(self, t, named):
+        # log log t < 0 below t = e, where its power is complex
+        f = sc.from_id("iterated-log-g:0.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in (f, f.log_value):
+                with pytest.raises(EvaluationError, match=f"iterated-log-g:0.5: undefined at {named}"):
+                    method(t)
+
+    def test_defined_from_e(self):
+        f = sc.from_id("iterated-log-g:0.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(math.e) == 1.0
+            assert f(np.array([math.e, 20.0])) == pytest.approx([1.0, f(20.0)], rel=1e-15)
 
 
 def _illinois(f):
