@@ -708,6 +708,11 @@ class TailEstimate:
     c1: float
 
 
+#: the points r > 1 at which tail_constant looks for the geometric decay of h
+_TAIL_DECAY_GRID = np.geomspace(1.0 + 1e-9, 1e4, 64)
+_TAIL_DECAY_GRID.setflags(write=False)
+
+
 def tail_constant(model: KernelModel) -> float:
     """Tail-bound constant from the annulus summation.
 
@@ -716,10 +721,15 @@ def tail_constant(model: KernelModel) -> float:
 
         c1 = max(1/h(1),  C_hi * mu_ball * sup_r V(theta r)/V(r) / (1 - c0))
 
-    where (theta, c0) witness the geometric decay of h.
+    where (theta, c0) witness the geometric decay of h.  Each call builds
+    the tail profile once; a per-model cache waits for ROADMAP item 1.
     """
-    h, _rho = tail_profile(model)
-    rep = check_h_conditions(h, UPPER_DECAY, grid=np.geomspace(1.0 + 1e-9, 1e4, 64))
+    return _tail_constant(model, tail_profile(model)[0])
+
+
+def _tail_constant(model: KernelModel, h: ScalingFunction) -> float:
+    """tail_constant from the model's tail profile h."""
+    rep = check_h_conditions(h, UPPER_DECAY, grid=_TAIL_DECAY_GRID)
     if not rep.ok:
         raise UnsupportedModelError(f"{model.model_id}: no geometric tail decay found")
     theta, c0 = rep.theta, rep.c0
@@ -733,14 +743,16 @@ def tail_probability(model: KernelModel, t: float, r: float) -> TailEstimate:
 
     The estimate comes from the exact law when the model has one, otherwise
     from the midpoint of the envelope annulus integral.  The bound holds for
-    t >= 1 (the large-time envelope regime).
+    t >= 1 (the large-time envelope regime).  Each call builds the tail
+    profile (h, rho) once and takes c1 from that h; a per-model cache waits
+    for ROADMAP item 1.
     """
     if not t >= 1.0:  # false for NaN too
         raise PreconditionError("the tail bound is asserted for t >= 1")
     if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
     h, rho = tail_profile(model)
-    c1 = tail_constant(model)
+    c1 = _tail_constant(model, h)
     if r == 0.0:
         return TailEstimate(estimate=1.0, upper_bound=math.inf, c1=c1)
     bound = c1 * h(r / rho(t))

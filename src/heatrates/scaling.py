@@ -123,10 +123,10 @@ class ScalingFunction:
             raise ValueError(f"unknown monotonicity {self.monotonicity!r}")
         if self.domain_floor <= 0:
             raise ValueError("domain_floor must be positive")
-        g, vals = self._verify_on_grid()
+        g, vals, log_vals = self._verify_on_grid()
         object.__setattr__(self, "_scalar_only", not _maps_arrays(self.evaluator, g, vals, 0.0))
         if self.log_evaluator is not None:
-            log_ok = _maps_arrays(self.log_evaluator, g, np.log(vals), _PROBE_RTOL)
+            log_ok = _maps_arrays(self.log_evaluator, g, log_vals, _PROBE_RTOL)
             object.__setattr__(self, "_log_scalar_only", not log_ok)
 
     # -- construction-time checks -------------------------------------
@@ -134,9 +134,9 @@ class ScalingFunction:
     def grid(self) -> np.ndarray:
         return log_grid(self.domain_floor, self.domain_floor * 10.0**GRID_DECADES)
 
-    def _verify_on_grid(self) -> tuple[np.ndarray, np.ndarray]:
+    def _verify_on_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Check positivity, monotonicity and the envelope on the grid;
-        returns the grid and the values."""
+        returns the grid, the values and their logs."""
         g = self.grid()
         vals = _grid_values(self.evaluator, g, self.name)
         diffs = np.diff(vals)
@@ -148,14 +148,13 @@ class ScalingFunction:
             raise PreconditionError(
                 f"{self.name or 'scaling function'}: not {kind} near r={g[int(np.argmax(wrong))]:g}"
             )
-        self._verify_envelope(g, vals)
-        return g, vals
+        return g, vals, self._verify_envelope(g, vals)
 
-    def _verify_envelope(self, g: np.ndarray, vals: np.ndarray) -> None:
+    def _verify_envelope(self, g: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Check the envelope on every grid pair i < j, in logs: with a (b) =
         log f - d_lo (d_hi) log r, a_j - a_i >= log c_lo and b_j - b_i <=
         log c_hi, up to GRID_RTOL.  A violation names the first failing pair
-        in i-major order."""
+        in i-major order.  Returns log f on the grid."""
         env = self.envelope
         lg, lv = np.log(g), np.log(vals)
         a, b = lv - env.d_lo * lg, lv - env.d_hi * lg
@@ -166,7 +165,7 @@ class ScalingFunction:
         b_max = np.maximum.accumulate(b[::-1])[::-1]
         bad = (a_min[1:] - a[:-1] < tol_lo) | (b_max[1:] - b[:-1] > tol_hi)
         if not bad.any():
-            return
+            return lv
         i = int(np.argmax(bad))
         j = i + 1 + int(np.argmax((a[i + 1 :] - a[i] < tol_lo) | (b[i + 1 :] - b[i] > tol_hi)))
         span, ratio = g[j] / g[i], vals[j] / vals[i]
@@ -215,12 +214,14 @@ def _first(a, mask) -> float:
 
 
 def _grid_values(evaluator: Callable, g: np.ndarray, name: str = "") -> np.ndarray:
-    """The evaluator on a grid, one float call per point, checked finite and
-    positive: EvaluationError names the first r where it is not."""
-    vals = np.array([float(evaluator(r)) for r in g])
-    for bad, what in ((~np.isfinite(vals), "non-finite"), (vals <= 0, "non-positive")):
-        if bad.any():
-            raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
+    """The evaluator on a grid, one call per point on Python floats (the
+    same libm calls as on np.float64 scalars, at less cost per call), checked
+    finite and positive: EvaluationError names the first r where it is not."""
+    vals = np.array([float(evaluator(r)) for r in g.tolist()])
+    if not (0.0 < vals.min() and vals.max() < math.inf):  # true for NaN too
+        for bad, what in ((~np.isfinite(vals), "non-finite"), (vals <= 0, "non-positive")):
+            if bad.any():
+                raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
     return vals
 
 
@@ -372,8 +373,10 @@ def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None
     bracket was requested; a root that overflows raises OverflowError
     naming its target.  Its accuracy is the float conditioning of the
     closed form, not the 1e-12 stopping rule below.  Otherwise it takes
-    the given bracket, or gallops out from t = 1 to find one, and runs
-    regula falsi on (log t, log f(t) - log y) with the Illinois
+    the given bracket, or gallops out from t0 = max(1, domain_floor) to
+    find one (so a function undefined at 1, such as powerlog with a
+    negative log exponent, is first evaluated where it was verified), and
+    runs regula falsi on (log t, log f(t) - log y) with the Illinois
     modification (Dowell & Jarratt 1971).  A bisection step in log t
     replaces every interpolated point that is unusable, so the bracket
     stays valid and no smoothness is assumed.  Returns the first point t
@@ -488,7 +491,8 @@ _GALLOP_MAX_STEP = 2.0**64
 def _auto_brackets(f: ScalingFunction, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """(lo, f(lo), hi, f(hi)) for each target of a 1-d y, with f(lo) < y <=
     f(hi) or f(lo) <= y < f(hi), from one gallop up to the largest target
-    above f(1) and one down to the smallest of the others.
+    above f(t0), t0 = max(1, domain_floor), and one down to the smallest of
+    the others.
 
     Each target gets the two points where a gallop towards it alone would
     stop: the first point past it (searchsorted on the running extreme, so
@@ -496,35 +500,38 @@ def _auto_brackets(f: ScalingFunction, y: np.ndarray) -> tuple[np.ndarray, ...]:
     one before.
     """
     lo, f_lo, hi, f_hi = (np.empty_like(y) for _ in range(4))
-    f1 = f._eval_checked(1.0)
-    up = y > f1
+    t0 = max(1.0, f.domain_floor)
+    f0 = f._eval_checked(t0)
+    up = y > f0
     if up.any():
-        ts, vs = _gallop_points(f, float(y[up].max()), f1)
+        ts, vs = _gallop_points(f, float(y[up].max()), t0, f0)
         k = np.searchsorted(np.maximum.accumulate(vs), y[up])  # first vs[k] >= y
         lo[up], f_lo[up], hi[up], f_hi[up] = ts[k - 1], vs[k - 1], ts[k], vs[k]
     down = ~up
     if down.any():
-        ts, vs = _gallop_points(f, float(y[down].min()), f1)
-        # first k >= 1 with vs[k] <= y: the gallop tests its steps, not t = 1
+        ts, vs = _gallop_points(f, float(y[down].min()), t0, f0)
+        # first k >= 1 with vs[k] <= y: the gallop tests its steps, not t0
         run = np.minimum.accumulate(vs[1:])[::-1]
         k = len(vs) - np.searchsorted(run, y[down], side="right")
         lo[down], f_lo[down], hi[down], f_hi[down] = ts[k], vs[k], ts[k - 1], vs[k - 1]
     return lo, f_lo, hi, f_hi
 
 
-def _gallop_points(f: ScalingFunction, y: float, f1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Arguments and values of t = 1 and of every point a gallop to y passes.
+def _gallop_points(
+    f: ScalingFunction, y: float, t0: float, f0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arguments and values of t0 and of every point a gallop to y passes.
 
-    The gallop starts at t = 1, so functions only defined above 1 are never
-    evaluated below it, and steps towards y until a value reaches it.  A
-    step that leaves the float range, in t or in f(t), is retried from the
-    same t with the square root of its factor; once the factor is down to
-    1, BracketError.  The points depend on f alone, so the gallop towards y
+    The gallop starts at t0 = max(1, domain_floor), so a target above f(t0)
+    never evaluates f below 1 or below the verified domain, and steps
+    towards y until a value reaches it.  A step that leaves the float
+    range, in t or in f(t), is retried from the same t with the square root
+    of its factor; once the factor is down to 1, BracketError.  The points depend on f alone, so the gallop towards y
     passes a prefix of the points of the gallop towards any target farther
     out.
     """
-    t, ts, vs = 1.0, [1.0], [f1]
-    up = f1 < y
+    t, ts, vs = t0, [t0], [f0]
+    up = f0 < y
     step = 2.0
     while True:
         nt = t * step if up else t / step
@@ -696,22 +703,27 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
     (Bingham, Goldie & Teugels, Regular Variation, 1987, section 1.5.7).
     ``inverse`` then solves no equation.  For p <= 0 or q <= 0 (or q so
     small that log y / q overflows) there is no exact inverse, and
-    ``inverse`` solves by regula falsi.
+    ``inverse`` solves by regula falsi.  With q < 0, f is undefined at
+    r = 1 too: it raises EvaluationError naming r for every r <= 1.
     """
     if domain_floor <= 1.0:
         raise PreconditionError("powerlog needs domain_floor > 1 (log r must be positive)")
 
     name = f"powerlog:{exponent:g},{log_exponent:g}"
 
-    # below r = 1, (log r)**q is complex or of alternating sign
-    undefined = f"{name}: undefined at r={{:g}} (log r < 0)"
+    # below r = 1, (log r)**q is complex or of alternating sign; with q < 0
+    # it is 1/0 at r = 1 as well, so there the least log r is the least float > 0
+    if log_exponent < 0.0:
+        least, undefined = math.ulp(0.0), f"{name}: undefined at r={{:g}} (log r <= 0)"
+    else:
+        least, undefined = 0.0, f"{name}: undefined at r={{:g}} (log r < 0)"
 
     def ev(r, p=exponent, q=log_exponent):
-        return r**p * _log_from(r, 0.0, undefined) ** q
+        return r**p * _log_from(r, least, undefined) ** q
 
     def log_ev(r, p=exponent, q=log_exponent):
         xp = math if isinstance(r, float) else np
-        return p * xp.log(r) + q * xp.log(_log_from(r, 0.0, undefined))
+        return p * xp.log(r) + q * xp.log(_log_from(r, least, undefined))
 
     inv = None
     k = log_exponent / exponent if exponent > 0.0 else math.nan

@@ -13,6 +13,7 @@ from scipy import integrate, special, stats
 from heatrates import kernels as kn
 from heatrates.errors import PreconditionError, UnsupportedModelError
 from heatrates.integral_tests import classify_tail_integral
+from heatrates.scaling import ScalingFunction
 from heatrates.scaling import from_id as scaling_from_id
 
 
@@ -514,6 +515,11 @@ class TestTableMemory:
         assert "table" not in kn.from_id("stable:1.5,3").exact_law.__dict__
 
 
+#: the exact laws of the bounds benchmark, and two envelope-only models
+TAIL_PRESETS = ["gaussian:3", "cauchy1d", "stable:1,1", "stable:1.5,3", "stable:0.5,2", "stable:1.9,2",
+                "stablelike:3,1.5", "subgaussian:3,2,0.25"]
+
+
 class TestTailProbability:
     def test_cauchy_oracle(self, cauchy):
         te = kn.tail_probability(cauchy, 1.0, 1.0)
@@ -529,6 +535,39 @@ class TestTailProbability:
         h, rho = kn.tail_profile(cauchy)
         assert te.c1 == kn.tail_constant(cauchy)
         assert te.upper_bound == te.c1 * h(16.0 / rho(4.0))
+
+    @pytest.mark.parametrize("spec", TAIL_PRESETS)
+    def test_builds_one_profile_per_call(self, spec, monkeypatch):
+        # h and rho, each verified on its grid once: c1 comes from the same h
+        m = kn.from_id(spec)
+        built = []
+        post_init = ScalingFunction.__post_init__
+
+        def counted(self):
+            built.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(ScalingFunction, "__post_init__", counted)
+        for t, r in ((1.0, 0.0), (4.0, 16.0)):
+            built.clear()
+            kn.tail_probability(m, t, r)
+            assert len(built) == 2, built
+
+    @pytest.mark.parametrize("spec", TAIL_PRESETS)
+    def test_matches_the_two_call_formula(self, spec):
+        # c1 = tail_constant(model) and the bound c1 h(r / rho(t)), as float hex
+        m = kn.from_id(spec)
+        c1 = kn.tail_constant(m)
+        h, rho = kn.tail_profile(m)
+        for t, r in ((1.0, 0.0), (1.0, 1.0), (4.0, 16.0), (37.5, 0.3), (1e3, 250.0)):
+            te = kn.tail_probability(m, t, r)
+            bound = math.inf if r == 0.0 else c1 * h(r / rho(t))
+            assert (te.c1.hex(), te.upper_bound.hex()) == (c1.hex(), bound.hex()), (t, r)
+
+    def test_decay_grid_is_read_only(self):
+        assert not kn._TAIL_DECAY_GRID.flags.writeable
+        with pytest.raises(ValueError):
+            kn._TAIL_DECAY_GRID[0] = 2.0
 
     @pytest.mark.parametrize(
         "spec, V",
@@ -710,6 +749,17 @@ class TestClassifyLongRun:
         # classifying on blocks of 0
         with pytest.raises(OverflowError, match="inverse of y="):
             kn.classify_long_run(kn.from_id(spec))
+
+    def test_phi_undefined_at_one(self):
+        # phi = powerlog:1.5,-0.3 is increasing on its domain [2, 2e8] but
+        # divides by zero at r = 1, where inverse used to start its gallop
+        m = kn.from_id("jump:power:3;powerlog:1.5,-0.3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kn.classify_long_run(m)[0] == kn.TRANSIENT
+            env = kn.ball_probability(m, 10.0, 3.0).envelope
+            assert abs(m.phi(kn.inverse(m.phi, 10.0)) - 10.0) <= 1e-11
+        assert 0.0 < env < 1.0
 
     @pytest.mark.parametrize(
         "spec", ["jump:power:3;powerlog:1.5,1", "jump:power:1;powerlog:2,0.5", "stable:1.5,3", "gaussian:1"]

@@ -368,6 +368,56 @@ class TestGridChecksMatchLoops:
             assert worst == pytest.approx(want, rel=1e-15) and ok == (want <= 10.0 * (1 + 1e-9))
 
 
+def _grid_values_loop(evaluator, g, name=""):
+    """_grid_values as one call per np.float64 grid point, with its two checks."""
+    vals = np.array([float(evaluator(r)) for r in g])
+    for bad, what in ((~np.isfinite(vals), "non-finite"), (vals <= 0, "non-positive")):
+        if bad.any():
+            raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
+    return vals
+
+
+class TestGridValues:
+    # Python floats and np.float64 scalars reach the same libm calls, so the
+    # values are equal bit for bit, as float hex
+    @pytest.mark.parametrize(
+        "spec", ["power:2", "power:-1.5", "power:0.1", "const:0.5", "powerlog:1.5,1", "powerlog:1.2,0.6",
+                 "powerlog:0,-2", "powerlog:1.5,-0.3", "exp-decay:0.25,2", "exp-decay:1,1.5",
+                 "iterated-log-g:0.5", "iterated-log-g:-0.5", "loglog-g:0", "loglog-g:1"],
+    )
+    def test_presets_match_float64_loop(self, spec):
+        f = sc.from_id(spec)
+        g = f.grid()
+        got = sc._grid_values(f.evaluator, g, f.name)
+        assert got.dtype == float
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in _grid_values_loop(f.evaluator, g).tolist()]
+
+    @pytest.mark.parametrize(
+        "ev", [lambda r: int(r) + 1, lambda r: np.float64(r) ** 1.5, lambda r: r**0.5,
+               lambda r: math.exp(-r), lambda r: 2.0**-r + math.log1p(r)],
+        ids=["int", "float64", "pow", "exp", "mixed"],
+    )
+    def test_user_evaluators_match_float64_loop(self, ev):
+        g = sc.log_grid(1e-3, 1e2)
+        got = sc._grid_values(ev, g)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in _grid_values_loop(ev, g).tolist()]
+
+    @pytest.mark.parametrize(
+        "ev", [lambda r: math.nan if r > 1 else r, lambda r: math.inf if r > 1 else r,
+               lambda r: -math.inf if r > 1 else r, lambda r: 0.0 if r > 1 else r,
+               lambda r: r - 1.0, lambda r: 0.0 if r < 1 else (math.nan if r > 10 else r)],
+        ids=["nan", "inf", "-inf", "zero", "negative", "zero-then-nan"],
+    )
+    def test_messages_unchanged(self, ev):
+        # the first non-finite value is named before the first non-positive one
+        g = sc.log_grid(1e-3, 1e5)
+        with pytest.raises(EvaluationError) as want:
+            _grid_values_loop(ev, g, "f")
+        with pytest.raises(EvaluationError) as got:
+            sc._grid_values(ev, g, "f")
+        assert str(got.value) == str(want.value)
+
+
 class TestCheckDoubling:
     def test_power_law_identity(self):
         alpha = 1.7
@@ -554,6 +604,48 @@ class TestPowerlogDomain:
             f(0.9)
         with pytest.raises(EvaluationError, match="r=0.5"):
             f.log_value(0.5)
+
+    @pytest.mark.parametrize(
+        "r, named", [(1.0, "r=1"), (np.float64(1.0), "r=1"), (np.array(1.0), "r=1"), (0.5, "r=0.5"),
+                     (np.array([1.0, 2.0]), "r=1"), (np.array([2.0, 0.5, 1.0]), "r=0.5")],
+    )
+    def test_negative_log_exponent_undefined_at_one(self, r, named):
+        # with q < 0, (log r)**q is 1/0 at r = 1: a float call divided by
+        # zero and an array call warned and gave inf
+        f = sc.powerlog(1.5, -0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in (f, f.log_value):
+                with pytest.raises(EvaluationError, match=f"powerlog:1.5,-0.3: undefined at {named} "):
+                    method(r)
+
+    def test_negative_log_exponent_inverse(self):
+        # increasing on its domain [2, 2e8] and undefined at 1: the gallop
+        # starts at the domain floor, not at t = 1
+        f = sc.powerlog(1.5, -0.3)
+        assert f.monotonicity == sc.INCREASING and f.exact_inverse is None
+        ys = np.array([3.5, 12345.6, 1e9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in ys.tolist():
+                assert abs(f(sc.inverse(f, y)) - y) <= 1e-12 * y, y
+            assert np.all(np.abs(f(sc.inverse(f, ys)) - ys) <= 1e-12 * ys)
+            # the minimum of f, 2.19 at r = e^0.2, lies above 2
+            with pytest.raises(BracketError, match="could not bracket y=2 from below"):
+                sc.inverse(f, 2.0)
+
+    def test_gallop_starts_at_the_domain_floor(self):
+        # a target above f(floor) never evaluates f below the floor
+        seen = []
+
+        def ev(r):
+            seen.append(float(np.min(r)))
+            return r**2
+
+        f = sc.ScalingFunction(ev, sc.INCREASING, sc.Envelope(1.0, 2.0, 1.0, 2.0), domain_floor=5.0)
+        seen.clear()
+        assert abs(sc.inverse(f, 1e4) - 100.0) <= 1e-10
+        assert min(seen) == 5.0
 
 
 class TestRateCandidates:
