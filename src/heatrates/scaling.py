@@ -703,8 +703,10 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
     (Bingham, Goldie & Teugels, Regular Variation, 1987, section 1.5.7).
     ``inverse`` then solves no equation.  For p <= 0 or q <= 0 (or q so
     small that log y / q overflows) there is no exact inverse, and
-    ``inverse`` solves by regula falsi.  With q < 0, f is undefined at
-    r = 1 too: it raises EvaluationError naming r for every r <= 1.
+    ``inverse`` solves by regula falsi.  At r = 1, f is 0 and ``log_value``
+    -inf for q > 0, and they are 1 and 0 for q = 0.  With q < 0, f is
+    undefined at r = 1 too: it raises EvaluationError naming r for every
+    r <= 1.
     """
     if domain_floor <= 1.0:
         raise PreconditionError("powerlog needs domain_floor > 1 (log r must be positive)")
@@ -723,7 +725,14 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
 
     def log_ev(r, p=exponent, q=log_exponent):
         xp = math if isinstance(r, float) else np
-        return p * xp.log(r) + q * xp.log(_log_from(r, least, undefined))
+        lr = _log_from(r, least, undefined)
+        if not q:  # (log r)**0 is 1, at r = 1 too
+            return p * xp.log(r)
+        # with q > 0, log r = 0 at r = 1, where f = 0 and log f = -inf
+        if xp is math:
+            return p * math.log(r) + (q * math.log(lr) if lr else -math.inf)
+        with np.errstate(divide="ignore"):
+            return p * np.log(r) + q * np.log(lr)
 
     inv = None
     k = log_exponent / exponent if exponent > 0.0 else math.nan

@@ -8,10 +8,12 @@ The only discretization artifact is the time grid itself: window extrema
 over grid points overestimate path infima and underestimate path suprema
 for jump processes.  Consumers account for that directionally.
 
-Each call builds its grid once, as one array (DyadicBlocks lays every block
-out in a single broadcast), and writes the positions once.  A time window is
-the slice of the sorted grid between two searchsorted indices, so a path
-functional reads only the points inside it.
+A scheme builds its grid once per horizon, as one array (DyadicBlocks lays
+every block out in a single broadcast), and keeps it with its steps on the
+scheme instance; every path drawn with that scheme and horizon shares them as
+read-only arrays, and each call writes only its positions, once.  A time
+window is the slice of the sorted grid between two searchsorted indices, so a
+path functional reads only the points inside it.
 
 Randomness comes from numpy's counter-based Philox generator; replica r of
 an experiment with master seed s, both in [0, 2^64), uses the 128-bit key
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,8 +35,37 @@ from .errors import PreconditionError, UnsupportedModelError
 from .kernels import KernelModel
 
 
+class _Scheme:
+    """What the sampling schemes share: their grids, built once per horizon."""
+
+    def grid(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+        """(times, steps) for this horizon, steps = np.diff(times).
+
+        Built by ``times`` on the first call for a horizon and kept on the
+        instance for its lifetime, so every later call returns the same two
+        read-only arrays.  An invalid horizon is never kept: it raises on
+        every call.
+        """
+        grid = self._grids.get(horizon)
+        if grid is None:
+            times = self.times(horizon)
+            steps = np.diff(times)
+            times.flags.writeable = steps.flags.writeable = False
+            grid = self._grids[horizon] = (times, steps)
+        return grid
+
+    @cached_property
+    def _grids(self) -> dict:
+        # not a field: equality, hash and repr see only the parameters
+        return {}
+
+    def __getstate__(self):
+        # a pickle or copy rebuilds its own grids, read-only again
+        return {k: v for k, v in self.__dict__.items() if k != "_grids"}
+
+
 @dataclass(frozen=True)
-class UniformGrid:
+class UniformGrid(_Scheme):
     dt: float
 
     def times(self, horizon: float) -> np.ndarray:
@@ -53,7 +85,7 @@ class UniformGrid:
 
 
 @dataclass(frozen=True)
-class DyadicBlocks:
+class DyadicBlocks(_Scheme):
     """per_block equal steps inside each [base^n, base^(n+1)] block.
 
     The warm-up interval [0, 1] gets per_block equal steps as well, so a
@@ -115,7 +147,11 @@ def scheme_from_id(spec: str):
 
 @dataclass(frozen=True)
 class PathSkeleton:
-    """A sampled trajectory on a deterministic time grid."""
+    """A sampled trajectory on a deterministic time grid.
+
+    From sample_path, times is the scheme's read-only grid, one array shared
+    by every path drawn with that scheme and horizon.
+    """
 
     times: np.ndarray
     positions: np.ndarray  # shape (len(times), dim)
@@ -170,11 +206,13 @@ def sample_path(
 ) -> PathSkeleton:
     """Sample one trajectory; identical arguments reproduce it bit-for-bit.
 
+    The path's times are scheme.grid(horizon)'s read-only array, shared with
+    every path of that scheme and horizon; only its positions are its own.
     start, if given, is the path's point at time 0, of shape (dim,).
     """
-    times = scheme.times(horizon)
+    times, steps = scheme.grid(horizon)
     rng = replica_rng(seed, replica)
-    incs = sample_increments(model, np.diff(times), rng)
+    incs = sample_increments(model, steps, rng)
     positions = np.empty((times.shape[0], incs.shape[1]))
     positions[0] = 0.0
     np.cumsum(incs, axis=0, out=positions[1:])

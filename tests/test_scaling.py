@@ -605,6 +605,28 @@ class TestPowerlogDomain:
         with pytest.raises(EvaluationError, match="r=0.5"):
             f.log_value(0.5)
 
+    @pytest.mark.parametrize("r", [1.0, np.float64(1.0), np.array(1.0)])
+    def test_positive_log_exponent_log_value_at_one(self, r):
+        # f(1) = 0, so log f(1) = -inf: a float call raised "math domain
+        # error" and an array call warned
+        f = sc.powerlog(1.5, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(r) == 0.0
+            v = f.log_value(r)
+            assert type(v) is float and v == -math.inf
+            arr = f.log_value(np.array([1.0, 2.0]))
+        assert arr[0] == -math.inf and arr[1] == f.log_value(2.0)
+        assert arr[1] == pytest.approx(math.log(f(2.0)), rel=1e-14)
+
+    def test_zero_log_exponent_log_value_at_one(self):
+        # (log r)**0 = 1, so f(1) = 1 and log f(1) = 0
+        f = sc.powerlog(1.5, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(1.0) == 1.0 and f.log_value(1.0) == 0.0
+            assert np.array_equal(f.log_value(np.array([1.0, 4.0])), [0.0, 1.5 * math.log(4.0)])
+
     @pytest.mark.parametrize(
         "r, named", [(1.0, "r=1"), (np.float64(1.0), "r=1"), (np.array(1.0), "r=1"), (0.5, "r=0.5"),
                      (np.array([1.0, 2.0]), "r=1"), (np.array([2.0, 0.5, 1.0]), "r=0.5")],

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +96,83 @@ class TestGrids:
         assert d.per_block == 128 and d.base == 2.0
         d3 = sim.scheme_from_id("dyadic:64:3")
         assert d3.base == 3.0
+
+
+class TestGridCache:
+    # each scheme with two valid horizons
+    SCHEMES = [("dyadic:64", 64.0, 16.0), ("uniform:0.25", 16.0, 4.0)]
+
+    @pytest.mark.parametrize("spec, horizon, _other", SCHEMES)
+    def test_builds_one_grid_per_horizon(self, spec, horizon, _other, monkeypatch):
+        scheme = sim.scheme_from_id(spec)
+        built = []
+        times = type(scheme).times
+
+        def counted(self, h):
+            built.append(h)
+            return times(self, h)
+
+        monkeypatch.setattr(type(scheme), "times", counted)
+        for i in range(50):
+            sim.sample_path(GAUSS3, horizon, scheme, seed=11, replica=i)
+        assert built == [horizon]
+
+    @pytest.mark.parametrize("spec, horizon, _other", SCHEMES)
+    def test_paths_share_one_read_only_grid(self, spec, horizon, _other):
+        scheme = sim.scheme_from_id(spec)
+        a = sim.sample_path(GAUSS3, horizon, scheme, seed=11, replica=0)
+        b = sim.sample_path(GAUSS3, horizon, scheme, seed=11, replica=1)
+        assert a.times is b.times
+        with pytest.raises(ValueError):
+            a.times[1] = 0.5
+        times, steps = scheme.grid(horizon)
+        assert times is a.times
+        with pytest.raises(ValueError):
+            steps[0] = 1.0
+
+    @pytest.mark.parametrize("spec, horizon, other", SCHEMES)
+    def test_each_horizon_matches_a_fresh_scheme(self, spec, horizon, other):
+        scheme = sim.scheme_from_id(spec)
+        for h in (horizon, other, horizon):
+            times, steps = scheme.grid(h)
+            fresh = sim.scheme_from_id(spec).times(h)
+            assert np.array_equal(times, fresh)
+            assert np.array_equal(steps, np.diff(fresh))
+            path = sim.sample_path(STABLE15_3, h, scheme, seed=5, replica=3)
+            ref = sim.sample_path(STABLE15_3, h, sim.scheme_from_id(spec), seed=5, replica=3)
+            assert np.array_equal(path.times, ref.times)
+            assert np.array_equal(path.positions, ref.positions)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: sim.DyadicBlocks(per_block=64), lambda: sim.UniformGrid(0.25)]
+    )
+    def test_cache_is_not_part_of_equality(self, make):
+        used, unused = make(), make()
+        sim.sample_path(GAUSS3, 8.0, used, seed=0)
+        assert used == unused and hash(used) == hash(unused)
+        assert repr(used) == repr(unused)
+        assert {used: 1}[unused] == 1
+
+    @pytest.mark.parametrize("spec, horizon, _other", SCHEMES)
+    def test_copies_build_their_own_read_only_grid(self, spec, horizon, _other):
+        scheme = sim.scheme_from_id(spec)
+        times, _ = scheme.grid(horizon)
+        for copied in (pickle.loads(pickle.dumps(scheme, protocol=2)), copy.deepcopy(scheme)):
+            assert copied == scheme
+            grid, _ = copied.grid(horizon)
+            assert grid is not times and np.array_equal(grid, times)
+            assert not grid.flags.writeable
+
+    @pytest.mark.parametrize("spec, horizon, _other", SCHEMES)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid_horizon_raises_after_a_valid_one(self, spec, horizon, _other, bad):
+        scheme = sim.scheme_from_id(spec)
+        sim.sample_path(GAUSS3, horizon, scheme, seed=0)
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                sim.sample_path(GAUSS3, bad, scheme, seed=0)
+            with pytest.raises(PreconditionError):
+                scheme.grid(bad)
 
 
 class TestDeterminism:
@@ -451,6 +530,22 @@ class TestFirstHit:
         return sim.PathSkeleton(
             np.array([0.0, 1.0]), np.array([[0.0], [4.0]]), 0, "test", "manual"
         )
+
+    def test_first_hit_times_pinned(self):
+        # SHA-256 of the first-hit times (nan for a miss) of the pipeline a
+        # montecarlo hit op runs: 200 replicas sharing one scheme, recorded
+        # before the grid cache; a change to the sampler, the grid or
+        # first_hit_time that moves an estimate shows up here
+        scheme = sim.scheme_from_id("dyadic:64")
+        start, origin = np.array([3.0, 0.0, 0.0]), np.zeros(3)
+        hits = []
+        for i in range(200):
+            p = sim.sample_path(STABLE15_3, 64.0, scheme, 20150826, i, start)
+            t = sim.first_hit_time(p, origin, 1.0)
+            hits.append(math.nan if t is None else t)
+        hits = np.array(hits)
+        assert int(np.isnan(hits).sum()) == 174
+        assert _sha256(hits) == "9622ea720621c34056161d1bc2d9765e397aa3aab2fd9c2e8b892925fb6cc9e5"
 
     def test_none_when_never_hit(self):
         p = sim.PathSkeleton(
