@@ -423,6 +423,8 @@ def positive_stable(rng: np.random.Generator, gamma: float, size) -> np.ndarray:
         return a, np.isfinite(a) & (a > 0)
 
     flat, good = draw(math.prod(np.atleast_1d(size)))
+    if good.all():
+        return flat.reshape(size)
     todo = np.flatnonzero(~good)
     while todo.size:
         a, good = draw(todo.size)

@@ -18,18 +18,23 @@ path functional reads only the points inside it.
 Randomness comes from numpy's counter-based Philox generator; replica r of
 an experiment with master seed s, both in [0, 2^64), uses the 128-bit key
 s + r 2^64, so distinct (s, r) pairs get distinct keys and replicas are
-independent, order-free, and individually regenerable.
+independent, order-free, and individually regenerable.  A Philox stream is
+fixed by its key and counter alone, so the key words [s, r] reach Philox
+directly, as the state of a seed sequence that returns them: no OS entropy
+is read, and the draws equal Philox(key=s + r 2^64)'s.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PreconditionError, UnsupportedModelError
 from .kernels import KernelModel
@@ -43,9 +48,11 @@ class _Scheme:
 
         Built by ``times`` on the first call for a horizon and kept on the
         instance for its lifetime, so every later call returns the same two
-        read-only arrays.  An invalid horizon is never kept: it raises on
+        read-only arrays.  A real horizon (a number or a 0-d array) keys the
+        grids as a float.  An invalid horizon is never kept: it raises on
         every call.
         """
+        horizon = _real(horizon, "horizon")
         grid = self._grids.get(horizon)
         if grid is None:
             times = self.times(horizon)
@@ -56,7 +63,8 @@ class _Scheme:
 
     @cached_property
     def _grids(self) -> dict:
-        # not a field: equality, hash and repr see only the parameters
+        # not a field (nor is label): equality, hash and repr see only the
+        # parameters
         return {}
 
     def __getstate__(self):
@@ -79,7 +87,7 @@ class UniformGrid(_Scheme):
             ts[-1] = horizon
         return ts
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"uniform:{self.dt:g}"
 
@@ -126,9 +134,18 @@ class DyadicBlocks(_Scheme):
         ts = grid.ravel()
         return ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"dyadic:{self.base:g}:{self.per_block}"
+
+
+def _real(x, name: str) -> float:
+    """x as a float: a real number, or a real 0-d array."""
+    if not isinstance(x, numbers.Real):
+        a = np.asarray(x)
+        if a.ndim or a.dtype.kind not in "biuf":
+            raise PreconditionError(f"{name} must be a real number, got {x!r}")
+    return float(x)
 
 
 def scheme_from_id(spec: str):
@@ -160,9 +177,14 @@ class PathSkeleton:
     scheme_label: str
 
     def __post_init__(self):
-        if self.times.shape[0] != self.positions.shape[0]:
-            raise PreconditionError("times and positions must align")
-        if self.times[0] != 0.0 or not (self.times[1:] > self.times[:-1]).all():
+        t, x = self.times, self.positions
+        if t.ndim != 1 or not t.shape[0]:
+            raise PreconditionError("times must be a non-empty 1-d grid")
+        if x.ndim != 2 or x.shape[0] != t.shape[0] or not x.shape[1]:
+            raise PreconditionError(
+                f"positions must have shape (len(times), dim), got {x.shape}"
+            )
+        if t[0] != 0.0 or not (t[1:] > t[:-1]).all():
             raise PreconditionError("times must strictly increase from 0")
 
     @property
@@ -174,17 +196,41 @@ class PathSkeleton:
         return self.positions.shape[1]
 
 
-def _replica_key(seed: int, replica: int = 0) -> int:
-    """The 128-bit Philox key seed + replica * 2^64; both in [0, 2^64)."""
-    seed, replica = operator.index(seed), operator.index(replica)
-    if not (0 <= seed < 2**64 and 0 <= replica < 2**64):
-        raise PreconditionError("seed and replica must lie in [0, 2^64)")
-    return seed + (replica << 64)
+class _ReplicaKey(ISeedSequence):
+    """The Philox key words [seed, replica], both in [0, 2^64).
+
+    Philox takes its key as the two uint64 words of its seed sequence's
+    state; this one returns the words as they are, so Philox(_ReplicaKey(s,
+    r)) has the state and draws of Philox(key=s + r 2^64) without the OS
+    entropy a default SeedSequence reads.
+    """
+
+    __slots__ = ("seed", "replica")
+
+    def __init__(self, seed: int, replica: int):
+        seed, replica = operator.index(seed), operator.index(replica)
+        if not (0 <= seed < 2**64 and 0 <= replica < 2**64):
+            raise PreconditionError("seed and replica must lie in [0, 2^64)")
+        self.seed, self.replica = seed, replica
+
+    @property
+    def key(self) -> int:
+        """The 128-bit key seed + replica * 2^64."""
+        return self.seed + (self.replica << 64)
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a replica key is two uint64 words")
+        return np.array((self.seed, self.replica), dtype=np.uint64)
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
-    """Counter-based generator for one replica (key seed + replica * 2^64)."""
-    return np.random.Generator(np.random.Philox(key=_replica_key(seed, replica)))
+    """Counter-based generator for one replica (key seed + replica * 2^64).
+
+    The key words reach Philox through _ReplicaKey, so no OS entropy is
+    read; each call builds its own generator at counter 0.
+    """
+    return np.random.Generator(np.random.Philox(_ReplicaKey(seed, replica)))
 
 
 def sample_increments(
@@ -211,8 +257,8 @@ def sample_path(
     start, if given, is the path's point at time 0, of shape (dim,).
     """
     times, steps = scheme.grid(horizon)
-    rng = replica_rng(seed, replica)
-    incs = sample_increments(model, steps, rng)
+    key = _ReplicaKey(seed, replica)
+    incs = sample_increments(model, steps, np.random.Generator(np.random.Philox(key)))
     positions = np.empty((times.shape[0], incs.shape[1]))
     positions[0] = 0.0
     np.cumsum(incs, axis=0, out=positions[1:])
@@ -221,7 +267,7 @@ def sample_path(
     return PathSkeleton(
         times=times,
         positions=positions,
-        seed=_replica_key(seed, replica),
+        seed=key.key,
         model_id=model.model_id,
         scheme_label=scheme.label,
     )
@@ -241,9 +287,18 @@ def _point(x, dim: int, name: str) -> np.ndarray:
 
 
 def _sq_distance(path: PathSkeleton, point, name: str, rows: slice) -> np.ndarray:
-    """Squared distances |X_t - point|^2 over the given rows of the path."""
-    diff = path.positions[rows] - _point(point, path.dim, name)
-    return (diff * diff).sum(axis=1)
+    """Squared distances |X_t - point|^2 over the given rows of the path.
+
+    Summed by coordinate column, left to right: for dim <= 7 this is the
+    row-wise sum bit for bit, beyond that it agrees to rounding.
+    """
+    x, p = path.positions[rows], _point(point, path.dim, name)
+    d = x[:, 0] - p[0]
+    sq = d * d
+    for j in range(1, p.shape[0]):
+        d = x[:, j] - p[j]
+        sq += d * d
+    return sq
 
 
 def _window(path: PathSkeleton, a: float, b: float, include_left: bool) -> slice:

@@ -23,6 +23,15 @@ def _sha256(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
+def _same_state(a, b) -> bool:
+    """Bit generator states equal, their arrays compared by dtype and value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
 class TestGrids:
     def test_uniform(self):
         ts = sim.UniformGrid(0.25).times(2.0)
@@ -174,6 +183,38 @@ class TestGridCache:
             with pytest.raises(PreconditionError):
                 scheme.grid(bad)
 
+    @pytest.mark.parametrize("spec, horizon, _other", SCHEMES)
+    def test_real_horizons_share_the_float_grid(self, spec, horizon, _other):
+        scheme = sim.scheme_from_id(spec)
+        ref = sim.sample_path(STABLE15_3, horizon, scheme, seed=5, replica=2)
+        for h in (np.array(horizon), np.float64(horizon)):
+            path = sim.sample_path(STABLE15_3, h, scheme, seed=5, replica=2)
+            assert path.times is ref.times and scheme.grid(h)[0] is ref.times
+            assert np.array_equal(path.positions, ref.positions)
+
+    @pytest.mark.parametrize("spec, horizon, _other", SCHEMES)
+    @pytest.mark.parametrize(
+        "bad", [np.array(0.0), np.float64(-1.0), np.array(math.inf), np.array(math.nan)]
+    )
+    def test_invalid_array_horizon_raises_every_call(self, spec, horizon, _other, bad):
+        scheme = sim.scheme_from_id(spec)
+        scheme.grid(horizon)
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                sim.sample_path(GAUSS3, bad, scheme, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.array([64.0]), "64", 64.0 + 0j, None])
+    def test_horizon_must_be_one_real_number(self, bad):
+        with pytest.raises(PreconditionError):
+            sim.DyadicBlocks(per_block=64).grid(bad)
+
+    @pytest.mark.parametrize("spec, label", [("dyadic:64", "dyadic:2:64"), ("uniform:0.25",) * 2])
+    def test_label_is_kept_and_not_part_of_equality(self, spec, label):
+        used, unused = sim.scheme_from_id(spec), sim.scheme_from_id(spec)
+        assert used.label == label and used.label is used.label
+        assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
+        assert pickle.loads(pickle.dumps(used)).label == label
+
 
 class TestDeterminism:
     def test_bit_for_bit_regeneration(self):
@@ -203,6 +244,32 @@ class TestDeterminism:
         p = sim.sample_path(GAUSS3, 4.0, sim.UniformGrid(0.5), seed=3)
         assert p.positions[0].tolist() == [0.0, 0.0, 0.0]
         assert np.all(np.diff(p.times) > 0)
+
+    def test_skeleton_needs_a_non_empty_grid(self):
+        with pytest.raises(PreconditionError):
+            sim.PathSkeleton(np.array([]), np.empty((0, 1)), 0, "test", "manual")
+
+    @pytest.mark.parametrize(
+        "positions", [np.zeros(2), np.zeros((2, 1, 1)), np.zeros((3, 1)), np.zeros((2, 0))]
+    )
+    def test_skeleton_positions_have_shape_len_times_by_dim(self, positions):
+        with pytest.raises(PreconditionError):
+            sim.PathSkeleton(np.array([0.0, 1.0]), positions, 0, "test", "manual")
+
+    @pytest.mark.parametrize("seed, replica", [(0, 0), (1, 0), (0, 1), (2**64 - 1, 2**64 - 1)])
+    def test_replica_rng_is_philox_at_the_replica_key(self, seed, replica):
+        ours = sim.replica_rng(seed, replica)
+        ref = np.random.Generator(np.random.Philox(key=seed + replica * 2**64))
+        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+        assert np.array_equal(ours.standard_normal(1000), ref.standard_normal(1000))
+        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+
+    def test_generators_of_one_pair_share_no_state(self):
+        a, b = sim.replica_rng(7, 3), sim.replica_rng(7, 3)
+        untouched = b.bit_generator.state
+        first = a.standard_normal(100)
+        assert _same_state(b.bit_generator.state, untouched)
+        assert np.array_equal(b.standard_normal(100), first)
 
     # SHA-256 of the little-endian positions, recorded before the grid,
     # cumsum and sampler rewrites; any change to a draw or to the float
@@ -412,6 +479,56 @@ class TestFunctionalsMatchMaskReference:
             hits = np.flatnonzero((d <= r) & positive)
             expect = float(path.times[hits[0]]) if hits.size else None
             assert sim.first_hit_time(path, center, r) == expect
+
+
+class TestFunctionalPins:
+    """SHA-256 of window extrema and first-hit times, recorded before the
+    column-wise distances; a change to a distance's float operations on any
+    of these dims shows up here."""
+
+    PINS = [
+        ("stable:1.5,1", "9b89329e6eae0c4ff0c362d339823e305251bffbf0a5e038ae38446c36bbcca9"),
+        ("gaussian:2", "db255cce0aedc78088ef537eb6ac3c2c20d106aec7d7146b6203897662248b2d"),
+        ("stable:1.5,3", "693348a2409cc6b5e2c3e1db2e84308db89cc28460f4c3c5ae2e2a3224654eeb"),
+        ("stable:1.5,5", "f77bca973153a0c6b6b1db1cc0a0f804587efb8e4ed30f1aa993329a6cf4c177"),
+    ]
+
+    @pytest.mark.parametrize("model_id, digest", PINS)
+    def test_functionals_pinned(self, model_id, digest):
+        model = kn.from_id(model_id)
+        scheme = sim.DyadicBlocks(per_block=32)
+        # every coordinate of the point is non-zero and distinct
+        origin = np.linspace(-0.75, 1.25, model.dim) + 0.1
+        out = []
+        for i in range(6):
+            p = sim.sample_path(model, 2.0**10, scheme, seed=1508, replica=i, start=origin / 3)
+            for k in range(10):
+                a, b = 2.0**k, 2.0**(k + 1)
+                out.append(sim.window_min_distance(p, origin, a, b))
+                out.append(sim.window_max_distance(p, origin, a, b, include_left=False))
+            out.append(sim.window_min_distance(p, origin, 3.3, 700.0, include_left=False))
+            out.append(sim.window_max_distance(p, origin, 0.0, 2.0**10))
+            for r in (0.25, 1.0, 4.0, 16.0):
+                t = sim.first_hit_time(p, origin, r)
+                out.append(math.nan if t is None else t)
+        assert _sha256(np.array(out)) == digest
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 7, 8, 12])
+    def test_column_sums_against_row_sums(self, dim):
+        # numpy sums a row of fewer than 8 terms left to right, as the
+        # columns are summed; from 8 terms on it sums pairwise, which
+        # agrees only to rounding
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((500, dim)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+        point = rng.standard_normal(dim)
+        path = sim.PathSkeleton(np.arange(500.0), x, 0, "test", "manual")
+        got = sim._sq_distance(path, point, "point", slice(None))
+        diff = x - point
+        ref = (diff * diff).sum(axis=1)
+        if dim <= 7:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.allclose(got, ref, rtol=dim * np.finfo(float).eps, atol=0.0)
 
 
 class TestWindowFunctionals:
