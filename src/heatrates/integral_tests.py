@@ -35,7 +35,6 @@ from .scaling import (
     INCREASING,
     RateCandidate,
     ScalingFunction,
-    _exp_or_zero,
     evaluate_rate,
     inverse,
 )
@@ -45,6 +44,12 @@ DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
 
 LOG2 = math.log(2.0)
+
+
+def _exp_or_zero(x: np.ndarray) -> np.ndarray:
+    """exp(x), and 0 where x <= -745 (where exp is 0 or subnormal)."""
+    return np.where(x > -745.0, np.exp(x), 0.0)
+
 
 #: Number of dyadic blocks; t reaches t0 * 2**K_MAX (~1e72 * t0).
 K_MAX = 240

@@ -43,6 +43,7 @@ from .scaling import (
     exp_decay,
     from_id as scaling_from_id,
     inverse,
+    log_inverse,
     power,
 )
 
@@ -811,12 +812,14 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
 
     Convergence of int dt / V(phi^-1(t)) certifies transience (the
     sup-density criterion); divergence certifies recurrence for the whole
-    comparability class.  The classifier may abstain.  The integrand goes
-    through log V, so it underflows towards 0 where V itself would overflow.
+    comparability class.  The classifier may abstain.  The integrand is
+    exp(-ell_V(s)) with s = log phi^-1(t) from phi's log-inverse, so
+    phi^-1(t) is never formed: it underflows towards 0 where phi^-1(t) or
+    V itself would overflow.
     """
 
     def f(t: np.ndarray) -> np.ndarray:
-        return np.exp(-model.V.log_value(inverse(model.phi, t)))
+        return np.exp(-model.V.ell(log_inverse(model.phi, np.log(t))))
 
     verdict = _classify_nodes(f, 16.0)
     if verdict.label == CONVERGENT:

@@ -10,19 +10,20 @@ Decreasing functions simply carry non-positive exponents.  The envelope is
 *declared* at construction and *verified* on a logarithmic grid; it is data,
 not an inference, because the bound constants feed every later formula.
 
-Evaluators take a float or an ndarray: a float argument gives a float, an
-array the array of values, so an integrand over many nodes is one array
-expression.  The presets are written for both; an evaluator that only
-takes floats is applied element by element on arrays (see
-``ScalingFunction``).  ``inverse`` solves one target or an array of them.
-Each algorithm is written once, for arrays: the grid checks are array
-expressions, and a float target without a closed-form inverse is solved
-as a one-element array.
+A function is held in log-log coordinates, as one array-native evaluator
+ell(s) = log f(e**s) (the natural form of regularly varying scales: Bingham,
+Goldie & Teugels, Regular Variation, 1987, section 1.5.7; a power law is a
+line in s, an envelope a pair of slopes).  The rest derives from it: f(r) =
+exp ell(log r), ``log_value(r)`` = ell(log r), ``inverse`` solves ell(s) =
+log y in s, and the grid checks take one array call of ell.  The presets
+define ell (a ``LogLog``); a user's evaluator f gets ell(s) = log f(e**s),
+applied element by element if f only takes floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -78,97 +79,95 @@ def log_grid(lo: float, hi: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class LogLog:
+    """A function given by ell(s) = log f(e**s), one array expression in s;
+    calling it gives f(r) = exp ell(log r)."""
+
+    ell: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, r):
+        return _log_at(self.ell, r, exp=True)
+
+
+@dataclass(frozen=True)
 class ScalingFunction:
     """A positive monotone function on (0, inf) with a verified envelope.
 
     Attributes:
-        evaluator: the function itself; must be pure.  It takes a float
-            and, where it can, an ndarray of arguments (a numpy expression
-            such as ``r**p``).  Construction makes one array call on the
-            verification grid; unless it returns the per-element values,
-            arrays are evaluated one element at a time.
+        evaluator: a ``LogLog``, or f itself, pure, taking a float and where
+            it can an ndarray (such as ``r**p``): unless one call on the
+            grid array gives an array of its shape, f takes one float at a time.
         monotonicity: INCREASING or DECREASING.  Verified as non-strict
             monotonicity on the grid, so constants are admissible.
         envelope: declared two-sided power bracket, asserted only above
-            ``domain_floor``.
+            ``domain_floor``; None takes the tightest one on the grid, as
+            ``fit_envelope`` does.
         domain_floor: smallest argument at which the envelope and
             monotonicity are checked; all large-scale results only need
             behaviour above this.
-        log_evaluator: optional exact evaluation of log f, used where f
-            itself underflows (e.g. stretched-exponential decay at huge
-            arguments).  Arrays are handled as for ``evaluator``.
-        exact_inverse: optional closed-form inverse, used by ``inverse``
-            to skip the root search.  On a float target it returns a float
-            and raises OverflowError where the root leaves the float range;
-            on an array of targets it returns an array, with inf there.
+        exact_inverse: optional closed-form inverse in log-log coordinates,
+            log y -> s with ell(s) = log y, elementwise; ``inverse`` then
+            solves no equation.
+        ell: set at construction: ell(s) = log f(e**s) on an array of s.
 
-    Calls, ``log_value`` and ``_eval_checked`` go through one dispatch,
-    ``_apply``: a float or 0-d argument gives a float, an array an array of
-    the same shape.
+    A call or ``log_value`` at r is one call of ell at s = log r (r = 0 is
+    s = -inf, r < 0 NaN): a float for a float or 0-d r, else an array of r's
+    shape.
     """
 
-    evaluator: Callable[[float], float]
+    evaluator: Callable
     monotonicity: str
-    envelope: Envelope
+    envelope: Optional[Envelope]
     domain_floor: float = 1e-6
     name: str = ""
-    log_evaluator: Optional[Callable[[float], float]] = None
-    exact_inverse: Optional[Callable[[float], float]] = None
-    #: set at construction: the evaluator (log_evaluator) only takes floats
-    _scalar_only: bool = field(default=False, init=False, repr=False, compare=False)
-    _log_scalar_only: bool = field(default=False, init=False, repr=False, compare=False)
+    exact_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    ell: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.monotonicity not in (INCREASING, DECREASING):
             raise ValueError(f"unknown monotonicity {self.monotonicity!r}")
         if self.domain_floor <= 0:
             raise ValueError("domain_floor must be positive")
-        g, vals, log_vals = self._verify_on_grid()
-        object.__setattr__(self, "_scalar_only", not _maps_arrays(self.evaluator, g, vals, 0.0))
-        if self.log_evaluator is not None:
-            log_ok = _maps_arrays(self.log_evaluator, g, log_vals, _PROBE_RTOL)
-            object.__setattr__(self, "_log_scalar_only", not log_ok)
+        g = self.grid()
+        s = np.log(g)
+        ell, logs = _grid_logs(self.evaluator, g, s, self.name)
+        object.__setattr__(self, "ell", ell)
+        if self.envelope is None:
+            object.__setattr__(self, "envelope", _fit(s, logs))
+        self._verify_on_grid(g, s, logs)
 
     # -- construction-time checks -------------------------------------
 
     def grid(self) -> np.ndarray:
         return log_grid(self.domain_floor, self.domain_floor * 10.0**GRID_DECADES)
 
-    def _verify_on_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Check positivity, monotonicity and the envelope on the grid;
-        returns the grid, the values and their logs."""
-        g = self.grid()
-        vals = _grid_values(self.evaluator, g, self.name)
-        diffs = np.diff(vals)
-        slack = GRID_RTOL * np.maximum(vals[:-1], vals[1:])
+    def _verify_on_grid(self, g: np.ndarray, s: np.ndarray, logs: np.ndarray) -> None:
+        """Check monotonicity (no step of log f the wrong way) and the
+        envelope on every grid pair i < j from logs = ell(s): with a (b) =
+        log f - d_lo (d_hi) s, a_j - a_i >= log c_lo and b_j - b_i <= log
+        c_hi, all up to GRID_RTOL.  A violation names the first failing pair
+        in i-major order."""
+        steps = np.diff(logs)
         up = self.monotonicity == INCREASING
-        wrong = diffs < -slack if up else diffs > slack
+        wrong = steps < _LOG_SLACK if up else steps > -_LOG_SLACK
         if wrong.any():
             kind = "nondecreasing" if up else "nonincreasing"
             raise PreconditionError(
                 f"{self.name or 'scaling function'}: not {kind} near r={g[int(np.argmax(wrong))]:g}"
             )
-        return g, vals, self._verify_envelope(g, vals)
-
-    def _verify_envelope(self, g: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Check the envelope on every grid pair i < j, in logs: with a (b) =
-        log f - d_lo (d_hi) log r, a_j - a_i >= log c_lo and b_j - b_i <=
-        log c_hi, up to GRID_RTOL.  A violation names the first failing pair
-        in i-major order.  Returns log f on the grid."""
         env = self.envelope
-        lg, lv = np.log(g), np.log(vals)
-        a, b = lv - env.d_lo * lg, lv - env.d_hi * lg
-        tol_lo = math.log(env.c_lo) + math.log1p(-GRID_RTOL)
+        a, b = logs - env.d_lo * s, logs - env.d_hi * s
+        tol_lo = math.log(env.c_lo) + _LOG_SLACK
         tol_hi = math.log(env.c_hi) + math.log1p(GRID_RTOL)
         # min_j>i (a_j - a_i) = (min_j>i a_j) - a_i: extremes from the right check all pairs
         a_min = np.minimum.accumulate(a[::-1])[::-1]
         b_max = np.maximum.accumulate(b[::-1])[::-1]
         bad = (a_min[1:] - a[:-1] < tol_lo) | (b_max[1:] - b[:-1] > tol_hi)
         if not bad.any():
-            return lv
+            return
         i = int(np.argmax(bad))
         j = i + 1 + int(np.argmax((a[i + 1 :] - a[i] < tol_lo) | (b[i + 1 :] - b[i] > tol_hi)))
-        span, ratio = g[j] / g[i], vals[j] / vals[i]
+        span, ratio = g[j] / g[i], math.exp(logs[j] - logs[i])
         raise PreconditionError(
             f"{self.name or 'scaling function'}: envelope violated at "
             f"(r={g[i]:g}, R={g[j]:g}): ratio={ratio:g} outside "
@@ -176,36 +175,34 @@ class ScalingFunction:
         )
 
     def _eval_checked(self, r):
-        """f(r), raising EvaluationError where the value is not finite."""
-        v = self(r)
-        bad = ~np.isfinite(v)
-        if bad.any():
+        """f(r), raising EvaluationError where ell(log r) is NaN or +inf."""
+        return _exp(self._ell_checked(np.log(r)))
+
+    def _ell_checked(self, s):
+        """ell(s), raising EvaluationError where it is NaN or +inf (f not
+        finite); -inf, where f is 0, is a value."""
+        s = np.asarray(s, dtype=float)
+        v = self.ell(s)
+        bad = ~(v < math.inf)  # true for NaN too
+        if _any(bad):
             raise EvaluationError(
-                f"{self.name or 'scaling function'}: non-finite value at r={_first(r, bad):g}"
+                f"{self.name or 'scaling function'}: non-finite value at r={_first(np.exp(s), bad):g}"
             )
         return v
 
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, r):
-        if type(r) is float:  # the common case, without the dispatch
-            return float(self.evaluator(r))
-        return _apply(self.evaluator, self._scalar_only, r)
+        return _log_at(self.ell, r, exp=True)
 
     def log_value(self, r):
-        """log f(r), exact even where f underflows."""
-        if self.log_evaluator is not None:
-            return _apply(self.log_evaluator, self._log_scalar_only, r)
-        v = self(r)
-        bad = v <= 0
-        if np.any(bad):
-            raise EvaluationError(f"cannot take log of f({_first(r, bad):g})={_first(v, bad):g}")
-        return math.log(v) if isinstance(v, float) else np.log(v)
+        """log f(r) = ell(log r), exact even where f underflows."""
+        return _log_at(self.ell, r)
 
 
-#: how closely an evaluator's one array call must reproduce its per-element
-#: values (a numpy expression may round differently in the last bits)
-_PROBE_RTOL = 1e-12
+#: a step of log f down by more than this breaks nondecreasing on the grid
+#: (f falls by more than the relative GRID_RTOL)
+_LOG_SLACK = math.log1p(-GRID_RTOL)
 
 
 def _first(a, mask) -> float:
@@ -213,11 +210,36 @@ def _first(a, mask) -> float:
     return float(np.asarray(a, dtype=float)[mask][0])
 
 
-def _grid_values(evaluator: Callable, g: np.ndarray, name: str = "") -> np.ndarray:
-    """The evaluator on a grid, one call per point on Python floats (the
-    same libm calls as on np.float64 scalars, at less cost per call), checked
-    finite and positive: EvaluationError names the first r where it is not."""
-    vals = np.array([float(evaluator(r)) for r in g.tolist()])
+def _any(mask) -> bool:
+    """mask.any(), without a reduction (a tenth of its cost) for a scalar mask."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _log_at(ell: Callable, r, exp: bool = False):
+    """ell(log r), or with exp its exp: a float for a float or 0-d r, else
+    an array of r's shape."""
+    if isinstance(r, float) and r > 0.0:  # the common case, without numpy's array handling
+        v = float(ell(math.log(r)))
+        return _exp(v) if exp else v
+    r = np.asarray(r, dtype=float)
+    # r = 0 is s = -inf and r < 0 NaN; exp is inf past the float range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = ell(np.log(r))
+        v = np.exp(v) if exp else v
+    return float(v) if r.ndim == 0 else v
+
+
+def _exp(v):
+    """exp(v), inf past the float range: a float for a float."""
+    if isinstance(v, float):
+        return math.exp(v) if not v > _S_HI else math.inf
+    with np.errstate(over="ignore"):
+        return np.exp(v)
+
+
+def _checked(vals: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
+    """vals, checked finite and positive: EvaluationError names the first r
+    of g where they are not, a non-finite value before a non-positive one."""
     if not (0.0 < vals.min() and vals.max() < math.inf):  # true for NaN too
         for bad, what in ((~np.isfinite(vals), "non-finite"), (vals <= 0, "non-positive")):
             if bad.any():
@@ -225,30 +247,47 @@ def _grid_values(evaluator: Callable, g: np.ndarray, name: str = "") -> np.ndarr
     return vals
 
 
-def _maps_arrays(fn: Callable, g: np.ndarray, expected: np.ndarray, atol: float) -> bool:
-    """Whether fn(g), one array call, gives the per-element values expected."""
+def _grid_values(evaluator: Callable, g: np.ndarray, name: str = "") -> np.ndarray:
+    """The evaluator on a grid, one call per point on Python floats, checked."""
+    return _checked(np.array([float(evaluator(r)) for r in g.tolist()]), g, name)
+
+
+def _grid_logs(evaluator: Callable, g: np.ndarray, s: np.ndarray, name: str) -> tuple[Callable, np.ndarray]:
+    """(ell, log f on the grid g, s = log g) for an evaluator: a
+    ``LogLog``'s ell on s, or f's values on g from its one array call, if
+    that gives an array of g's shape, else one call per point.  log f must
+    be finite on the grid: EvaluationError names the first r where not."""
+    if isinstance(evaluator, LogLog):
+        logs = np.asarray(evaluator.ell(s), dtype=float)
+        for bad, what in ((~(logs < math.inf), "non-finite"), (logs == -math.inf, "non-positive")):
+            if bad.any():
+                raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
+        return evaluator.ell, logs
     try:
-        out = fn(g)
+        out = evaluator(g)
     except (TypeError, ValueError):  # math functions, and `if r <= c`, reject arrays
-        return False
-    return (
-        isinstance(out, np.ndarray)
-        and out.shape == g.shape
-        and bool(np.all(np.abs(out - expected) <= _PROBE_RTOL * np.abs(expected) + atol))
-    )
+        out = None
+    takes_arrays = isinstance(out, np.ndarray) and out.shape == g.shape
+    vals = _checked(out.astype(float), g, name) if takes_arrays else _grid_values(evaluator, g, name)
+
+    def ell(s):
+        with np.errstate(over="ignore"):  # s past the float range is r = inf
+            r = np.exp(s)
+        if takes_arrays:
+            v = np.asarray(evaluator(r), dtype=float)
+        else:
+            v = np.array([float(evaluator(x)) for x in np.ravel(r).tolist()]).reshape(np.shape(r))
+        with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 is -inf, f < 0 NaN
+            return np.log(v)
+
+    return ell, np.log(vals)
 
 
-def _apply(fn: Callable, scalar_only: bool, r):
-    """fn at r: a float for a float or 0-d r, else an array of r's shape,
-    from one call, or one call per element where fn only takes floats."""
-    if isinstance(r, float):
-        return float(fn(r))
-    r = np.asarray(r, dtype=float)
-    if not r.ndim:
-        return float(fn(float(r)))
-    if scalar_only:
-        return np.array([float(fn(x)) for x in r.ravel().tolist()]).reshape(r.shape)
-    return fn(r)
+def _fit(s: np.ndarray, logs: np.ndarray, margin: float = 1e-6) -> Envelope:
+    """The tightest power bracket of the grid pairs, from the slopes of log
+    f between neighbours, with a multiplicative safety margin."""
+    slopes = np.diff(logs) / np.diff(s)
+    return Envelope(1.0 - margin, float(slopes.min()), 1.0 + margin, float(slopes.max()))
 
 
 def fit_envelope(
@@ -264,14 +303,12 @@ def fit_envelope(
     neighbouring points it spans, so the steepest and the shallowest chords
     join neighbours: the neighbouring slopes alone give the bracket of all
     pairs.  Intended for functions whose exact exponent range is awkward to
-    state by hand.  The values must be finite and positive on the grid, as
-    for ``ScalingFunction``.
+    state by hand.  The evaluator is taken as by ``ScalingFunction``, and
+    its values must be finite and positive on the grid.
     """
     g = log_grid(domain_floor, domain_floor * 10.0**GRID_DECADES)
-    slopes = np.diff(np.log(_grid_values(evaluator, g))) / np.diff(np.log(g))
-    return Envelope(
-        c_lo=1.0 - margin, d_lo=float(slopes.min()), c_hi=1.0 + margin, d_hi=float(slopes.max())
-    )
+    s = np.log(g)
+    return _fit(s, _grid_logs(evaluator, g, s, "")[1], margin)
 
 
 # ---------------------------------------------------------------------------
@@ -364,197 +401,181 @@ def _worst_log_ratio(h: ScalingFunction, pts: np.ndarray, a: float, b: float):
 
 
 def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None):
-    """Solve f(t) = y for increasing f.
+    """Solve f(t) = y for increasing f: t = e**s, s = ``log_inverse(f, log y)``.
 
-    y is a float (a float comes back) or an array of targets (an array of
-    the same shape comes back).
+    y is a float or 0-d array (a float comes back) or an array of targets
+    (an array of the same shape comes back).  A root past the float range
+    raises OverflowError naming its target.
+    """
+    y = np.asarray(y, dtype=float)[()]  # a numpy float for a float or 0-d y
+    bad = ~((y > 0.0) & (y < math.inf))
+    if _any(bad):
+        raise BracketError(f"target value {_first(y, bad)!r} not a positive real")
+    s = log_inverse(f, np.log(y), bracket)
+    over = s > _S_HI
+    if _any(over):
+        raise OverflowError(f"{f.name or 'scaling function'}: inverse of y={_first(y, over):g} overflows")
+    t = np.exp(s)
+    return float(t) if y.ndim == 0 else t
+
+
+def log_inverse(f: ScalingFunction, log_y, bracket: Optional[tuple[float, float]] = None) -> np.ndarray:
+    """s = log f^-1(y), the root of ell(s) = log y, for increasing f and an
+    array of log y.  Where f^-1(y) leaves the float range s is still a
+    float, so a caller that needs only ell of s never forms f^-1(y).
 
     Uses the exact inverse when the function carries one and no explicit
-    bracket was requested; a root that overflows raises OverflowError
-    naming its target.  Its accuracy is the float conditioning of the
-    closed form, not the 1e-12 stopping rule below.  Otherwise it takes
-    the given bracket, or gallops out from t0 = max(1, domain_floor) to
-    find one (so a function undefined at 1, such as powerlog with a
+    bracket (in t) was requested; its accuracy is the float conditioning of
+    the closed form, not the stopping rule below.  Otherwise it takes log
+    of the given bracket, or gallops out from s0 = log max(1, domain_floor)
+    to find one (so a function undefined at r = 1, such as powerlog with a
     negative log exponent, is first evaluated where it was verified), and
-    runs regula falsi on (log t, log f(t) - log y) with the Illinois
-    modification (Dowell & Jarratt 1971).  A bisection step in log t
-    replaces every interpolated point that is unusable, so the bracket
-    stays valid and no smoothness is assumed.  Returns the first point t
-    with |f(t) - y| <= 1e-12 y, or the middle of the bracket after 200
-    steps.  The solve is written for arrays: a float target is solved as
-    a one-element array.  An array of targets shares one gallop, then takes
-    the same steps on all targets at once: one evaluation of f on the whole
-    array per step, with the state of the targets already solved left as
-    it is.
+    runs regula falsi on (s, ell(s) - log y) with the Illinois modification
+    (Dowell & Jarratt 1971).  A bisection step, the midpoint in s, replaces
+    every interpolated point that is unusable, so the bracket stays valid
+    and no smoothness is assumed.  Returns the first s with |ell(s) - log y|
+    <= 1e-12 (f within 1e-12 of y, relative), or the middle of the bracket
+    once it is two adjacent floats or after 200 steps.  All targets share
+    one gallop, then take the same steps at once: one evaluation of ell on
+    the whole array per step, with the state of the targets already solved
+    left as it is.
     """
     if f.monotonicity != INCREASING:
         raise PreconditionError("inverse requires an increasing function")
-    if type(y) is not float:  # np.float64 too: the float path wants ** to raise on overflow
-        y = np.asarray(y, dtype=float)
-        if y.ndim:
-            return _inverse_array(f, y, bracket)
-        y = float(y)
-    if bracket is not None or f.exact_inverse is None:
-        return float(_inverse_array(f, np.array([y]), bracket)[0])
-    if not 0.0 < y < math.inf:  # false for NaN too
-        raise BracketError(f"target value {y!r} not a positive real")
-    try:
-        return float(f.exact_inverse(y))
-    except OverflowError:
-        raise OverflowError(
-            f"{f.name or 'scaling function'}: inverse of y={y:g} overflows"
-        ) from None
-
-
-def _split(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection points of [lo, hi]: the middle in log t where lo > 0."""
-    return np.where(lo > 0.0, np.sqrt(np.maximum(lo, 0.0)) * np.sqrt(hi), 0.5 * (lo + hi))
-
-
-def _log_ratio(v: np.ndarray, log_y: np.ndarray) -> np.ndarray:
-    """log v - log y, and -inf where v <= 0."""
-    with np.errstate(divide="ignore"):  # log 0 is the -inf wanted
-        return np.log(np.maximum(v, 0.0)) - log_y
-
-
-def _inverse_array(f: ScalingFunction, y: np.ndarray, bracket) -> np.ndarray:
-    """inverse on an array of targets."""
-    bad = ~((y > 0.0) & (y < math.inf))
-    if bad.any():
-        raise BracketError(f"target value {_first(y, bad)!r} not a positive real")
     if bracket is None and f.exact_inverse is not None:
-        with np.errstate(over="ignore"):  # an overflow raises below, naming its target
-            t = np.asarray(f.exact_inverse(y), dtype=float)
-        over = t == math.inf
-        if over.any():
-            raise OverflowError(
-                f"{f.name or 'scaling function'}: inverse of y={y[over][0]:g} overflows"
-            )
-        return t
-    shape, y = y.shape, y.ravel()
+        return f.exact_inverse(log_y)
+    log_y = np.asarray(log_y, dtype=float)
+    shape, log_y = log_y.shape, log_y.ravel()
     if bracket is None:
-        lo, f_lo, hi, f_hi = _auto_brackets(f, y)
+        lo, g_lo, hi, g_hi = _auto_brackets(f, log_y)
     else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        f_lo, f_hi = f._eval_checked(lo), f._eval_checked(hi)
-        miss = ~((f_lo <= y * (1 + _INVERSE_RTOL)) & (f_hi >= y * (1 - _INVERSE_RTOL)))
+        if not 0.0 < bracket[0] < bracket[1] < math.inf:
+            raise BracketError(f"bracket {bracket!r} is not an interval of positive reals")
+        lo, hi = math.log(bracket[0]), math.log(bracket[1])
+        g_lo, g_hi = f._ell_checked(np.array([lo, hi]))
+        miss = ~((g_lo - log_y <= _INVERSE_RTOL) & (g_hi - log_y >= -_INVERSE_RTOL))
         if miss.any():
             raise BracketError(
-                f"bracket [{lo:g}, {hi:g}] maps to [{f_lo:g}, {f_hi:g}], "
-                f"which does not straddle y={y[miss][0]:g}"
+                f"bracket [{bracket[0]:g}, {bracket[1]:g}] maps to [{_exp(g_lo):g}, {_exp(g_hi):g}], "
+                f"which does not straddle y={_exp(float(log_y[miss][0])):g}"
             )
-        lo, f_lo, hi, f_hi = (np.full(y.shape, x) for x in (lo, f_lo, hi, f_hi))
-    # the state, one entry per target, updated in place where the target is
-    # unsolved; fixed shapes keep the allocations alike from step to step,
-    # so that they reuse the memory freed by the step before
-    at_lo = np.abs(f_lo - y) <= _INVERSE_RTOL * y
+        lo, g_lo, hi, g_hi = (np.full(log_y.shape, x) for x in (lo, g_lo, hi, g_hi))
+    # g = ell - log y from here; the state, one entry per target, is updated
+    # in place where the target is unsolved; fixed shapes keep the
+    # allocations alike from step to step, so that they reuse the memory
+    # freed by the step before
+    g_lo -= log_y
+    g_hi -= log_y
+    at_lo = np.abs(g_lo) <= _INVERSE_RTOL
     out = np.where(at_lo, lo, hi)
-    unsolved = ~at_lo & (np.abs(f_hi - y) > _INVERSE_RTOL * y)
-    log_y = np.log(y)
-    g_lo, g_hi = _log_ratio(f_lo, log_y), _log_ratio(f_hi, log_y)
-    kept = np.zeros(y.shape)  # +1 / -1 where the last step kept lo / hi
+    unsolved = ~at_lo & (np.abs(g_hi) > _INVERSE_RTOL)
+    kept = np.zeros(log_y.shape)  # +1 / -1 where the last step kept lo / hi
     for _ in range(_INVERSE_MAX_ITER):
         if not unsolved.any():
             break
-        # interpolate where the bracket is inside (0, inf) in t and in g;
-        # a point outside the bracket falls back to bisection
-        slope = (lo > 0.0) & (g_lo > -math.inf)
-        x_lo, x_hi = np.log(np.where(slope, lo, 1.0)), np.log(hi)
-        with np.errstate(over="ignore", invalid="ignore"):  # unused where not slope
-            t = np.exp(x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo))
-        t = np.where(slope & (lo < t) & (t < hi), t, _split(lo, hi))
-        v = f._eval_checked(t)
-        # done: solved, or the bracket is two adjacent floats (t is lo or hi)
-        done = unsolved & ((np.abs(v - y) <= _INVERSE_RTOL * y) | ~((lo < t) & (t < hi)))
-        np.copyto(out, t, where=done)
+        # interpolate where g_lo is finite (it is -inf where f(lo) = 0); a
+        # point outside the bracket falls back to bisection
+        with np.errstate(invalid="ignore", divide="ignore"):  # unused where g_lo = -inf
+            s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        s = np.where((g_lo > -math.inf) & (lo < s) & (s < hi), s, 0.5 * (lo + hi))
+        g = f._ell_checked(s) - log_y
+        # done: solved, or the bracket is two adjacent floats (s is lo or hi)
+        done = unsolved & ((np.abs(g) <= _INVERSE_RTOL) | ~((lo < s) & (s < hi)))
+        np.copyto(out, s, where=done)
         unsolved &= ~done
-        g = _log_ratio(v, log_y)
-        short = v < y
+        short = g < 0.0
         below, above = unsolved & short, unsolved & ~short
         np.multiply(g_hi, 0.5, out=g_hi, where=below & (kept < 0))  # kept twice: halve
         np.multiply(g_lo, 0.5, out=g_lo, where=above & (kept > 0))
-        np.copyto(lo, t, where=below)
+        np.copyto(lo, s, where=below)
         np.copyto(g_lo, g, where=below)
-        np.copyto(hi, t, where=above)
+        np.copyto(hi, s, where=above)
         np.copyto(g_hi, g, where=above)
         np.copyto(kept, -1.0, where=below)
         np.copyto(kept, 1.0, where=above)
-    np.copyto(out, _split(lo, hi), where=unsolved)
+    np.copyto(out, 0.5 * (lo + hi), where=unsolved)
     return out.reshape(shape)
 
 
-#: the bracketing gallop multiplies t by a factor that starts at 2 and
-#: squares at every step, up to this cap
-_GALLOP_MAX_STEP = 2.0**64
+#: the bracketing gallop moves s by a step that starts at log 2 and doubles
+#: at every step, up to this cap
+_GALLOP_MAX_STEP = 64.0 * math.log(2.0)
+#: s = log t of the least and the largest positive float t (so |log y| <= -_S_LO
+#: for every float y > 0)
+_S_LO, _S_HI = math.log(math.ulp(0.0)), math.log(sys.float_info.max)
 
 
-def _auto_brackets(f: ScalingFunction, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(lo, f(lo), hi, f(hi)) for each target of a 1-d y, with f(lo) < y <=
-    f(hi) or f(lo) <= y < f(hi), from one gallop up to the largest target
-    above f(t0), t0 = max(1, domain_floor), and one down to the smallest of
-    the others.
+def _auto_brackets(f: ScalingFunction, log_y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, ell(lo), hi, ell(hi)) in s for each target of a 1-d log y, with
+    ell(lo) < log y <= ell(hi) or ell(lo) <= log y < ell(hi), from one
+    gallop up to the largest target above ell(s0), s0 = log max(1,
+    domain_floor), and one down to the smallest of the others.
 
     Each target gets the two points where a gallop towards it alone would
     stop: the first point past it (searchsorted on the running extreme, so
     that it is the first even where f was not verified monotone) and the
     one before.
     """
-    lo, f_lo, hi, f_hi = (np.empty_like(y) for _ in range(4))
+    lo, g_lo, hi, g_hi = (np.empty_like(log_y) for _ in range(4))
     t0 = max(1.0, f.domain_floor)
-    f0 = f._eval_checked(t0)
-    up = y > f0
+    s0 = float(np.log(t0))
+    if np.exp(s0) < t0:  # the gallop evaluates f at e**s0, which is not below t0
+        s0 = math.nextafter(s0, math.inf)
+    l0 = float(f._ell_checked(s0))
+    up = log_y > l0
     if up.any():
-        ts, vs = _gallop_points(f, float(y[up].max()), t0, f0)
-        k = np.searchsorted(np.maximum.accumulate(vs), y[up])  # first vs[k] >= y
-        lo[up], f_lo[up], hi[up], f_hi[up] = ts[k - 1], vs[k - 1], ts[k], vs[k]
+        ss, ls = _gallop_points(f, float(log_y[up].max()), s0, l0)
+        k = np.searchsorted(np.maximum.accumulate(ls), log_y[up])  # first ls[k] >= log y
+        lo[up], g_lo[up], hi[up], g_hi[up] = ss[k - 1], ls[k - 1], ss[k], ls[k]
     down = ~up
     if down.any():
-        ts, vs = _gallop_points(f, float(y[down].min()), t0, f0)
-        # first k >= 1 with vs[k] <= y: the gallop tests its steps, not t0
-        run = np.minimum.accumulate(vs[1:])[::-1]
-        k = len(vs) - np.searchsorted(run, y[down], side="right")
-        lo[down], f_lo[down], hi[down], f_hi[down] = ts[k], vs[k], ts[k - 1], vs[k - 1]
-    return lo, f_lo, hi, f_hi
+        ss, ls = _gallop_points(f, float(log_y[down].min()), s0, l0)
+        # first k >= 1 with ls[k] <= log y: the gallop tests its steps, not s0
+        run = np.minimum.accumulate(ls[1:])[::-1]
+        k = len(ls) - np.searchsorted(run, log_y[down], side="right")
+        lo[down], g_lo[down], hi[down], g_hi[down] = ss[k], ls[k], ss[k - 1], ls[k - 1]
+    return lo, g_lo, hi, g_hi
 
 
 def _gallop_points(
-    f: ScalingFunction, y: float, t0: float, f0: float
+    f: ScalingFunction, log_y: float, s0: float, l0: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arguments and values of t0 and of every point a gallop to y passes.
+    """Points s and values ell(s) of s0 and of every point a gallop to log y
+    passes.
 
-    The gallop starts at t0 = max(1, domain_floor), so a target above f(t0)
-    never evaluates f below 1 or below the verified domain, and steps
-    towards y until a value reaches it.  A step that leaves the float
-    range, in t or in f(t), is retried from the same t with the square root
-    of its factor; once the factor is down to 1, BracketError.  The points depend on f alone, so the gallop towards y
-    passes a prefix of the points of the gallop towards any target farther
-    out.
+    The gallop starts at s0, so a target above f(e**s0) never evaluates f
+    below 1 or below the verified domain, and steps towards log y until a
+    value reaches it.  A step that leaves the float range in t = e**s, or
+    to a point where ell is NaN or +inf or raises, is retried from the same
+    s with half its length; once that no longer moves s, BracketError.  The
+    points depend on f alone, so the gallop towards y passes a prefix of the
+    points of the gallop towards any target farther out.
     """
-    t, ts, vs = t0, [t0], [f0]
-    up = f0 < y
-    step = 2.0
+    s, ss, ls = s0, [s0], [l0]
+    up = l0 < log_y
+    step = math.log(2.0)
     while True:
-        nt = t * step if up else t / step
-        if nt == t:
+        ns = s + step if up else s - step
+        if ns == s:
             side = "above" if up else "below"
             raise BracketError(
-                f"could not bracket y={y:g} from {side}: no finite value past t={t:g}"
+                f"could not bracket y={_exp(log_y):g} from {side}: no finite value past t={_exp(s):g}"
             )
-        nv = None
-        if 0.0 < nt < math.inf:
+        nl = None
+        if _S_LO < ns < _S_HI:
             try:
-                nv = f._eval_checked(nt)
+                nl = float(f._ell_checked(ns))
             except (OverflowError, EvaluationError):
                 pass
-        if nv is None:
-            step = math.sqrt(step)
+        if nl is None:
+            step *= 0.5
             continue
-        ts.append(nt)
-        vs.append(nv)
-        if (nv >= y) if up else (nv <= y):
-            return np.array(ts), np.array(vs)
-        t = nt
-        step = min(step * step, _GALLOP_MAX_STEP)
+        ss.append(ns)
+        ls.append(nl)
+        if (nl >= log_y) if up else (nl <= log_y):
+            return np.array(ss), np.array(ls)
+        s = ns
+        step = min(2.0 * step, _GALLOP_MAX_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -623,54 +644,29 @@ def evaluate_rate(candidate: RateCandidate, t):
 
 _E = math.e
 _EE = math.exp(math.e)
-#: log of the smallest positive float: |log y| is at most this for every float y > 0
-_LOG_TINY = -math.log(math.ulp(0.0))
 
 
-# The presets' evaluators take a float or an ndarray.  Each picks its module
-# once per call, `xp = math if isinstance(r, float) else np`: math keeps a
-# float call as cheap as a plain math expression, numpy serves arrays.
+# Each preset is one ell(s) = log f(e**s), an array expression in s.
 
 
-def _exp_or_zero(x):
-    """exp(x), and 0 where x <= -745 (where exp is 0 or subnormal)."""
-    if isinstance(x, float):
-        return math.exp(x) if x > -745.0 else 0.0
-    return np.where(x > -745.0, np.exp(x), 0.0)
-
-
-def _log_from(r, least: float, undefined: str):
-    """log r, raising EvaluationError with undefined.format(r) at the first
-    r (of a float or an array) where log r < least or r is not a number."""
-    if isinstance(r, float):
-        lr = math.log(r) if r > 0.0 else -math.inf
-        if not lr >= least:
-            raise EvaluationError(undefined.format(r))
-        return lr
-    with np.errstate(divide="ignore", invalid="ignore"):  # log of r <= 0 is named below
-        lr = np.log(r)
-    bad = ~(lr >= least)
-    if bad.any():
-        raise EvaluationError(undefined.format(r[bad][0]))
-    return lr
-
-
-def _full(r, value: float):
-    """value at every argument: a float for a float, else an array like r."""
-    return value if isinstance(r, float) else np.full(np.shape(r), value)
+def _check_domain(s, least: float, undefined: str) -> None:
+    """EvaluationError with undefined.format(r), r = e**s, at the first s
+    below least or not a number."""
+    bad = ~np.greater_equal(s, least)  # a numpy bool for a float s too
+    if _any(bad):
+        raise EvaluationError(undefined.format(_first(np.exp(s), bad)))
 
 
 def power(exponent: float, domain_floor: float = 1e-6) -> ScalingFunction:
-    """f(r) = r**exponent."""
+    """f(r) = r**exponent: ell(s) = exponent * s."""
     mono = INCREASING if exponent >= 0 else DECREASING
-    inv = (lambda y, p=exponent: y ** (1.0 / p)) if exponent != 0 else None
+    inv = (lambda log_y, p=exponent: log_y / p) if exponent != 0 else None
     return ScalingFunction(
-        evaluator=lambda r, p=exponent: r**p,
-        monotonicity=mono,
-        envelope=Envelope(1.0, exponent, 1.0, exponent),
-        domain_floor=domain_floor,
+        LogLog(lambda s, p=exponent: p * s),
+        mono,
+        Envelope(1.0, exponent, 1.0, exponent),
+        domain_floor,
         name=f"power:{exponent:g}",
-        log_evaluator=lambda r, p=exponent: p * (math if isinstance(r, float) else np).log(r),
         exact_inverse=inv,
     )
 
@@ -680,21 +676,21 @@ def constant(value: float) -> ScalingFunction:
     if value <= 0:
         raise PreconditionError("constant preset must be positive")
     return ScalingFunction(
-        evaluator=lambda r, v=value: _full(r, v),
-        monotonicity=DECREASING,
-        envelope=Envelope(1.0, 0.0, 1.0, 0.0),
-        domain_floor=1e-6,
+        LogLog(lambda s, lv=math.log(value): np.full(np.shape(s), lv)),
+        DECREASING,
+        Envelope(1.0, 0.0, 1.0, 0.0),
+        1e-6,
         name=f"const:{value:g}",
-        log_evaluator=lambda r, lv=math.log(value): _full(r, lv),
     )
 
 
 def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) -> ScalingFunction:
     """f(r) = r**exponent * (log r)**log_exponent, for r > 1.
 
-    With p = exponent > 0 and q = log_exponent > 0, f increases from 0 at
-    r = 1 and its inverse has a closed form.  With s = log r, f(r) = y reads
-    p s + q log s = log y, so
+    With s = log r, ell(s) = p s + q log s for p = exponent and q =
+    log_exponent.  With p > 0 and q > 0, f increases from 0 at r = 1 and
+    its inverse has a closed form: ell(s) = log y reads p s + q log s =
+    log y, so
 
         s = (q/p) * omega(log y / q - log(q/p)),
 
@@ -720,87 +716,61 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
     else:
         least, undefined = 0.0, f"{name}: undefined at r={{:g}} (log r < 0)"
 
-    def ev(r, p=exponent, q=log_exponent):
-        return r**p * _log_from(r, least, undefined) ** q
-
-    def log_ev(r, p=exponent, q=log_exponent):
-        xp = math if isinstance(r, float) else np
-        lr = _log_from(r, least, undefined)
+    def ell(s, p=exponent, q=log_exponent):
+        _check_domain(s, least, undefined)
         if not q:  # (log r)**0 is 1, at r = 1 too
-            return p * xp.log(r)
-        # with q > 0, log r = 0 at r = 1, where f = 0 and log f = -inf
-        if xp is math:
-            return p * math.log(r) + (q * math.log(lr) if lr else -math.inf)
-        with np.errstate(divide="ignore"):
-            return p * np.log(r) + q * np.log(lr)
+            return p * s
+        with np.errstate(divide="ignore"):  # q > 0: log s = -inf at s = 0, where f = 0
+            return p * s + q * np.log(s)
 
     inv = None
     k = log_exponent / exponent if exponent > 0.0 else math.nan
     # the closed form needs q/p, and log y / q for every positive float y, finite
-    if log_exponent > 0.0 and math.isfinite(k) and math.isfinite(_LOG_TINY / log_exponent):
+    if log_exponent > 0.0 and math.isfinite(k) and math.isfinite(_S_LO / log_exponent):
+        inv = lambda log_y, q=log_exponent, k=k: k * wrightomega(log_y / q - math.log(k))  # noqa: E731
 
-        def inv(y, q=log_exponent, k=k):
-            if isinstance(y, float):  # math.exp raises OverflowError past the float range
-                return math.exp(k * wrightomega(math.log(y) / q - math.log(k)))
-            return np.exp(k * wrightomega(np.log(y) / q - math.log(k)))
-
-    sample = [ev(domain_floor), ev(domain_floor * 10**GRID_DECADES)]
-    mono = INCREASING if sample[1] >= sample[0] else DECREASING
+    ends = ell(np.log([domain_floor, domain_floor * 10.0**GRID_DECADES]))
     return ScalingFunction(
-        evaluator=ev,
-        monotonicity=mono,
-        envelope=fit_envelope(ev, domain_floor),
-        domain_floor=domain_floor,
+        LogLog(ell),
+        INCREASING if ends[1] >= ends[0] else DECREASING,
+        None,
+        domain_floor,
         name=name,
-        log_evaluator=log_ev,
         exact_inverse=inv,
     )
 
 
 def exp_decay(c0: float, gamma: float) -> ScalingFunction:
-    """h(s) = exp(-c0 * s**gamma), the stretched-exponential tail profile."""
+    """h(r) = exp(-c0 * r**gamma), the stretched-exponential tail profile:
+    ell(s) = -c0 exp(gamma s)."""
     if c0 <= 0 or gamma <= 0:
         raise PreconditionError("exp-decay needs c0 > 0 and gamma > 0")
     # keep the verification grid clear of exp underflow
     floor = min(1e-6, (700.0 / c0) ** (1.0 / gamma) / 10.0**GRID_DECADES)
-
-    def ev(s, a=c0, g=gamma):
-        return (math if isinstance(s, float) else np).exp(-a * s**g)
-
     return ScalingFunction(
-        evaluator=ev,
-        monotonicity=DECREASING,
-        envelope=fit_envelope(ev, floor),
-        domain_floor=floor,
+        LogLog(lambda s, a=c0, g=gamma: -a * np.exp(g * s)),
+        DECREASING,
+        None,
+        floor,
         name=f"exp-decay:{c0:g},{gamma:g}",
-        log_evaluator=lambda s, a=c0, g=gamma: -a * s**g,
     )
 
 
 def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
     """g(t) = exp(-(log t) * (log log t)**(1+eps)); decays faster than any power.
 
-    Defined for t >= e: below it log log t < 0, and its power is complex.
+    ell(s) = -s (log s)**(1+eps), defined for t >= e: below it log log t < 0,
+    and its power is complex.
     """
     name = f"iterated-log-g:{eps:g}"
     undefined = f"{name}: undefined at t={{:g}} (log log t < 0)"
 
-    def log_ev(t, e=eps):
-        lt = _log_from(t, 1.0, undefined)
-        return -lt * (math if isinstance(t, float) else np).log(lt) ** (1.0 + e)
-
-    def ev(t, e=eps):
-        return _exp_or_zero(log_ev(t, e))
+    def ell(s, e=eps):
+        _check_domain(s, 1.0, undefined)
+        return -s * np.log(s) ** (1.0 + e)
 
     # the verification grid stays within exp range for moderate eps
-    return ScalingFunction(
-        evaluator=ev,
-        monotonicity=DECREASING,
-        envelope=fit_envelope(ev, domain_floor),
-        domain_floor=domain_floor,
-        name=name,
-        log_evaluator=log_ev,
-    )
+    return ScalingFunction(LogLog(ell), DECREASING, None, domain_floor, name=name)
 
 
 def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
@@ -809,22 +779,11 @@ def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
     eps = 0 gives exactly 1/log(e + t); eps = 1 the (log log t)/(log t) shape.
     """
 
-    def ev(t, e=eps):
-        xp = math if isinstance(t, float) else np
-        return xp.log(xp.log(_EE + t)) ** e / xp.log(_E + t)
+    def ell(s, e=eps):
+        t = np.exp(s)
+        return e * np.log(np.log(np.log(_EE + t))) - np.log(np.log(_E + t))
 
-    def log_ev(t, e=eps):
-        xp = math if isinstance(t, float) else np
-        return e * xp.log(xp.log(xp.log(_EE + t))) - xp.log(xp.log(_E + t))
-
-    return ScalingFunction(
-        evaluator=ev,
-        monotonicity=DECREASING,
-        envelope=fit_envelope(ev, domain_floor),
-        domain_floor=domain_floor,
-        name=f"loglog-g:{eps:g}",
-        log_evaluator=log_ev,
-    )
+    return ScalingFunction(LogLog(ell), DECREASING, None, domain_floor, name=f"loglog-g:{eps:g}")
 
 
 def from_id(spec: str) -> ScalingFunction:

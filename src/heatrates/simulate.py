@@ -8,12 +8,13 @@ The only discretization artifact is the time grid itself: window extrema
 over grid points overestimate path infima and underestimate path suprema
 for jump processes.  Consumers account for that directionally.
 
-A scheme builds its grid once per horizon, as one array (DyadicBlocks lays
-every block out in a single broadcast), and keeps it with its steps on the
-scheme instance; every path drawn with that scheme and horizon shares them as
-read-only arrays, and each call writes only its positions, once.  A time
-window is the slice of the sorted grid between two searchsorted indices, so a
-path functional reads only the points inside it.
+A scheme builds its grid once per horizon, as one array of at most
+MAX_GRID_POINTS points (DyadicBlocks lays every block out in a single
+broadcast), and keeps it with its steps on the scheme instance; every path
+drawn with that scheme and horizon shares them as read-only arrays, and each
+call writes only its positions, once.  A time window is the slice of the
+sorted grid between two searchsorted indices, so a path functional reads only
+the points inside it.
 
 Randomness comes from numpy's counter-based Philox generator; replica r of
 an experiment with master seed s, both in [0, 2^64), uses the 128-bit key
@@ -38,6 +39,21 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PreconditionError, UnsupportedModelError
 from .kernels import KernelModel
+
+#: the most points a scheme lays out for one horizon.  A grid is kept with
+#: its steps (two floats a point) and every path writes dim positions a
+#: point, so a larger grid costs memory the law never does; the cap sits
+#: more than 2000 times above the largest workload grid (4353 points).
+MAX_GRID_POINTS = 10**7
+
+
+def _check_size(label: str, points: float, horizon: float) -> None:
+    """PreconditionError naming the point count where it passes the cap."""
+    if not points <= MAX_GRID_POINTS:  # true for NaN too
+        raise PreconditionError(
+            f"{label} to horizon {horizon:g} needs {points:.4g} points, "
+            f"above MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
 
 
 class _Scheme:
@@ -79,7 +95,9 @@ class UniformGrid(_Scheme):
     def times(self, horizon: float) -> np.ndarray:
         if not (0 < self.dt < math.inf and 0 < horizon < math.inf):
             raise PreconditionError("dt and horizon must be positive and finite")
-        n = int(math.floor(horizon / self.dt + 1e-9))
+        steps = horizon / self.dt + 1e-9
+        _check_size(self.label, steps + 1.0, horizon)  # the n + 1 points of n dt, to within one
+        n = int(math.floor(steps))
         ts = self.dt * np.arange(n + 1)
         if ts[-1] < horizon - 1e-12 * horizon:
             ts = np.append(ts, horizon)
@@ -117,6 +135,10 @@ class DyadicBlocks(_Scheme):
         if not 0 < horizon < math.inf:
             raise PreconditionError("horizon must be positive and finite")
         n = self.per_block
+        # the warm-up block and one per power of base below the horizon (to
+        # within one), n + 1 points each
+        blocks = 1 + max(0, math.ceil(math.log(horizon) / math.log(self.base)))
+        _check_size(self.label, blocks * (n + 1.0), horizon)
         los, his = [0.0], [min(1.0, horizon)]
         lo = 1.0
         while lo < horizon:

@@ -11,8 +11,9 @@ import pytest
 from scipy import integrate, special, stats
 
 from heatrates import kernels as kn
+from heatrates import scaling as sc
 from heatrates.errors import PreconditionError, UnsupportedModelError
-from heatrates.integral_tests import classify_tail_integral
+from heatrates.integral_tests import CONVERGENT, classify_tail_integral
 from heatrates.scaling import ScalingFunction
 from heatrates.scaling import from_id as scaling_from_id
 
@@ -736,7 +737,7 @@ class TestClassifyLongRun:
     def test_recurrent_one_dim_diffusive(self):
         assert kn.classify_long_run(kn.from_id("stablelike:1,2"))[0] == kn.RECURRENT
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.6])
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.45, 0.6])
     def test_small_alpha_3d_transient(self, alpha):
         # V(phi^-1(t)) = t^(3/alpha) overflows inside the block range; the
         # integrand itself only underflows towards 0
@@ -745,10 +746,10 @@ class TestClassifyLongRun:
     @pytest.mark.parametrize("spec", ["stable:0.1,1", "stable:0.2,3"])
     def test_overflowing_exact_inverse_raises(self, spec):
         # phi^-1(t) = t^(1/alpha) leaves the float range inside the block
-        # range; the array inverse raises as the float one does, instead of
-        # classifying on blocks of 0
-        with pytest.raises(OverflowError, match="inverse of y="):
-            kn.classify_long_run(kn.from_id(spec))
+        # range; the integrand takes log phi^-1(t) from phi's log-inverse and
+        # never forms phi^-1(t), so it classifies instead of raising
+        label, verdict = kn.classify_long_run(kn.from_id(spec))
+        assert label == kn.TRANSIENT and verdict.label == CONVERGENT
 
     def test_phi_undefined_at_one(self):
         # phi = powerlog:1.5,-0.3 is increasing on its domain [2, 2e8] but
@@ -778,30 +779,26 @@ class TestClassifyLongRun:
 
     def test_inverse_cost_per_integrand_evaluation(self):
         # phi = powerlog without its exact inverse, so the integrand
-        # 1 / V(phi^-1(t)) solves phi(r) = t at every node by regula falsi; V is
-        # evaluated once, through its evaluator or its log_evaluator, on the
-        # array of all 3840 roots
+        # 1 / V(phi^-1(t)) solves ell_phi(s) = log t at every node by regula
+        # falsi; V's ell is called once, on the array of all 3840 roots in s
         elements = {"V": 0, "phi": 0}
         calls = {"V": 0, "phi": 0}
 
         def counted(f, key):
-            def wrap(g):
-                def ev(r):
-                    elements[key] += np.size(r)
-                    calls[key] += 1
-                    return g(r)
+            def ell(s, inner=f.ell):
+                elements[key] += np.size(s)
+                calls[key] += 1
+                return inner(s)
 
-                return ev
-
-            log_ev = f.log_evaluator and wrap(f.log_evaluator)
-            return dataclasses.replace(f, evaluator=wrap(f.evaluator), log_evaluator=log_ev)
+            return dataclasses.replace(f, evaluator=sc.LogLog(ell))
 
         m = kn.from_id("jump:power:2;powerlog:1.5,1")
         phi = dataclasses.replace(m.phi, exact_inverse=None)
+        want = kn.classify_long_run(dataclasses.replace(m, phi=phi))
         m = dataclasses.replace(m, V=counted(m.V, "V"), phi=counted(phi, "phi"))
         elements.update(V=0, phi=0)
         calls.update(V=0, phi=0)
-        assert kn.classify_long_run(m)[0] == kn.TRANSIENT
+        assert kn.classify_long_run(m) == want and want[0] == kn.TRANSIENT
         assert elements["V"] == 3840  # 240 blocks of the 16-point Gauss-Legendre rule
         assert calls["V"] == 1  # one array call, not one call per node
         assert 0 < elements["phi"] < 25 * elements["V"]

@@ -80,10 +80,12 @@ class TestScalingFunctionConstruction:
                 assert ratio <= env.c_hi * span**env.d_hi * (1 + 1e-9)
 
 
-def _pair_loop_fit(evaluator, domain_floor):
-    # reference: the pairwise slope sweep as one Python loop over grid pairs
+def _pair_loop_fit(evaluator, domain_floor, logs=None):
+    # reference: the pairwise slope sweep as one Python loop over grid pairs,
+    # on the given log f or on one evaluator call per grid point
     g = sc.log_grid(domain_floor, domain_floor * 10.0**sc.GRID_DECADES)
-    logs = np.log(np.array([float(evaluator(r)) for r in g]))
+    if logs is None:
+        logs = np.log(np.array([float(evaluator(r)) for r in g]))
     lg = np.log(g)
     slopes = [
         (logs[j] - logs[i]) / (lg[j] - lg[i])
@@ -174,9 +176,10 @@ class TestBroadcastEnvelope:
         ],
     )
     def test_fit_matches_pair_loop(self, build):
-        # the neighbouring slopes give the all-pairs bracket bit for bit
+        # the neighbouring slopes give the all-pairs bracket bit for bit, on
+        # the values of the one ell call on the grid that construction makes
         f = build()
-        d_lo, d_hi = _pair_loop_fit(f.evaluator, f.domain_floor)
+        d_lo, d_hi = _pair_loop_fit(None, f.domain_floor, f.ell(np.log(f.grid())))
         assert (f.envelope.d_lo, f.envelope.d_hi) == (d_lo, d_hi)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -354,7 +357,7 @@ class TestGridChecksMatchLoops:
     def test_scalar_only_profile(self):
         h = sc.ScalingFunction(lambda s: math.exp(-s), sc.DECREASING,
                                sc.fit_envelope(lambda s: math.exp(-s), 1e-6))
-        assert h._scalar_only
+        assert h(self.GRID) == pytest.approx([h(r) for r in self.GRID.tolist()], rel=1e-15)
         for mode, c0 in ((sc.UPPER_DECAY, None), (sc.LOWER_DOUBLING, 1e9)):
             got = sc.check_h_conditions(h, mode, grid=self.GRID, c0=c0)
             assert _report(got) == _h_loop(h, mode, self.GRID.tolist(), c0)
@@ -667,7 +670,7 @@ class TestPowerlogDomain:
         f = sc.ScalingFunction(ev, sc.INCREASING, sc.Envelope(1.0, 2.0, 1.0, 2.0), domain_floor=5.0)
         seen.clear()
         assert abs(sc.inverse(f, 1e4) - 100.0) <= 1e-10
-        assert min(seen) == 5.0
+        assert 5.0 <= min(seen) <= 5.0 * (1.0 + 1e-15)  # e**s0 for s0 = log 5, not below it
 
 
 class TestRateCandidates:
@@ -792,7 +795,7 @@ def _scalar_only_functions():
 class TestIteratedLogDomain:
     @pytest.mark.parametrize(
         "t, named", [(2.0, "t=2"), (np.array(2.0), "t=2"), (np.float64(2.5), "t=2.5"),
-                     (1.0, "t=1"), (0.5, "t=0.5"), (0.0, "t=0"), (-1.0, "t=-1"),
+                     (1.0, "t=1"), (0.5, "t=0.5"), (0.0, "t=0"), (-1.0, "t=nan"),
                      (math.nan, "t=nan"), (np.array([2.0, 20.0]), "t=2"),
                      (np.array([20.0, 0.0, -1.0]), "t=0"), (np.array([20.0, math.nan]), "t=nan")],
     )
@@ -822,7 +825,10 @@ class TestArrays:
     @pytest.mark.parametrize("spec", PRESET_IDS)
     def test_presets_match_scalar_calls(self, spec):
         f = sc.from_id(spec)
-        assert not f._scalar_only and not f._log_scalar_only  # one numpy call per array
+        shapes = []  # one ell call per array, on the whole array
+        counted = dataclasses.replace(
+            f, evaluator=sc.LogLog(lambda s: shapes.append(np.shape(s)) or f.ell(s))
+        )
         r = np.geomspace(max(f.domain_floor, 2.0), 1e70, 37)
         logs = f.log_value(r)
         for method in (f, f.log_value):
@@ -833,16 +839,23 @@ class TestArrays:
             rtol = 1e-15 * (1.0 + np.abs(logs)) if method is f else 1e-15
             assert np.all(np.abs(got - want) <= rtol * np.abs(want)), spec
             assert method(r.reshape(37, 1)).shape == (37, 1)
+        shapes.clear()
+        assert counted(r).tolist() == f(r).tolist() and counted.log_value(r).tolist() == logs.tolist()
+        assert shapes == [r.shape, r.shape]
         assert type(f(3.0)) is float and type(f(np.float64(3.0))) is float
         assert type(f(3)) is float and type(f.log_value(np.array(3.0))) is float
 
     @pytest.mark.parametrize("name", ["kinked", "exp"])
     def test_scalar_only_evaluators_take_arrays(self, name):
+        # f is exp ell(log r) with ell = log f(e**s) from one evaluator call
+        # per element: within a last-bit change of log f, times |log f|, of
+        # the float calls and of the evaluator's own values
         f = _scalar_only_functions()[name]
-        assert f._scalar_only
         r = np.array([[0.5, 10.0, 37.0], [99.0, 1e2, 7e2]])
         want = np.array([[f.evaluator(float(x)) for x in row] for row in r])
-        assert f(r).tolist() == want.tolist()
+        got, rtol = f(r), 1e-15 * (1.0 + np.abs(np.log(want)))
+        assert np.all(np.abs(got - [[f(float(x)) for x in row] for row in r]) <= rtol * want)
+        assert np.all(np.abs(got - want) <= rtol * want)
         assert f.log_value(r) == pytest.approx(np.log(want), rel=1e-15)
 
     def test_array_errors_name_the_argument(self):
@@ -972,3 +985,152 @@ class TestPowerlogExactInverse:
     def test_no_closed_form_outside_its_domain(self, p, q):
         # p <= 0 or q <= 0; and q so small that log y / q overflows
         assert sc.powerlog(p, q).exact_inverse is None
+
+
+# closed forms of every preset family at a float r, written out with math so
+# that they share no code with the presets: f, log f, and the elasticity
+# d log f / d log r
+def _closed_power(p):
+    return lambda r: r**p, lambda r: p * math.log(r), lambda r: p
+
+
+def _closed_powerlog(p, q):
+    return (lambda r: r**p * math.log(r) ** q,
+            lambda r: p * math.log(r) + q * math.log(math.log(r)),
+            lambda r: p + q / math.log(r))
+
+
+def _closed_exp_decay(c0, gamma):
+    return (lambda r: math.exp(-c0 * r**gamma), lambda r: -c0 * r**gamma,
+            lambda r: -c0 * gamma * r**gamma)
+
+
+def _closed_iterated_log(eps):
+    log_f = lambda t: -math.log(t) * math.log(math.log(t)) ** (1.0 + eps)
+    return (lambda t: math.exp(log_f(t)) if log_f(t) > -745.0 else 0.0, log_f,
+            lambda t: -math.log(math.log(t)) ** eps * (math.log(math.log(t)) + 1.0 + eps))
+
+
+def _closed_loglog(eps):
+    ee = math.exp(math.e)
+    return (lambda t: math.log(math.log(ee + t)) ** eps / math.log(math.e + t),
+            lambda t: eps * math.log(math.log(math.log(ee + t))) - math.log(math.log(math.e + t)),
+            lambda t: eps * t / ((ee + t) * math.log(ee + t) * math.log(math.log(ee + t)))
+            - t / ((math.e + t) * math.log(math.e + t)))
+
+
+def _closed_const(c):
+    return lambda r: c, lambda r: math.log(c), lambda r: 0.0
+
+
+_ORACLE = dict(max_examples=25, deadline=None, database=None, derandomize=True)
+
+
+class TestClosedFormOracles:
+    # every preset family against its closed form, on floats, 0-d arrays and
+    # a 2-d array over [domain floor, 1e70]
+    @staticmethod
+    def _check_values(f, closed):
+        value, log_value, elasticity = closed
+        r = np.geomspace(f.domain_floor, 1e70, 48)
+        want = np.array([value(x) for x in r.tolist()])
+        want_log = np.array([log_value(x) for x in r.tolist()])
+        # log f carries a last-bit change of its own and of log r, times the
+        # elasticity; f = exp(log f) carries that change of log f (relative),
+        # and below the smallest normal float one ulp, 5e-324
+        tol_log = 1e-15 * (1.0 + np.abs(want_log) + np.abs(np.log(r) * [elasticity(x) for x in r.tolist()]))
+        tol = tol_log * np.abs(want) + math.ulp(0.0)
+        for method, ref, atol in ((f, want, tol), (f.log_value, want_log, tol_log)):
+            floats = np.array([method(x) for x in r.tolist()])
+            zero_d = np.array([method(np.array(x)) for x in r])
+            two_d = method(r.reshape(6, 8)).ravel()
+            for got in (floats, zero_d, two_d):
+                assert np.all(np.abs(got - ref) <= atol), (f.name, method, np.max(np.abs(got - ref) / atol))
+        assert type(f(float(r[3]))) is float and type(f.log_value(np.array(r[3]))) is float
+
+    @staticmethod
+    def _check_inverse(f, value, root, slope):
+        # targets f(r) at r in [floor, 1e70], solved as floats, 0-d and a 2-d
+        # array: |f(t) - y| <= 1e-12 y, the stopping rule of ``inverse``, and
+        # the root within 2e-12 / slope of r (see _assert_root)
+        r = np.geomspace(f.domain_floor, 1e70, 48)
+        ys = np.array([value(x) for x in r.tolist()])
+        want = root(ys)
+        floats = np.array([sc.inverse(f, y) for y in ys.tolist()])
+        zero_d = np.array([sc.inverse(f, np.array(y)) for y in ys])
+        two_d = sc.inverse(f, ys.reshape(6, 8)).ravel()
+        for got in (floats, zero_d, two_d):
+            assert np.all(np.abs(np.array([value(t) for t in got.tolist()]) - ys) <= 1e-12 * ys), f.name
+            _assert_root(got, want, np.minimum(slope(got), slope(want)))
+
+    @settings(**_ORACLE)
+    @given(p=st.floats(-4.0, 4.0).filter(lambda p: abs(p) >= 0.05))
+    @example(p=2.0)
+    @example(p=-1.5)
+    @example(p=0.1)
+    def test_power(self, p):
+        f = sc.power(p)
+        self._check_values(f, _closed_power(p))
+        if p > 0:
+            self._check_inverse(f, _closed_power(p)[0], lambda y: y ** (1.0 / p), lambda r: p)
+
+    @settings(**_ORACLE)
+    @given(p=st.floats(0.05, 4.0), q=st.floats(0.05, 3.0))
+    @example(p=1.5, q=1.0)
+    @example(p=1.2, q=0.6)
+    def test_powerlog_positive_log_exponent(self, p, q):
+        f = sc.powerlog(p, q)
+        self._check_values(f, _closed_powerlog(p, q))
+        self._check_inverse(f, _closed_powerlog(p, q)[0], lambda y: _omega_inverse(p, q, y),
+                            lambda r: p + q / np.log(r))
+
+    @settings(**_ORACLE)
+    @given(p=st.floats(-4.0, 4.0).filter(lambda p: abs(p) >= 0.05))
+    @example(p=1.5)
+    def test_powerlog_zero_log_exponent(self, p):
+        f = sc.powerlog(p, 0.0)
+        self._check_values(f, _closed_powerlog(p, 0.0))
+        if p > 0:
+            self._check_inverse(f, _closed_powerlog(p, 0.0)[0], lambda y: y ** (1.0 / p), lambda r: p)
+
+    @settings(**_ORACLE)
+    @given(p=st.floats(-4.0, 0.0), q=st.floats(-3.0, -0.05))
+    @example(p=0.0, q=-2.0)
+    def test_powerlog_negative_log_exponent(self, p, q):
+        self._check_values(sc.powerlog(p, q), _closed_powerlog(p, q))
+
+    @settings(**_ORACLE)
+    @given(p=st.floats(1.5, 4.0), q=st.floats(-0.5, -0.05))
+    @example(p=1.5, q=-0.3)
+    def test_powerlog_negative_log_exponent_increasing(self, p, q):
+        # p + q / log r > 0 from r = 2: increasing, with no closed-form inverse
+        f = sc.powerlog(p, q)
+        assert f.monotonicity == sc.INCREASING
+        self._check_values(f, _closed_powerlog(p, q))
+
+    @settings(**_ORACLE)
+    @given(c0=st.floats(0.1, 10.0), gamma=st.floats(0.2, 3.0))
+    @example(c0=0.25, gamma=2.0)
+    @example(c0=3.0, gamma=0.3)
+    def test_exp_decay(self, c0, gamma):
+        self._check_values(sc.exp_decay(c0, gamma), _closed_exp_decay(c0, gamma))
+
+    @settings(**_ORACLE)
+    @given(eps=st.floats(-0.5, 1.5))
+    @example(eps=0.5)
+    @example(eps=-0.5)
+    def test_iterated_log_g(self, eps):
+        self._check_values(sc.iterated_log_g(eps), _closed_iterated_log(eps))
+
+    @settings(**_ORACLE)
+    @given(eps=st.floats(0.0, 1.0))
+    @example(eps=0.0)
+    @example(eps=1.0)
+    def test_loglog_g(self, eps):
+        self._check_values(sc.loglog_g(eps), _closed_loglog(eps))
+
+    @settings(**_ORACLE)
+    @given(c=st.floats(1e-3, 1e3))
+    @example(c=0.5)
+    def test_const(self, c):
+        self._check_values(sc.constant(c), _closed_const(c))

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ class TestGrids:
     def test_nan_base(self):
         with pytest.raises(PreconditionError):
             sim.DyadicBlocks(base=math.nan).times(4.0)
+
+    @pytest.mark.parametrize(
+        "scheme, horizon, count",
+        [(sim.UniformGrid(1e-300), 1.0, "1e\\+300"), (sim.UniformGrid(1e-9), 1.0, "1e\\+09"),
+         (sim.UniformGrid(5e-324), 1e300, "inf"),
+         (sim.DyadicBlocks(per_block=10**12), 4.0, "3e\\+12")],
+    )
+    def test_grid_size_is_capped(self, scheme, horizon, count):
+        # the point count is known before any allocation, so a grid past the
+        # cap raises, naming the count, without allocating any of it
+        tracemalloc.start()
+        try:
+            for build in (scheme.times, scheme.grid):
+                with pytest.raises(PreconditionError, match=f"needs {count} points, above MAX_GRID_POINTS"):
+                    build(horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_grid_cap_is_far_above_the_workload_grids(self):
+        # the long montecarlo paths: dyadic:256 to 2^16, 4353 points
+        assert len(sim.DyadicBlocks(per_block=256).times(2.0**16)) == 4353
+        assert sim.MAX_GRID_POINTS >= 1000 * 4353
 
     def test_scheme_ids(self):
         assert isinstance(sim.scheme_from_id("uniform:0.5"), sim.UniformGrid)
