@@ -219,7 +219,7 @@ def _log_at(ell: Callable, r, exp: bool = False):
     """ell(log r), or with exp its exp: a float for a float or 0-d r, else
     an array of r's shape."""
     if isinstance(r, float) and r > 0.0:  # the common case, without numpy's array handling
-        v = float(ell(math.log(r)))
+        v = float(ell(np.log(r)))
         return _exp(v) if exp else v
     r = np.asarray(r, dtype=float)
     # r = 0 is s = -inf and r < 0 NaN; exp is inf past the float range
@@ -230,9 +230,10 @@ def _log_at(ell: Callable, r, exp: bool = False):
 
 
 def _exp(v):
-    """exp(v), inf past the float range: a float for a float."""
+    """exp(v), inf past the float range: a float for a float.  numpy's exp
+    for floats too, so that a float and an array give the same bits."""
     if isinstance(v, float):
-        return math.exp(v) if not v > _S_HI else math.inf
+        return float(np.exp(v)) if not v > _S_HI else math.inf
     with np.errstate(over="ignore"):
         return np.exp(v)
 
