@@ -230,8 +230,7 @@ def _log_at(ell: Callable, r, exp: bool = False):
 
 
 def _exp(v):
-    """exp(v), inf past the float range: a float for a float.  numpy's exp
-    for floats too, so that a float and an array give the same bits."""
+    """exp(v), inf past the float range; a float (numpy's exp, as on arrays) for a float."""
     if isinstance(v, float):
         return float(np.exp(v)) if not v > _S_HI else math.inf
     with np.errstate(over="ignore"):
@@ -253,7 +252,7 @@ def _grid_values(evaluator: Callable, g: np.ndarray, name: str = "") -> np.ndarr
     return _checked(np.array([float(evaluator(r)) for r in g.tolist()]), g, name)
 
 
-def _grid_logs(evaluator: Callable, g: np.ndarray, s: np.ndarray, name: str) -> tuple[Callable, np.ndarray]:
+def _grid_logs(evaluator: Callable, g: np.ndarray, s: np.ndarray, name: str) -> tuple:
     """(ell, log f on the grid g, s = log g) for an evaluator: a
     ``LogLog``'s ell on s, or f's values on g from its one array call, if
     that gives an array of g's shape, else one call per point.  log f must
@@ -651,8 +650,7 @@ _EE = math.exp(math.e)
 
 
 def _check_domain(s, least: float, undefined: str) -> None:
-    """EvaluationError with undefined.format(r), r = e**s, at the first s
-    below least or not a number."""
+    """EvaluationError undefined.format(e**s) at the first s below least or NaN."""
     bad = ~np.greater_equal(s, least)  # a numpy bool for a float s too
     if _any(bad):
         raise EvaluationError(undefined.format(_first(np.exp(s), bad)))
