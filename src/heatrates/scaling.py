@@ -16,8 +16,9 @@ Goldie & Teugels, Regular Variation, 1987, section 1.5.7; a power law is a
 line in s, an envelope a pair of slopes).  The rest derives from it: f(r) =
 exp ell(log r), ``log_value(r)`` = ell(log r), ``inverse`` solves ell(s) =
 log y in s, and the grid checks take one array call of ell.  The presets
-define ell (a ``LogLog``); a user's evaluator f gets ell(s) = log f(e**s),
-applied element by element if f only takes floats.
+define ell (a ``LogLog``).  A user's evaluator f keeps its own values: a
+call is f at r itself (element by element if f only takes floats), and
+ell(s) = log f(e**s) serves the rest.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ class Envelope:
             raise ValueError("envelope exponents must satisfy d_lo <= d_hi")
 
 
+#: the envelope the presets without a closed-form one pass: construction
+#: replaces it by the tightest one on the grid, as ``fit_envelope`` measures
+#: it, from the grid call of ell that it checks
+_FIT = Envelope(1.0, 0.0, 1.0, 0.0)
+
+
 def log_grid(lo: float, hi: float) -> np.ndarray:
     """np.geomspace(lo, hi, GRID_POINTS) for 0 < lo < hi, bit for bit: its
     own steps (evenly spaced log10, powers of 10, both ends pinned) without
@@ -100,28 +107,30 @@ class ScalingFunction:
         monotonicity: INCREASING or DECREASING.  Verified as non-strict
             monotonicity on the grid, so constants are admissible.
         envelope: declared two-sided power bracket, asserted only above
-            ``domain_floor``; None takes the tightest one on the grid, as
-            ``fit_envelope`` does.
+            ``domain_floor``.
         domain_floor: smallest argument at which the envelope and
             monotonicity are checked; all large-scale results only need
             behaviour above this.
         exact_inverse: optional closed-form inverse in log-log coordinates,
             log y -> s with ell(s) = log y, elementwise; ``inverse`` then
-            solves no equation.
+            solves no equation.  Checked at a few grid points.
         ell: set at construction: ell(s) = log f(e**s) on an array of s.
 
-    A call or ``log_value`` at r is one call of ell at s = log r (r = 0 is
-    s = -inf, r < 0 NaN): a float for a float or 0-d r, else an array of r's
-    shape.
+    ``log_value`` at r is one call of ell at s = log r (r = 0 is s = -inf,
+    r < 0 NaN), and so is a call for a ``LogLog``, f(r) = exp ell(log r); a
+    user's f is called at r itself.  Either gives a float for a float or
+    0-d r, else an array of r's shape.
     """
 
     evaluator: Callable
     monotonicity: str
-    envelope: Optional[Envelope]
+    envelope: Envelope
     domain_floor: float = 1e-6
     name: str = ""
     exact_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ell: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    #: set at construction: a user's f at r, on floats and arrays (None for a LogLog)
+    _at: Optional[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.monotonicity not in (INCREASING, DECREASING):
@@ -130,11 +139,18 @@ class ScalingFunction:
             raise ValueError("domain_floor must be positive")
         g = self.grid()
         s = np.log(g)
-        ell, logs = _grid_logs(self.evaluator, g, s, self.name)
+        ell, at, logs = _grid_logs(self.evaluator, g, s, self.name)
         object.__setattr__(self, "ell", ell)
-        if self.envelope is None:
+        object.__setattr__(self, "_at", at)
+        if self.envelope is _FIT:
             object.__setattr__(self, "envelope", _fit(s, logs))
         self._verify_on_grid(g, s, logs)
+        if self.exact_inverse is not None:  # at four grid points: log y -> s, not y -> t
+            with np.errstate(all="ignore"):  # a wrong closed form may give NaN or inf
+                back = self.ell(np.asarray(self.exact_inverse(logs[::21]), dtype=float))
+            if not np.all(np.abs(back - logs[::21]) <= GRID_RTOL * (1.0 + np.abs(logs[::21]))):
+                raise PreconditionError(f"{self.name or 'scaling function'}: exact_inverse is not "
+                                        "log y -> s with ell(s) = log y on the grid")
 
     # -- construction-time checks -------------------------------------
 
@@ -174,25 +190,26 @@ class ScalingFunction:
             f"[{env.c_lo * span**env.d_lo:g}, {env.c_hi * span**env.d_hi:g}]"
         )
 
-    def _eval_checked(self, r):
-        """f(r), raising EvaluationError where ell(log r) is NaN or +inf."""
-        return _exp(self._ell_checked(np.log(r)))
-
-    def _ell_checked(self, s):
+    def _ell_checked(self, s, t: Optional[float] = None):
         """ell(s), raising EvaluationError where it is NaN or +inf (f not
-        finite); -inf, where f is 0, is a value."""
-        s = np.asarray(s, dtype=float)
-        v = self.ell(s)
-        bad = ~(v < math.inf)  # true for NaN too
-        if _any(bad):
+        finite); -inf, where f is 0, is a value.  Given t = e**s, a user's
+        f is called at t itself."""
+        v = self.ell(s) if t is None or self._at is None else self.ell(s, t)
+        if not _all(v < math.inf):  # false for NaN too
             raise EvaluationError(
-                f"{self.name or 'scaling function'}: non-finite value at r={_first(np.exp(s), bad):g}"
+                f"{self.name or 'scaling function'}: non-finite value at "
+                f"r={_first(np.exp(s), ~(np.asarray(v) < math.inf)):g}"
             )
         return v
 
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, r):
+        if self._at is not None:  # a user's f, at r itself
+            return self._at(r)
+        if isinstance(r, float) and r > 0.0:  # the common case, without numpy's array handling
+            v = self.ell(math.log(r))
+            return math.exp(v) if not v > _S_HI else math.inf
         return _log_at(self.ell, r, exp=True)
 
     def log_value(self, r):
@@ -210,31 +227,20 @@ def _first(a, mask) -> float:
     return float(np.asarray(a, dtype=float)[mask][0])
 
 
-def _any(mask) -> bool:
-    """mask.any(), without a reduction (a tenth of its cost) for a scalar mask."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+def _all(mask) -> bool:
+    """mask.all(), without a reduction for a scalar mask."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # as a decorator, at half the cost
 def _log_at(ell: Callable, r, exp: bool = False):
     """ell(log r), or with exp its exp: a float for a float or 0-d r, else
-    an array of r's shape."""
-    if isinstance(r, float) and r > 0.0:  # the common case, without numpy's array handling
-        v = float(ell(np.log(r)))
-        return _exp(v) if exp else v
+    an array of r's shape; quiet where r = 0 (s = -inf), r < 0 (s is NaN)
+    or exp passes the float range (inf)."""
     r = np.asarray(r, dtype=float)
-    # r = 0 is s = -inf and r < 0 NaN; exp is inf past the float range
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = ell(np.log(r))
-        v = np.exp(v) if exp else v
+    v = ell(np.log(r))
+    v = np.exp(v) if exp else v
     return float(v) if r.ndim == 0 else v
-
-
-def _exp(v):
-    """exp(v), inf past the float range; a float (numpy's exp, as on arrays) for a float."""
-    if isinstance(v, float):
-        return float(np.exp(v)) if not v > _S_HI else math.inf
-    with np.errstate(over="ignore"):
-        return np.exp(v)
 
 
 def _checked(vals: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
@@ -253,34 +259,39 @@ def _grid_values(evaluator: Callable, g: np.ndarray, name: str = "") -> np.ndarr
 
 
 def _grid_logs(evaluator: Callable, g: np.ndarray, s: np.ndarray, name: str) -> tuple:
-    """(ell, log f on the grid g, s = log g) for an evaluator: a
-    ``LogLog``'s ell on s, or f's values on g from its one array call, if
-    that gives an array of g's shape, else one call per point.  log f must
-    be finite on the grid: EvaluationError names the first r where not."""
+    """(ell, f at r, log f on the grid g) for an evaluator, s = log g: a
+    ``LogLog``'s ell, and no f at r.  For a user's f, f itself on floats
+    and arrays (one array call, if that gives an array of g's shape on g,
+    else one call per element) and ell(s) = log f(e**s).  f must be finite
+    and positive on the grid: EvaluationError names the first r where not."""
     if isinstance(evaluator, LogLog):
         logs = np.asarray(evaluator.ell(s), dtype=float)
         for bad, what in ((~(logs < math.inf), "non-finite"), (logs == -math.inf, "non-positive")):
             if bad.any():
                 raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
-        return evaluator.ell, logs
+        return evaluator.ell, None, logs
     try:
         out = evaluator(g)
     except (TypeError, ValueError):  # math functions, and `if r <= c`, reject arrays
         out = None
     takes_arrays = isinstance(out, np.ndarray) and out.shape == g.shape
-    vals = _checked(out.astype(float), g, name) if takes_arrays else _grid_values(evaluator, g, name)
 
-    def ell(s):
-        with np.errstate(over="ignore"):  # s past the float range is r = inf
-            r = np.exp(s)
+    def at(r):
+        if isinstance(r, float) or not np.ndim(r):
+            return float(evaluator(float(r)))
+        r = np.asarray(r, dtype=float)
         if takes_arrays:
-            v = np.asarray(evaluator(r), dtype=float)
-        else:
-            v = np.array([float(evaluator(x)) for x in np.ravel(r).tolist()]).reshape(np.shape(r))
-        with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 is -inf, f < 0 NaN
-            return np.log(v)
+            return np.asarray(evaluator(r), dtype=float)
+        return np.array([float(evaluator(x)) for x in r.ravel().tolist()]).reshape(r.shape)
 
-    return ell, np.log(vals)
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def ell(s, r=None):
+        # at r = e**s, or at r itself where given; s past the float range is
+        # r = inf, f = 0 gives -inf and f < 0 NaN
+        return np.log(at(np.exp(s) if r is None else r))
+
+    vals = _checked(out.astype(float), g, name) if takes_arrays else _grid_values(evaluator, g, name)
+    return ell, at, np.log(vals)
 
 
 def _fit(s: np.ndarray, logs: np.ndarray, margin: float = 1e-6) -> Envelope:
@@ -308,7 +319,7 @@ def fit_envelope(
     """
     g = log_grid(domain_floor, domain_floor * 10.0**GRID_DECADES)
     s = np.log(g)
-    return _fit(s, _grid_logs(evaluator, g, s, "")[1], margin)
+    return _fit(s, _grid_logs(evaluator, g, s, "")[2], margin)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +336,12 @@ def check_doubling(
     pts = np.asarray(f.grid() if grid is None else grid, dtype=float)
     if pts.size == 0 or np.any(np.diff(pts) <= 0):
         raise PreconditionError("grid must be nonempty and sorted")
-    worst = float(np.max(f._eval_checked(factor * pts) / f._eval_checked(pts)))
+    r = np.concatenate([factor * pts, pts])  # one call of f, on both
+    vals = f(r)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise EvaluationError(f"{f.name or 'scaling function'}: non-finite value at r={r[bad][0]:g}")
+    worst = float(np.max(vals[: pts.size] / vals[pts.size :]))
     return bool(worst <= c * (1 + GRID_RTOL)), worst
 
 
@@ -408,12 +424,12 @@ def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None
     raises OverflowError naming its target.
     """
     y = np.asarray(y, dtype=float)[()]  # a numpy float for a float or 0-d y
-    bad = ~((y > 0.0) & (y < math.inf))
-    if _any(bad):
-        raise BracketError(f"target value {_first(y, bad)!r} not a positive real")
+    ok = (y > 0.0) & (y < math.inf)
+    if not _all(ok):
+        raise BracketError(f"target value {_first(y, ~ok)!r} not a positive real")
     s = log_inverse(f, np.log(y), bracket)
     over = s > _S_HI
-    if _any(over):
+    if not _all(~over):
         raise OverflowError(f"{f.name or 'scaling function'}: inverse of y={_first(y, over):g} overflows")
     t = np.exp(s)
     return float(t) if y.ndim == 0 else t
@@ -456,8 +472,8 @@ def log_inverse(f: ScalingFunction, log_y, bracket: Optional[tuple[float, float]
         miss = ~((g_lo - log_y <= _INVERSE_RTOL) & (g_hi - log_y >= -_INVERSE_RTOL))
         if miss.any():
             raise BracketError(
-                f"bracket [{bracket[0]:g}, {bracket[1]:g}] maps to [{_exp(g_lo):g}, {_exp(g_hi):g}], "
-                f"which does not straddle y={_exp(float(log_y[miss][0])):g}"
+                f"bracket [{bracket[0]:g}, {bracket[1]:g}] maps to [{f(bracket[0]):g}, {f(bracket[1]):g}], "
+                f"which does not straddle y={math.exp(log_y[miss][0]):g}"
             )
         lo, g_lo, hi, g_hi = (np.full(log_y.shape, x) for x in (lo, g_lo, hi, g_hi))
     # g = ell - log y from here; the state, one entry per target, is updated
@@ -518,10 +534,8 @@ def _auto_brackets(f: ScalingFunction, log_y: np.ndarray) -> tuple[np.ndarray, .
     """
     lo, g_lo, hi, g_hi = (np.empty_like(log_y) for _ in range(4))
     t0 = max(1.0, f.domain_floor)
-    s0 = float(np.log(t0))
-    if np.exp(s0) < t0:  # the gallop evaluates f at e**s0, which is not below t0
-        s0 = math.nextafter(s0, math.inf)
-    l0 = float(f._ell_checked(s0))
+    s0 = math.log(t0)
+    l0 = float(f._ell_checked(s0, t0))  # a user's f at t0 itself, not at e**s0
     up = log_y > l0
     if up.any():
         ss, ls = _gallop_points(f, float(log_y[up].max()), s0, l0)
@@ -543,9 +557,9 @@ def _gallop_points(
     """Points s and values ell(s) of s0 and of every point a gallop to log y
     passes.
 
-    The gallop starts at s0, so a target above f(e**s0) never evaluates f
-    below 1 or below the verified domain, and steps towards log y until a
-    value reaches it.  A step that leaves the float range in t = e**s, or
+    The gallop starts at s0 = log t0, so a target above f(t0) never
+    evaluates f below 1 or below the verified domain, and steps towards log
+    y until a value reaches it.  A step that leaves the float range in t = e**s, or
     to a point where ell is NaN or +inf or raises, is retried from the same
     s with half its length; once that no longer moves s, BracketError.  The
     points depend on f alone, so the gallop towards y passes a prefix of the
@@ -559,7 +573,7 @@ def _gallop_points(
         if ns == s:
             side = "above" if up else "below"
             raise BracketError(
-                f"could not bracket y={_exp(log_y):g} from {side}: no finite value past t={_exp(s):g}"
+                f"could not bracket y={math.exp(log_y):g} from {side}: no finite value past t={math.exp(s):g}"
             )
         nl = None
         if _S_LO < ns < _S_HI:
@@ -651,9 +665,9 @@ _EE = math.exp(math.e)
 
 def _check_domain(s, least: float, undefined: str) -> None:
     """EvaluationError undefined.format(e**s) at the first s below least or NaN."""
-    bad = ~np.greater_equal(s, least)  # a numpy bool for a float s too
-    if _any(bad):
-        raise EvaluationError(undefined.format(_first(np.exp(s), bad)))
+    ok = s >= least  # false for NaN too
+    if not _all(ok):
+        raise EvaluationError(undefined.format(_first(np.exp(s), ~np.asarray(ok))))
 
 
 def power(exponent: float, domain_floor: float = 1e-6) -> ScalingFunction:
@@ -719,6 +733,8 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
         _check_domain(s, least, undefined)
         if not q:  # (log r)**0 is 1, at r = 1 too
             return p * s
+        if _all(s > 0.0):
+            return p * s + q * np.log(s)
         with np.errstate(divide="ignore"):  # q > 0: log s = -inf at s = 0, where f = 0
             return p * s + q * np.log(s)
 
@@ -732,7 +748,7 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
     return ScalingFunction(
         LogLog(ell),
         INCREASING if ends[1] >= ends[0] else DECREASING,
-        None,
+        _FIT,
         domain_floor,
         name=name,
         exact_inverse=inv,
@@ -741,15 +757,17 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
 
 def exp_decay(c0: float, gamma: float) -> ScalingFunction:
     """h(r) = exp(-c0 * r**gamma), the stretched-exponential tail profile:
-    ell(s) = -c0 exp(gamma s)."""
+    ell(s) = -c0 (e**s)**gamma.  e**s, raised to gamma, gives r**gamma
+    within gamma times the rounding of s = log r, half the error of
+    exp(gamma s), which rounds gamma s as well."""
     if c0 <= 0 or gamma <= 0:
         raise PreconditionError("exp-decay needs c0 > 0 and gamma > 0")
     # keep the verification grid clear of exp underflow
     floor = min(1e-6, (700.0 / c0) ** (1.0 / gamma) / 10.0**GRID_DECADES)
     return ScalingFunction(
-        LogLog(lambda s, a=c0, g=gamma: -a * np.exp(g * s)),
+        LogLog(lambda s, a=c0, g=gamma: -a * np.exp(s) ** g),
         DECREASING,
-        None,
+        _FIT,
         floor,
         name=f"exp-decay:{c0:g},{gamma:g}",
     )
@@ -769,7 +787,7 @@ def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
         return -s * np.log(s) ** (1.0 + e)
 
     # the verification grid stays within exp range for moderate eps
-    return ScalingFunction(LogLog(ell), DECREASING, None, domain_floor, name=name)
+    return ScalingFunction(LogLog(ell), DECREASING, _FIT, domain_floor, name=name)
 
 
 def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
@@ -782,7 +800,14 @@ def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
         t = np.exp(s)
         return e * np.log(np.log(np.log(_EE + t))) - np.log(np.log(_E + t))
 
-    return ScalingFunction(LogLog(ell), DECREASING, None, domain_floor, name=f"loglog-g:{eps:g}")
+    return ScalingFunction(LogLog(ell), DECREASING, _FIT, domain_floor, name=f"loglog-g:{eps:g}")
+
+
+#: the preset of each id head, and its number of arguments
+_PRESETS = {
+    "power": (power, 1), "powerlog": (powerlog, 2), "exp-decay": (exp_decay, 2),
+    "iterated-log-g": (iterated_log_g, 1), "loglog-g": (loglog_g, 1), "const": (constant, 1),
+}
 
 
 def from_id(spec: str) -> ScalingFunction:
@@ -797,30 +822,13 @@ def from_id(spec: str) -> ScalingFunction:
         const:C                C
     """
     head, _, tail = spec.partition(":")
-    head = head.strip().lower()
     try:
         args = [float(a) for a in tail.split(",")] if tail else []
     except ValueError as exc:
         raise ValueError(f"bad numeric arguments in preset id {spec!r}") from exc
-    try:
-        if head == "power":
-            (exp_,) = args
-            return power(exp_)
-        if head == "powerlog":
-            p, q = args
-            return powerlog(p, q)
-        if head == "exp-decay":
-            c0, gamma = args
-            return exp_decay(c0, gamma)
-        if head == "iterated-log-g":
-            (eps,) = args
-            return iterated_log_g(eps)
-        if head == "loglog-g":
-            (eps,) = args
-            return loglog_g(eps)
-        if head == "const":
-            (c,) = args
-            return constant(c)
-    except ValueError as exc:
-        raise ValueError(f"wrong argument count in preset id {spec!r}") from exc
-    raise ValueError(f"unknown scaling preset {spec!r}")
+    make, arity = _PRESETS.get(head.strip().lower(), (None, 0))
+    if make is None:
+        raise ValueError(f"unknown scaling preset {spec!r}")
+    if len(args) != arity:
+        raise ValueError(f"wrong argument count in preset id {spec!r}")
+    return make(*args)
