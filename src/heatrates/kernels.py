@@ -15,6 +15,11 @@ density, radial_cdf and radial_sf take numbers or arrays (t and r
 broadcast), check their preconditions and then hand over to it;
 simulate.sample_increments draws from it.
 
+What depends on a model alone is cached per instance on first use:
+KernelModel.long_run, the tail profile (h, rho) and tail constant c1, and
+StableLaw.table.  A copy by dataclasses.replace or with_comparability
+starts without them; a derivation that raises is not cached.
+
 Convention fixed across the package: the isotropic alpha-stable law has
 characteristic function exp(-t |xi|^alpha).  Hence alpha = 2 is Gaussian
 with per-coordinate variance 2t and heat kernel
@@ -59,6 +64,10 @@ INCONCLUSIVE_CLASS = "inconclusive"
 #: and the volume profile V(r) = r^dim for the Euclidean presets.
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
+#: the points r > 1 at which tail_constant looks for the geometric decay of h
+_TAIL_DECAY_GRID = np.geomspace(1.0 + 1e-9, 1e4, 64)
+_TAIL_DECAY_GRID.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class KernelModel:
@@ -67,7 +76,9 @@ class KernelModel:
     ``c_lo``/``c_hi`` are the declared comparability constants bracketing
     density/envelope; ``with_comparability`` returns a copy with others.
     ``exact_law`` is the model's law object, or None for an envelope-only
-    model; ``dim`` and ``alpha`` are read from it.
+    model; ``dim`` and ``alpha`` are read from it.  ``long_run``, the tail
+    profile (h, rho) and c1 are cached on first read; a copy by
+    ``with_comparability`` or ``dataclasses.replace`` starts empty.
     """
 
     model_id: str
@@ -116,6 +127,28 @@ class KernelModel:
         """TRANSIENT, RECURRENT or INCONCLUSIVE_CLASS, classified once per model."""
         return classify_long_run(self)[0]
 
+    @cached_property
+    def _tail_profile(self) -> tuple[ScalingFunction, ScalingFunction]:
+        """(h, rho) of tail_profile, from the form and phi's lower exponent."""
+        b = self.phi.envelope.d_lo
+        rho = power(1.0 / b)
+        if self.form == STABLE_LIKE:
+            return power(-b), rho
+        if self.form == SUB_GAUSSIAN:
+            return exp_decay(self.c0, b / (b - 1.0)), rho
+        raise UnsupportedModelError("two-sided-jump models have no factored (h, rho) tail profile")
+
+    @cached_property
+    def _tail_c1(self) -> float:
+        """c1 of tail_constant, from the cached h."""
+        h = self._tail_profile[0]
+        rep = check_h_conditions(h, UPPER_DECAY, grid=_TAIL_DECAY_GRID)
+        if not rep.ok:
+            raise UnsupportedModelError(f"{self.model_id}: no geometric tail decay found")
+        grid = self.V.grid()
+        c_v = float(np.max(self.V(rep.theta * grid) / self.V(grid)))
+        return max(1.0 / h(1.0), self.c_hi * self.mu_ball * c_v / (1.0 - rep.c0))
+
     def with_comparability(self, c_lo: float, c_hi: float) -> "KernelModel":
         return replace(self, c_lo=c_lo, c_hi=c_hi)
 
@@ -131,6 +164,13 @@ def _stable_like(dv: float, dw: float, **kw) -> KernelModel:
     )
 
 
+def _require_positive(head: str, **params: float) -> None:
+    """Name the first parameter that is not a finite positive number."""
+    for name, value in params.items():
+        if not 0 < value < math.inf:  # false for NaN too
+            raise UnsupportedModelError(f"{head} presets need finite {name} > 0, got {value:g}")
+
+
 def from_id(spec: str) -> KernelModel:
     """Model presets by string id.
 
@@ -138,8 +178,8 @@ def from_id(spec: str) -> KernelModel:
         cauchy1d                  1-d Cauchy law (stable-like dv=1, dw=1)
         gaussian:DIM              Brownian law (sub-gaussian dv=DIM, dw=2, c0=1/4)
         stable:ALPHA,DIM          isotropic stable law (stable-like dv=DIM, dw=ALPHA)
-        stablelike:DV,DW          envelope only
-        subgaussian:DV,DW,C0      envelope only
+        stablelike:DV,DW          envelope only; DV, DW finite and > 0
+        subgaussian:DV,DW,C0      envelope only; DV, C0 finite and > 0, DW > 1
         jump:V_ID,PHI_ID          two-sided-jump envelope from scaling presets
     """
     head, _, tail = spec.partition(":")
@@ -174,12 +214,14 @@ def from_id(spec: str) -> KernelModel:
     if head == "stablelike":
         dv_s, dw_s = tail.split(",")
         dv, dw = float(dv_s), float(dw_s)
+        _require_positive(head, DV=dv, DW=dw)
         return _stable_like(dv, dw, model_id=f"stablelike:{dv:g},{dw:g}")
     if head == "subgaussian":
         dv_s, dw_s, c0_s = tail.split(",")
         dv, dw, c0 = float(dv_s), float(dw_s), float(c0_s)
+        _require_positive(head, DV=dv, DW=dw, C0=c0)
         if dw <= 1:
-            raise UnsupportedModelError("sub-gaussian form needs dw > 1")
+            raise UnsupportedModelError("sub-gaussian form needs DW > 1")
         return KernelModel(
             model_id=f"subgaussian:{dv:g},{dw:g},{c0:g}", form=SUB_GAUSSIAN,
             V=power(dv), phi=power(dw), c0=c0,
@@ -233,16 +275,8 @@ def envelope_density(model: KernelModel, t, d):
 
 
 def tail_profile(model: KernelModel) -> tuple[ScalingFunction, ScalingFunction]:
-    """(h, rho) such that p(t,x,y) <~ h(d/rho(t)) / V(d) off-diagonal."""
-    b = model.phi.envelope.d_lo
-    rho = power(1.0 / b)
-    if model.form == STABLE_LIKE:
-        return power(-b), rho
-    if model.form == SUB_GAUSSIAN:
-        return exp_decay(model.c0, b / (b - 1.0)), rho
-    raise UnsupportedModelError(
-        "two-sided-jump models have no factored (h, rho) tail profile"
-    )
+    """(h, rho) such that p(t,x,y) <~ h(d/rho(t)) / V(d) off-diagonal, built once per model."""
+    return model._tail_profile
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +745,6 @@ class TailEstimate:
     c1: float
 
 
-#: the points r > 1 at which tail_constant looks for the geometric decay of h
-_TAIL_DECAY_GRID = np.geomspace(1.0 + 1e-9, 1e4, 64)
-_TAIL_DECAY_GRID.setflags(write=False)
-
-
 def tail_constant(model: KernelModel) -> float:
     """Tail-bound constant from the annulus summation.
 
@@ -724,21 +753,10 @@ def tail_constant(model: KernelModel) -> float:
 
         c1 = max(1/h(1),  C_hi * mu_ball * sup_r V(theta r)/V(r) / (1 - c0))
 
-    where (theta, c0) witness the geometric decay of h.  Each call builds
-    the tail profile once; a per-model cache waits for ROADMAP item 1.
+    where (theta, c0) witness the geometric decay of h (found on
+    _TAIL_DECAY_GRID).  Derived once per model from its cached h.
     """
-    return _tail_constant(model, tail_profile(model)[0])
-
-
-def _tail_constant(model: KernelModel, h: ScalingFunction) -> float:
-    """tail_constant from the model's tail profile h."""
-    rep = check_h_conditions(h, UPPER_DECAY, grid=_TAIL_DECAY_GRID)
-    if not rep.ok:
-        raise UnsupportedModelError(f"{model.model_id}: no geometric tail decay found")
-    theta, c0 = rep.theta, rep.c0
-    grid = model.V.grid()
-    c_v = float(np.max(model.V(theta * grid) / model.V(grid)))
-    return max(1.0 / h(1.0), model.c_hi * model.mu_ball * c_v / (1.0 - c0))
+    return model._tail_c1
 
 
 def tail_probability(model: KernelModel, t: float, r: float) -> TailEstimate:
@@ -746,16 +764,15 @@ def tail_probability(model: KernelModel, t: float, r: float) -> TailEstimate:
 
     The estimate comes from the exact law when the model has one, otherwise
     from the midpoint of the envelope annulus integral.  The bound holds for
-    t >= 1 (the large-time envelope regime).  Each call builds the tail
-    profile (h, rho) once and takes c1 from that h; a per-model cache waits
-    for ROADMAP item 1.
+    t >= 1 (the large-time envelope regime).  (h, rho) and c1 are the
+    model's cached tail_profile and tail_constant.
     """
     if not t >= 1.0:  # false for NaN too
         raise PreconditionError("the tail bound is asserted for t >= 1")
     if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
-    h, rho = tail_profile(model)
-    c1 = _tail_constant(model, h)
+    h, rho = model._tail_profile
+    c1 = model._tail_c1
     if r == 0.0:
         return TailEstimate(estimate=1.0, upper_bound=math.inf, c1=c1)
     bound = c1 * h(r / rho(t))

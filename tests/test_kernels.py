@@ -110,6 +110,15 @@ class TestPresets:
         with pytest.raises(ValueError):
             kn.from_id("brownian-sheet")
 
+    @pytest.mark.parametrize("spec, name", [
+        ("stablelike:3,0", "DW"), ("stablelike:3,-1", "DW"), ("stablelike:0,1.5", "DV"),
+        ("stablelike:-1,1.5", "DV"), ("subgaussian:0,2,0.25", "DV"), ("subgaussian:3,2,0", "C0"),
+        ("subgaussian:3,2,-1", "C0"), ("subgaussian:3,2,nan", "C0"),
+    ])
+    def test_envelope_parameters_must_be_positive(self, spec, name):
+        with pytest.raises(UnsupportedModelError, match=f"need finite {name} > 0"):
+            kn.from_id(spec)
+
 
 class TestEnvelopeDensity:
     def test_on_diagonal_branch(self):
@@ -537,10 +546,9 @@ class TestTailProbability:
         assert te.c1 == kn.tail_constant(cauchy)
         assert te.upper_bound == te.c1 * h(16.0 / rho(4.0))
 
-    @pytest.mark.parametrize("spec", TAIL_PRESETS)
-    def test_builds_one_profile_per_call(self, spec, monkeypatch):
-        # h and rho, each verified on its grid once: c1 comes from the same h
-        m = kn.from_id(spec)
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The names of the ScalingFunctions verified from here on."""
         built = []
         post_init = ScalingFunction.__post_init__
 
@@ -549,10 +557,68 @@ class TestTailProbability:
             post_init(self)
 
         monkeypatch.setattr(ScalingFunction, "__post_init__", counted)
-        for t, r in ((1.0, 0.0), (4.0, 16.0)):
+        return built
+
+    #: the three public readers of a model's tail derivation
+    TAIL_CALLS = {
+        "profile": kn.tail_profile,
+        "constant": kn.tail_constant,
+        "probability": lambda m: kn.tail_probability(m, 4.0, 16.0),
+    }
+
+    @pytest.mark.parametrize("spec", TAIL_PRESETS)
+    def test_builds_one_profile_per_call(self, spec, monkeypatch):
+        # a model's first tail call, through any of the three functions,
+        # verifies h and rho on their grids (2 builds); every later call on
+        # that model, r = 0 included, builds none
+        model = kn.from_id(spec)
+        built = self._count_builds(monkeypatch)
+        for first in self.TAIL_CALLS.values():
+            m = dataclasses.replace(model)
             built.clear()
-            kn.tail_probability(m, t, r)
+            first(m)
             assert len(built) == 2, built
+            built.clear()
+            for call in (*self.TAIL_CALLS.values(), lambda m: kn.tail_probability(m, 1.0, 0.0)):
+                call(m)
+            assert built == []
+
+    def test_copies_start_with_an_empty_cache(self, monkeypatch):
+        m = kn.from_id("stablelike:3,1.5")
+        c1 = kn.tail_constant(m)
+        built = self._count_builds(monkeypatch)
+        # c_hi * mu_ball * sup V(theta r) / V(r) / (1 - c0) is above 1/h(1) = 1
+        # here, so c1 scales with the copy's own c_hi
+        for copy in (m.with_comparability(0.02, 0.25), dataclasses.replace(m, c_hi=0.25)):
+            built.clear()
+            te = kn.tail_probability(copy, 4.0, 16.0)
+            assert len(built) == 2, built
+            assert te.c1 == kn.tail_constant(copy)
+            assert te.c1 == pytest.approx(c1 * 0.25 / m.c_hi, rel=1e-15)
+        built.clear()
+        assert kn.tail_constant(m) == c1
+        assert built == []
+
+    def test_unsupported_derivations_raise_on_every_call(self, monkeypatch):
+        # nothing is cached for a derivation that raises
+        jump = kn.from_id("jump:power:3;powerlog:1.5,1")
+        for _ in range(2):
+            for call in self.TAIL_CALLS.values():
+                with pytest.raises(UnsupportedModelError, match="two-sided-jump"):
+                    call(jump)
+        # a model whose c1 fails keeps its (h, rho)
+        m = kn.from_id("stablelike:3,1.5")
+        no_decay = sc.HConditionReport(ok=False, mode=sc.UPPER_DECAY, theta=8.0, c0=1.0, worst_point=2.0)
+        monkeypatch.setattr(kn, "check_h_conditions", lambda *a, **k: no_decay)
+        h, rho = kn.tail_profile(m)
+        for _ in range(2):
+            for call in (kn.tail_constant, self.TAIL_CALLS["probability"]):
+                with pytest.raises(UnsupportedModelError, match="no geometric tail decay"):
+                    call(m)
+            again = kn.tail_profile(m)
+            assert again[0] is h and again[1] is rho
+        monkeypatch.undo()
+        assert kn.tail_constant(m) == kn.tail_constant(kn.from_id("stablelike:3,1.5"))
 
     @pytest.mark.parametrize("spec", TAIL_PRESETS)
     def test_matches_the_two_call_formula(self, spec):
