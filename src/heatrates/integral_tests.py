@@ -15,10 +15,14 @@ at the deepest condensation the engine abstains.
 
 The named tests at the bottom wrap the engine with the specific integrands
 of the classical rate-function criteria (Kolmogorov, Dvoretzky-Erdos,
-Spitzer-type) and their heat-kernel generalizations.  Each writes its
-integrand as one array expression in the scaling functions, so the engine
-evaluates it once on all 3840 block nodes and every phi^-1 in it is one
-array ``inverse``.
+Spitzer-type) and their heat-kernel generalizations.  Each writes the log
+of its integrand, log f, as one array expression in the log-log forms
+ell(s) = log f(e**s) of its scaling functions; every phi^-1 in it is one
+array ``log_inverse`` and every rate one ``log_rate``, so no power, ratio or
+inverse that may pass the float range is formed.  The engine calls log f
+once, on all 3840 block nodes, and exponentiates in one place: f is 0
+where log f <= -745 (exp is 0 or subnormal there) or -inf, and a NaN or
++inf log f is an EvaluationError naming its block and t.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .scaling import (
     INCREASING,
     RateCandidate,
     ScalingFunction,
-    evaluate_rate,
-    inverse,
+    log_inverse,
+    log_rate,
 )
 
 CONVERGENT = "convergent"
@@ -44,11 +48,6 @@ DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
 
 LOG2 = math.log(2.0)
-
-
-def _exp_or_zero(x: np.ndarray) -> np.ndarray:
-    """exp(x), and 0 where x <= -745 (where exp is 0 or subnormal)."""
-    return np.where(x > -745.0, np.exp(x), 0.0)
 
 
 #: Number of dyadic blocks; t reaches t0 * 2**K_MAX (~1e72 * t0).
@@ -167,13 +166,17 @@ def classify_tail_integral(f: Callable[[float], float], t0: float = 16.0) -> Ver
     return _classify_blocks(_block_sums(t, weight, np.array(vals, dtype=float)), t0)
 
 
-def _classify_nodes(f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdict:
-    """classify_tail_integral for an integrand written as an array
-    expression: f is called once, on the array of all block nodes (an
-    error it raises names its argument, not the block)."""
+def _classify_log(log_f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdict:
+    """classify_tail_integral for an integrand given by its log as an array
+    expression, called once on all block nodes (an error it raises names its
+    argument, not the block), and exponentiated by the module docstring's rule."""
     _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
     t, weight = _block_nodes(t0)
-    return _classify_blocks(_block_sums(t, weight, f(t)), t0)
+    x = log_f(t)
+    with np.errstate(over="ignore"):  # +inf is reported with its block
+        v = np.exp(x)
+    v[x <= -745.0] = 0.0
+    return _classify_blocks(_block_sums(t, weight, v), t0)
 
 
 def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
@@ -272,6 +275,16 @@ UPPER = "upper"
 LOWER = "lower"
 
 
+def _start(t0: float, reached: Callable[[float], bool], what: str) -> float:
+    """The first t0 2**k, k < 200, where reached holds: the integral starts
+    there, and the part before it is finite and decides nothing."""
+    _positive_finite("t0", t0)
+    for k in range(200):
+        if reached(t0 * 2.0**k):
+            return t0 * 2.0**k
+    raise PreconditionError(f"{what} on any reachable scale")
+
+
 def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
     """Forefront test for Brownian-scale growth functions g increasing to inf.
 
@@ -280,15 +293,14 @@ def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
     if g.monotonicity != INCREASING:
         raise PreconditionError("kolmogorov test requires increasing g")
 
-    def f(t: np.ndarray) -> np.ndarray:
+    def log_f(t: np.ndarray) -> np.ndarray:
         x = g(t)
         # the log is only kept where x > 0, and x * x past the float range
         # gives the -inf wanted, as it does for a Python float
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            ex = np.where(x > 0, -0.5 * x * x + dim * np.log(x), -np.inf)
-        return _exp_or_zero(ex - np.log(t))
+            return np.where(x > 0, -0.5 * x * x + dim * np.log(x), -np.inf) - np.log(t)
 
-    return _classify_nodes(f, t0)
+    return _classify_log(log_f, t0)
 
 
 def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
@@ -300,11 +312,7 @@ def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = 16.0) -> Verd
         raise PreconditionError("dvoretzky-erdos test requires dim >= 3")
     if h.monotonicity != DECREASING:
         raise PreconditionError("dvoretzky-erdos test requires decreasing h")
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return _exp_or_zero((dim - 2) * h.log_value(t) - np.log(t))
-
-    return _classify_nodes(f, t0)
+    return _classify_log(lambda t: (dim - 2) * h.log_value(t) - np.log(t), t0)
 
 
 def upper_rate_test(
@@ -320,7 +328,9 @@ def upper_rate_test(
     ONE_PROB classifies int t^-1 h(phi(t) / (2 rho(2(1+eps)t))) dt; a
     convergent verdict certifies the hypothesis that makes phi an upper
     rate function.  ZERO_PROB classifies int t^-1 h(2 phi(4t) / rho(t)) dt;
-    a divergent verdict certifies the zero-probability hypothesis.
+    a divergent verdict certifies the zero-probability hypothesis.  The
+    argument of h is taken in logs, log phi from ``log_rate``, so neither
+    phi nor the argument is formed.
     """
     if direction not in (ONE_PROB, ZERO_PROB):
         raise ValueError(f"unknown direction {direction!r}")
@@ -330,20 +340,13 @@ def upper_rate_test(
         raise PreconditionError("rho must be increasing")
     _positive_finite("eps", eps)
 
-    if direction == ONE_PROB:
+    # log of the argument of h: log phi(a t) + sign log 2 - log rho(b t)
+    a, sign, b = (1.0, -1.0, 2.0 * (1.0 + eps)) if direction == ONE_PROB else (4.0, 1.0, 1.0)
 
-        def arg(t: np.ndarray) -> np.ndarray:
-            return evaluate_rate(phi_candidate, t) / (2.0 * rho(2.0 * (1.0 + eps) * t))
+    def log_f(t: np.ndarray) -> np.ndarray:
+        return h.ell(log_rate(phi_candidate, a * t) + sign * LOG2 - rho.log_value(b * t)) - np.log(t)
 
-    else:
-
-        def arg(t: np.ndarray) -> np.ndarray:
-            return 2.0 * evaluate_rate(phi_candidate, 4.0 * t) / rho(t)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return _exp_or_zero(h.log_value(arg(t)) - np.log(t))
-
-    return _classify_nodes(f, t0)
+    return _classify_log(log_f, t0)
 
 
 def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> Verdict:
@@ -356,8 +359,10 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> 
     Convergent certifies the rate's one-probability branch, divergent the
     zero-probability branch.  ``model`` must expose V and phi scaling
     functions with volume exponent d1 strictly above walk exponent d4.
-    The integral starts at the first t0 2^k where varphi(t) reaches phi's
-    domain floor; the part before it is finite and decides nothing.
+    The integrand is taken in logs: with s_phi = log phi^-1(t) and s =
+    s_phi + log g(t), log f = ell_V(s) - ell_phi(s) - ell_V(s_phi).  The
+    integral starts at the first t0 2^k where varphi(t) reaches phi's
+    domain floor.
     """
     V, phi = model.V, model.phi
     if V.envelope.d_lo <= phi.envelope.d_hi:
@@ -368,42 +373,29 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> 
     if g.monotonicity != DECREASING:
         raise PreconditionError("g must be nonincreasing")
 
-    _positive_finite("t0", t0)
-    start = t0
-    for _ in range(200):
-        if inverse(phi, start) * g(start) >= phi.domain_floor:
-            break
-        start *= 2.0
-    else:
-        raise PreconditionError("phi^-1(t) g(t) does not reach phi's domain on any reachable scale")
+    log_floor = math.log(phi.domain_floor)
+    start = _start(
+        t0, lambda t: log_inverse(phi, math.log(t)) + g.log_value(t) >= log_floor,
+        "phi^-1(t) g(t) does not reach phi's domain",
+    )
 
-    def f(t: np.ndarray) -> np.ndarray:
-        phi_inv_t = inverse(phi, t)
-        r = phi_inv_t * g(t)
-        return V(r) / (phi(r) * V(phi_inv_t))
+    def log_f(t: np.ndarray) -> np.ndarray:
+        u = np.log(t)
+        s_phi = log_inverse(phi, u)
+        s = s_phi + g.ell(u)
+        return V.ell(s) - phi.ell(s) - V.ell(s_phi)
 
-    return _classify_nodes(f, start)
+    return _classify_log(log_f, start)
 
 
 def critical_lower_rate_test(g: ScalingFunction, t0: float = 16.0) -> Verdict:
     """Spitzer-type closest-approach test in the critical (recurrent) case.
 
-    Classifies int_1^inf dt / (t |log g(t)|) for g decreasing to 0.
-    Evaluated through log g directly, so g may underflow to zero without
-    corrupting the integrand.
+    Classifies int_1^inf dt / (t |log g(t)|) for g decreasing to 0, as log f
+    = -log t - log |log g(t)|.  Evaluated through log g directly, so g may
+    underflow to zero without corrupting the integrand.
     """
     if g.monotonicity != DECREASING:
         raise PreconditionError("g must be nonincreasing")
-    _positive_finite("t0", t0)
-    start = t0
-    for _ in range(200):
-        if g.log_value(start) < -1e-12:
-            break
-        start *= 2.0
-    else:
-        raise PreconditionError("g does not drop below 1 on any reachable scale")
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return 1.0 / (t * np.abs(g.log_value(t)))
-
-    return _classify_nodes(f, start)
+    start = _start(t0, lambda t: g.log_value(t) < -1e-12, "g does not drop below 1")
+    return _classify_log(lambda t: -np.log(t) - np.log(np.abs(g.log_value(t))), start)

@@ -39,7 +39,7 @@ from scipy import special
 
 from .errors import PreconditionError, UnsupportedModelError
 from .integral_tests import CONVERGENT, DIVERGENT, Verdict
-from .integral_tests import _LEGENDRE, _classify_nodes, _gauss_legendre, _piece_ends
+from .integral_tests import _LEGENDRE, _classify_log, _gauss_legendre, _piece_ends
 from .scaling import (
     INCREASING,
     UPPER_DECAY,
@@ -171,6 +171,14 @@ def _require_positive(head: str, **params: float) -> None:
             raise UnsupportedModelError(f"{head} presets need finite {name} > 0, got {value:g}")
 
 
+def _dimension(head: str, text: str) -> int:
+    """The dimension a preset id names: a finite whole number, such as 3 or 3.0."""
+    dim = float(text)
+    if not dim.is_integer():  # false for NaN and inf too
+        raise UnsupportedModelError(f"{head} presets need a whole dimension, got {text.strip()!r}")
+    return int(dim)
+
+
 def from_id(spec: str) -> KernelModel:
     """Model presets by string id.
 
@@ -191,7 +199,7 @@ def from_id(spec: str) -> KernelModel:
             mu_ball=_UNIT_BALL_VOLUME[1],
         )
     if head == "gaussian":
-        dim = int(float(tail))
+        dim = _dimension(head, tail)
         if dim not in (1, 2, 3):
             raise UnsupportedModelError("gaussian presets support dim 1..3")
         c = (4.0 * math.pi) ** (-dim / 2.0)
@@ -202,7 +210,7 @@ def from_id(spec: str) -> KernelModel:
         )
     if head == "stable":
         a_s, d_s = tail.split(",")
-        alpha, dim = float(a_s), int(float(d_s))
+        alpha, dim = float(a_s), _dimension(head, d_s)
         if not 0 < alpha < 2:
             raise UnsupportedModelError("stable presets need 0 < alpha < 2")
         if dim < 1:
@@ -829,16 +837,12 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
 
     Convergence of int dt / V(phi^-1(t)) certifies transience (the
     sup-density criterion); divergence certifies recurrence for the whole
-    comparability class.  The classifier may abstain.  The integrand is
-    exp(-ell_V(s)) with s = log phi^-1(t) from phi's log-inverse, so
-    phi^-1(t) is never formed: it underflows towards 0 where phi^-1(t) or
-    V itself would overflow.
+    comparability class.  The classifier may abstain.  The integrand goes
+    to the classifier as its log, -ell_V(s) with s = log phi^-1(t) from
+    phi's log-inverse, so neither phi^-1(t) nor V(phi^-1(t)) is formed: the
+    integrand underflows towards 0 where either would overflow.
     """
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return np.exp(-model.V.ell(log_inverse(model.phi, np.log(t))))
-
-    verdict = _classify_nodes(f, 16.0)
+    verdict = _classify_log(lambda t: -model.V.ell(log_inverse(model.phi, np.log(t))), 16.0)
     if verdict.label == CONVERGENT:
         return TRANSIENT, verdict
     if verdict.label == DIVERGENT:

@@ -416,7 +416,7 @@ def _worst_log_ratio(h: ScalingFunction, pts: np.ndarray, a: float, b: float):
     return float(ratio[k]), float(pts[k])
 
 
-def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None):
+def inverse(f: ScalingFunction, y):
     """Solve f(t) = y for increasing f: t = e**s, s = ``log_inverse(f, log y)``.
 
     y is a float or 0-d array (a float comes back) or an array of targets
@@ -427,7 +427,7 @@ def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None
     ok = (y > 0.0) & (y < math.inf)
     if not _all(ok):
         raise BracketError(f"target value {_first(y, ~ok)!r} not a positive real")
-    s = log_inverse(f, np.log(y), bracket)
+    s = log_inverse(f, np.log(y))
     over = s > _S_HI
     if not _all(~over):
         raise OverflowError(f"{f.name or 'scaling function'}: inverse of y={_first(y, over):g} overflows")
@@ -435,16 +435,15 @@ def inverse(f: ScalingFunction, y, bracket: Optional[tuple[float, float]] = None
     return float(t) if y.ndim == 0 else t
 
 
-def log_inverse(f: ScalingFunction, log_y, bracket: Optional[tuple[float, float]] = None) -> np.ndarray:
+def log_inverse(f: ScalingFunction, log_y) -> np.ndarray:
     """s = log f^-1(y), the root of ell(s) = log y, for increasing f and an
     array of log y.  Where f^-1(y) leaves the float range s is still a
     float, so a caller that needs only ell of s never forms f^-1(y).
 
-    Uses the exact inverse when the function carries one and no explicit
-    bracket (in t) was requested; its accuracy is the float conditioning of
-    the closed form, not the stopping rule below.  Otherwise it takes log
-    of the given bracket, or gallops out from s0 = log max(1, domain_floor)
-    to find one (so a function undefined at r = 1, such as powerlog with a
+    Uses the exact inverse when the function carries one; its accuracy is
+    the float conditioning of the closed form, not the stopping rule below.
+    Otherwise it gallops out from s0 = log max(1, domain_floor) to find a
+    bracket (so a function undefined at r = 1, such as powerlog with a
     negative log exponent, is first evaluated where it was verified), and
     runs regula falsi on (s, ell(s) - log y) with the Illinois modification
     (Dowell & Jarratt 1971).  A bisection step, the midpoint in s, replaces
@@ -458,24 +457,11 @@ def log_inverse(f: ScalingFunction, log_y, bracket: Optional[tuple[float, float]
     """
     if f.monotonicity != INCREASING:
         raise PreconditionError("inverse requires an increasing function")
-    if bracket is None and f.exact_inverse is not None:
+    if f.exact_inverse is not None:
         return f.exact_inverse(log_y)
     log_y = np.asarray(log_y, dtype=float)
     shape, log_y = log_y.shape, log_y.ravel()
-    if bracket is None:
-        lo, g_lo, hi, g_hi = _auto_brackets(f, log_y)
-    else:
-        if not 0.0 < bracket[0] < bracket[1] < math.inf:
-            raise BracketError(f"bracket {bracket!r} is not an interval of positive reals")
-        lo, hi = math.log(bracket[0]), math.log(bracket[1])
-        g_lo, g_hi = f._ell_checked(np.array([lo, hi]))
-        miss = ~((g_lo - log_y <= _INVERSE_RTOL) & (g_hi - log_y >= -_INVERSE_RTOL))
-        if miss.any():
-            raise BracketError(
-                f"bracket [{bracket[0]:g}, {bracket[1]:g}] maps to [{f(bracket[0]):g}, {f(bracket[1]):g}], "
-                f"which does not straddle y={math.exp(log_y[miss][0]):g}"
-            )
-        lo, g_lo, hi, g_hi = (np.full(log_y.shape, x) for x in (lo, g_lo, hi, g_hi))
+    lo, g_lo, hi, g_hi = _auto_brackets(f, log_y)
     # g = ell - log y from here; the state, one entry per target, is updated
     # in place where the target is unsolved; fixed shapes keep the
     # allocations alike from step to step, so that they reuse the memory
@@ -631,19 +617,35 @@ class RateCandidate:
                 raise PreconditionError("phi must be increasing for inverse recipes")
 
 
-def evaluate_rate(candidate: RateCandidate, t):
-    """Evaluate a rate candidate at a time t > 1, or at an array of times."""
+def log_rate(candidate: RateCandidate, t):
+    """log of a rate candidate at a time t > 1, or at an array of times,
+    from the ell of its functions alone, with u = log t:
+
+        direct:       ell_phi(u)
+        subcritical:  log_inverse(phi, u) + ell_g(u)
+        critical:     log_inverse(phi, u + ell_g(u))
+
+    The rate itself is never formed, so it may pass the float range.
+    """
     if not isinstance(t, float):
         t = np.asarray(t, dtype=float)
     early = t <= 1
     if np.any(early):
         raise PreconditionError(f"rate candidates are defined for t > 1, got {_first(t, early)!r}")
+    u = np.log(t)
     if candidate.recipe == DIRECT:
-        v = candidate.phi(t)
-    elif candidate.recipe == SUBCRITICAL:
-        v = inverse(candidate.phi, t) * candidate.g(t)
-    else:
-        v = inverse(candidate.phi, t * candidate.g(t))
+        return candidate.phi.ell(u)
+    if candidate.recipe == SUBCRITICAL:
+        return log_inverse(candidate.phi, u) + candidate.g.ell(u)
+    return log_inverse(candidate.phi, u + candidate.g.ell(u))
+
+
+def evaluate_rate(candidate: RateCandidate, t):
+    """A rate candidate at a time t > 1, or at an array of times: exp of
+    ``log_rate``, which must give a finite positive value (EvaluationError
+    names the first t where not)."""
+    with np.errstate(over="ignore"):  # past the float range is inf, which is reported
+        v = np.exp(log_rate(candidate, t))
     bad = ~(np.isfinite(v) & (v > 0))
     if bad.any():
         raise EvaluationError(

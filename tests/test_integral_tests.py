@@ -241,6 +241,16 @@ class TestDvoretzkyErdos:
         with pytest.raises(PreconditionError, match="t0"):
             dvoretzky_erdos_test(sc.powerlog(0.0, -1.0), 3, t0=math.inf)
 
+    def test_nan_log_integrand_raises_with_block(self):
+        # a NaN value of h is an error named by its block, as in
+        # classify_tail_integral, not an integrand of 0
+        def ev(r):
+            return math.nan if r > 1e30 else 1.0 / math.log(r) ** 2
+
+        h = sc.ScalingFunction(ev, sc.DECREASING, sc.fit_envelope(ev, 16.0), 16.0)
+        with pytest.raises(EvaluationError, match="block 95: integrand non-finite at t=1.05"):
+            dvoretzky_erdos_test(h, 3)
+
 
 class TestUpperRate:
     BETA = 1.5
@@ -285,6 +295,15 @@ class TestUpperRate:
         with pytest.raises(PreconditionError, match="eps"):
             upper_rate_test(h, rho, self._phi(0.0), eps, ONE_PROB)
 
+    @pytest.mark.parametrize("beta", [0.15, 0.2])
+    @pytest.mark.parametrize("eps, label", [(0.5, CONVERGENT), (-0.5, DIVERGENT)])
+    def test_small_beta_direct_candidate(self, beta, eps, label):
+        # phi(t) = t^(1/beta) (log t)^((1+eps)/beta) passes the float range
+        # inside the block range; its log does not
+        h, rho = sc.power(-beta), sc.power(1.0 / beta)
+        phi = sc.powerlog(1.0 / beta, (1.0 + eps) / beta)
+        assert upper_rate_test(h, rho, sc.RateCandidate("direct", phi), 1.0, ONE_PROB).label == label
+
 
 class TestSubcriticalLowerRate:
     class _Model:
@@ -296,6 +315,18 @@ class TestSubcriticalLowerRate:
         m = self._Model()
         assert subcritical_lower_rate_test(m, sc.powerlog(0.0, -1.0)).label == CONVERGENT
         assert subcritical_lower_rate_test(m, sc.powerlog(0.0, -0.5)).label == DIVERGENT
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.8, 1.5, 1.9])
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_takeuchi_integral_on_stable_laws(self, alpha, s):
+        # on stable:alpha,3 with g = (log t)^(-s/(3-alpha)) the integrand is
+        # t^-1 (log t)^-s (Takeuchi 1964): convergent iff s > 1.  For small
+        # alpha, phi(r) V(phi^-1(t)) passes the float range; its log does not
+        from heatrates import kernels as kn
+
+        g = sc.powerlog(0.0, -s / (3.0 - alpha))
+        v = subcritical_lower_rate_test(kn.from_id(f"stable:{alpha!r},3"), g)
+        assert v.label == (CONVERGENT if s > 1.0 else DIVERGENT)
 
     def test_reduces_to_dvoretzky_erdos(self):
         # V = r^d, phi = r^2, g = h reproduces the h^{d-2}/t integrand

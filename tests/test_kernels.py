@@ -119,6 +119,23 @@ class TestPresets:
         with pytest.raises(UnsupportedModelError, match=f"need finite {name} > 0"):
             kn.from_id(spec)
 
+    @pytest.mark.parametrize("spec, bad", [
+        ("gaussian:2.7", "2.7"), ("stable:1.5,3.9", "3.9"), ("gaussian:nan", "nan"),
+        ("stable:1.5,inf", "inf"), ("stable:1.5,nan", "nan"),
+    ])
+    def test_dimension_must_be_whole(self, spec, bad):
+        # a fractional dimension used to be truncated (gaussian:2.7 was
+        # gaussian:2), a non-finite one raised int()'s bare error
+        with pytest.raises(UnsupportedModelError, match=f"whole dimension, got '{bad}'"):
+            kn.from_id(spec)
+
+    @pytest.mark.parametrize("spec, model_id", [
+        ("gaussian:3", "gaussian:3"), ("gaussian:3.0", "gaussian:3"), ("stable:1.5,3.0", "stable:1.5,3"),
+    ])
+    def test_whole_dimension_written_as_a_float(self, spec, model_id):
+        m = kn.from_id(spec)
+        assert (m.model_id, m.dim) == (model_id, 3)
+
 
 class TestEnvelopeDensity:
     def test_on_diagonal_branch(self):
