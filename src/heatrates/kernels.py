@@ -45,6 +45,8 @@ from .scaling import (
     UPPER_DECAY,
     ScalingFunction,
     check_h_conditions,
+    _id_float,
+    _parse_id,
     exp_decay,
     from_id as scaling_from_id,
     inverse,
@@ -60,10 +62,6 @@ TRANSIENT = "transient"
 RECURRENT = "recurrent"
 INCONCLUSIVE_CLASS = "inconclusive"
 
-#: Lebesgue measure of the unit ball, used to convert between mu(B(x, r))
-#: and the volume profile V(r) = r^dim for the Euclidean presets.
-_UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-
 #: the points r > 1 at which tail_constant looks for the geometric decay of h
 _TAIL_DECAY_GRID = np.geomspace(1.0 + 1e-9, 1e4, 64)
 _TAIL_DECAY_GRID.setflags(write=False)
@@ -76,9 +74,10 @@ class KernelModel:
     ``c_lo``/``c_hi`` are the declared comparability constants bracketing
     density/envelope; ``with_comparability`` returns a copy with others.
     ``exact_law`` is the model's law object, or None for an envelope-only
-    model; ``dim`` and ``alpha`` are read from it.  ``long_run``, the tail
-    profile (h, rho) and c1 are cached on first read; a copy by
-    ``with_comparability`` or ``dataclasses.replace`` starts empty.
+    model; ``dim``, ``alpha`` and ``mu_ball`` = mu(B(x, 1)) / V(1), the unit
+    ball's volume in dim dimensions (1 without a law), are read from it.
+    ``long_run``, the tail profile (h, rho) and c1 are cached on first read;
+    a copy by ``with_comparability`` or ``dataclasses.replace`` starts empty.
     """
 
     model_id: str
@@ -89,7 +88,6 @@ class KernelModel:
     c0: Optional[float] = None     # sub-gaussian decay constant
     c_lo: float = 0.01
     c_hi: float = 100.0
-    mu_ball: float = 1.0           # mu(B(x,1)) / V(1)
 
     # -- envelope exponents (from the verified scaling envelopes) ------
 
@@ -117,6 +115,17 @@ class KernelModel:
     def alpha(self) -> Optional[float]:
         """Stable index of the exact law."""
         return None if self.exact_law is None else self.exact_law.alpha
+
+    @property
+    def mu_ball(self) -> float:
+        """mu(B(x, 1)) / V(1), the unit ball's volume w_d in d = dim dimensions:
+        w_d = w_(d-2) 2 pi / d from w_0 = 1, w_1 = 2 (2, pi, 4 pi / 3 exactly),
+        until w underflows to 0 (past d of about 400)."""
+        d = 0 if self.exact_law is None else self.exact_law.dim  # w_0 = 1 without a law
+        w, k = (2.0, 3) if d % 2 else (1.0, 2)
+        while k <= d and w:
+            w, k = w * 2.0 * math.pi / k, k + 2
+        return w
 
     @property
     def has_density(self) -> bool:
@@ -171,16 +180,19 @@ def _require_positive(head: str, **params: float) -> None:
             raise UnsupportedModelError(f"{head} presets need finite {name} > 0, got {value:g}")
 
 
-def _dimension(head: str, text: str) -> int:
+def _dimension(head: str, dim: float) -> int:
     """The dimension a preset id names: a finite whole number, such as 3 or 3.0."""
-    dim = float(text)
     if not dim.is_integer():  # false for NaN and inf too
-        raise UnsupportedModelError(f"{head} presets need a whole dimension, got {text.strip()!r}")
+        raise UnsupportedModelError(f"{head} presets need a whole dimension, got {_id_float(dim)!r}")
     return int(dim)
 
 
+#: the number of arguments of each id head but jump
+_ARITY = {"cauchy1d": 0, "gaussian": 1, "stable": 2, "stablelike": 2, "subgaussian": 3}
+
+
 def from_id(spec: str) -> KernelModel:
-    """Model presets by string id.
+    """Model presets by string id, the ``model_id`` they carry.
 
     Grammar:
         cauchy1d                  1-d Cauchy law (stable-like dv=1, dw=1)
@@ -188,54 +200,13 @@ def from_id(spec: str) -> KernelModel:
         stable:ALPHA,DIM          isotropic stable law (stable-like dv=DIM, dw=ALPHA)
         stablelike:DV,DW          envelope only; DV, DW finite and > 0
         subgaussian:DV,DW,C0      envelope only; DV, C0 finite and > 0, DW > 1
-        jump:V_ID,PHI_ID          two-sided-jump envelope from scaling presets
+        jump:V_ID;PHI_ID          two-sided-jump envelope from scaling presets
+
+    jump splits at ";" into two ``scaling.from_id`` ids; the others are read
+    as those are, with the same three ValueErrors naming the id.
     """
     head, _, tail = spec.partition(":")
-    head = head.strip().lower()
-    if head == "cauchy1d":
-        return _stable_like(
-            1.0, 1.0, model_id="cauchy1d", exact_law=CauchyLaw(),
-            c_lo=1.0 / (2.0 * math.pi), c_hi=1.0 / math.pi,
-            mu_ball=_UNIT_BALL_VOLUME[1],
-        )
-    if head == "gaussian":
-        dim = _dimension(head, tail)
-        if dim not in (1, 2, 3):
-            raise UnsupportedModelError("gaussian presets support dim 1..3")
-        c = (4.0 * math.pi) ** (-dim / 2.0)
-        return KernelModel(
-            model_id=f"gaussian:{dim}", form=SUB_GAUSSIAN, V=power(float(dim)),
-            phi=power(2.0), exact_law=GaussianLaw(dim), c0=0.25, c_lo=c, c_hi=c,
-            mu_ball=_UNIT_BALL_VOLUME[dim],
-        )
-    if head == "stable":
-        a_s, d_s = tail.split(",")
-        alpha, dim = float(a_s), _dimension(head, d_s)
-        if not 0 < alpha < 2:
-            raise UnsupportedModelError("stable presets need 0 < alpha < 2")
-        if dim < 1:
-            raise UnsupportedModelError("stable presets need dim >= 1")
-        return _stable_like(
-            float(dim), alpha, model_id=f"stable:{alpha:g},{dim}",
-            exact_law=StableLaw(alpha, dim), mu_ball=_UNIT_BALL_VOLUME.get(dim, 1.0),
-        )
-    if head == "stablelike":
-        dv_s, dw_s = tail.split(",")
-        dv, dw = float(dv_s), float(dw_s)
-        _require_positive(head, DV=dv, DW=dw)
-        return _stable_like(dv, dw, model_id=f"stablelike:{dv:g},{dw:g}")
-    if head == "subgaussian":
-        dv_s, dw_s, c0_s = tail.split(",")
-        dv, dw, c0 = float(dv_s), float(dw_s), float(c0_s)
-        _require_positive(head, DV=dv, DW=dw, C0=c0)
-        if dw <= 1:
-            raise UnsupportedModelError("sub-gaussian form needs DW > 1")
-        return KernelModel(
-            model_id=f"subgaussian:{dv:g},{dw:g},{c0:g}", form=SUB_GAUSSIAN,
-            V=power(dv), phi=power(dw), c0=c0,
-        )
-    if head == "jump":
-        # the two function ids may themselves contain commas
+    if head.strip().lower() == "jump":
         v_id, _, phi_id = tail.partition(";")
         if not phi_id:
             raise ValueError("jump preset syntax is jump:V_ID;PHI_ID")
@@ -247,7 +218,38 @@ def from_id(spec: str) -> KernelModel:
             model_id=f"jump:{v_id.strip()};{phi_id.strip()}",
             form=TWO_SIDED_JUMP, V=V, phi=phi,
         )
-    raise ValueError(f"unknown kernel preset {spec!r}")
+    head, args = _parse_id(spec, "kernel preset", _ARITY)
+    if head == "cauchy1d":
+        return _stable_like(
+            1.0, 1.0, model_id="cauchy1d", exact_law=CauchyLaw(),
+            c_lo=1.0 / (2.0 * math.pi), c_hi=1.0 / math.pi,
+        )
+    if head == "gaussian":
+        dim = _dimension(head, args[0])
+        if dim not in (1, 2, 3):
+            raise UnsupportedModelError("gaussian presets support dim 1..3")
+        c = (4.0 * math.pi) ** (-dim / 2.0)
+        return KernelModel(
+            model_id=f"gaussian:{dim}", form=SUB_GAUSSIAN, V=power(float(dim)),
+            phi=power(2.0), exact_law=GaussianLaw(dim), c0=0.25, c_lo=c, c_hi=c,
+        )
+    if head == "stable":
+        alpha, dim = args[0], _dimension(head, args[1])
+        if not 0 < alpha < 2:
+            raise UnsupportedModelError("stable presets need 0 < alpha < 2")
+        if dim < 1:
+            raise UnsupportedModelError("stable presets need dim >= 1")
+        return _stable_like(float(dim), alpha, model_id=f"stable:{_id_float(alpha)},{dim}",
+                            exact_law=StableLaw(alpha, dim))
+    ids = ",".join(map(_id_float, args))
+    if head == "stablelike":
+        _require_positive(head, DV=args[0], DW=args[1])
+        return _stable_like(*args, model_id=f"stablelike:{ids}")
+    dv, dw, c0 = args
+    _require_positive(head, DV=dv, DW=dw, C0=c0)
+    if dw <= 1:
+        raise UnsupportedModelError("sub-gaussian form needs DW > 1")
+    return KernelModel(model_id=f"subgaussian:{ids}", form=SUB_GAUSSIAN, V=power(dv), phi=power(dw), c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -911,13 +913,9 @@ def comp_heat_check(model: KernelModel, t: float, x, y, z) -> CompHeatReport:
     return CompHeatReport(ratio=num / den, k_bound=k)
 
 
-def comparability_sweep(
-    model: KernelModel,
-    t_grid=None,
-    n_dist: int = 24,
-    d_max_factor: float = 10.0,
-) -> tuple[float, float]:
-    """Measure density/envelope bounds over a (t, d) grid.
+def comparability_sweep(model: KernelModel, t_grid=None, n_dist: int = 24) -> tuple[float, float]:
+    """Measure density/envelope bounds over a (t, d) grid: n_dist distances
+    up to 10 phi^-1(t), and 0, at each t.
 
     Returns (min_ratio, max_ratio), the range seen on that grid.  It is not
     the sharp (C_lo, C_hi): for a stable law the ratio is one profile in
@@ -930,7 +928,7 @@ def comparability_sweep(
         t_grid = np.geomspace(1.0, 1e3, 7)
     lo, hi = math.inf, -math.inf
     for t in map(float, t_grid):
-        reach = d_max_factor * inverse(model.phi, t)
+        reach = 10.0 * inverse(model.phi, t)
         dists = np.concatenate([[0.0], np.geomspace(1e-3 * reach, reach, n_dist)])
         ratio = density(model, t, dists) / envelope_density(model, t, dists)
         lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))

@@ -50,12 +50,8 @@ class BoundPair:
                 f"{self.formula_id}: bounds out of order ({self.lower}, {self.upper})"
             )
 
-    @property
-    def center(self) -> float:
-        return math.sqrt(self.lower * self.upper) if self.lower > 0 else 0.5 * self.upper
-
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
+    def contains(self, value: float) -> bool:
+        return self.lower <= value <= self.upper
 
 
 def _require_transient(model: KernelModel) -> None:

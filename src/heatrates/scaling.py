@@ -294,22 +294,18 @@ def _grid_logs(evaluator: Callable, g: np.ndarray, s: np.ndarray, name: str) -> 
     return ell, at, np.log(vals)
 
 
-def _fit(s: np.ndarray, logs: np.ndarray, margin: float = 1e-6) -> Envelope:
+def _fit(s: np.ndarray, logs: np.ndarray) -> Envelope:
     """The tightest power bracket of the grid pairs, from the slopes of log
-    f between neighbours, with a multiplicative safety margin."""
+    f between neighbours, with a multiplicative safety margin of 1e-6."""
     slopes = np.diff(logs) / np.diff(s)
-    return Envelope(1.0 - margin, float(slopes.min()), 1.0 + margin, float(slopes.max()))
+    return Envelope(1.0 - 1e-6, float(slopes.min()), 1.0 + 1e-6, float(slopes.max()))
 
 
-def fit_envelope(
-    evaluator: Callable[[float], float],
-    domain_floor: float,
-    margin: float = 1e-6,
-) -> Envelope:
+def fit_envelope(evaluator: Callable[[float], float], domain_floor: float) -> Envelope:
     """Measure an admissible envelope from the slopes of log f in log r.
 
     Returns the tightest power bracket consistent with all grid pairs,
-    with a small multiplicative safety margin.  The slope of the chord
+    with a multiplicative safety margin of 1e-6.  The slope of the chord
     between two grid points is a weighted mean of the slopes between the
     neighbouring points it spans, so the steepest and the shallowest chords
     join neighbours: the neighbouring slopes alone give the bracket of all
@@ -319,7 +315,7 @@ def fit_envelope(
     """
     g = log_grid(domain_floor, domain_floor * 10.0**GRID_DECADES)
     s = np.log(g)
-    return _fit(s, _grid_logs(evaluator, g, s, "")[2], margin)
+    return _fit(s, _grid_logs(evaluator, g, s, "")[2])
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +344,6 @@ def check_doubling(
 @dataclass(frozen=True)
 class HConditionReport:
     ok: bool
-    mode: str
     theta: Optional[float]
     c0: float
     worst_point: float
@@ -383,15 +378,11 @@ def check_h_conditions(
         for theta in (2.0, 4.0, 8.0):
             worst, arg = _worst_log_ratio(h, pts, theta, 1.0)
             if 0 < worst < 1:
-                return HConditionReport(
-                    ok=True, mode=mode, theta=theta, c0=worst, worst_point=arg
-                )
+                return HConditionReport(ok=True, theta=theta, c0=worst, worst_point=arg)
             if best is None or worst < best[0]:
                 best = (worst, theta, arg)
         c0_found, theta, arg = best
-        return HConditionReport(
-            ok=False, mode=mode, theta=theta, c0=c0_found, worst_point=arg
-        )
+        return HConditionReport(ok=False, theta=theta, c0=c0_found, worst_point=arg)
 
     if mode == LOWER_DOUBLING:
         if c0 is None or c0 <= 1:
@@ -399,8 +390,7 @@ def check_h_conditions(
         # log-domain ratio: h may underflow to 0 at 2r
         worst, arg = _worst_log_ratio(h, pts, 1.0, 2.0)
         return HConditionReport(
-            ok=bool(worst <= c0 * (1 + GRID_RTOL)), mode=mode, theta=None,
-            c0=worst, worst_point=arg,
+            ok=bool(worst <= c0 * (1 + GRID_RTOL)), theta=None, c0=worst, worst_point=arg
         )
 
     raise ValueError(f"unknown mode {mode!r}")
@@ -603,7 +593,6 @@ class RateCandidate:
     recipe: str
     phi: ScalingFunction
     g: Optional[ScalingFunction] = None
-    description: str = ""
 
     def __post_init__(self):
         if self.recipe not in (DIRECT, SUBCRITICAL, CRITICAL):
@@ -672,7 +661,7 @@ def _check_domain(s, least: float, undefined: str) -> None:
         raise EvaluationError(undefined.format(_first(np.exp(s), ~np.asarray(ok))))
 
 
-def power(exponent: float, domain_floor: float = 1e-6) -> ScalingFunction:
+def power(exponent: float) -> ScalingFunction:
     """f(r) = r**exponent: ell(s) = exponent * s."""
     mono = INCREASING if exponent >= 0 else DECREASING
     inv = (lambda log_y, p=exponent: log_y / p) if exponent != 0 else None
@@ -680,8 +669,7 @@ def power(exponent: float, domain_floor: float = 1e-6) -> ScalingFunction:
         LogLog(lambda s, p=exponent: p * s),
         mono,
         Envelope(1.0, exponent, 1.0, exponent),
-        domain_floor,
-        name=f"power:{exponent:g}",
+        name=f"power:{_id_float(exponent)}",
         exact_inverse=inv,
     )
 
@@ -694,13 +682,12 @@ def constant(value: float) -> ScalingFunction:
         LogLog(lambda s, lv=math.log(value): np.full(np.shape(s), lv)),
         DECREASING,
         Envelope(1.0, 0.0, 1.0, 0.0),
-        1e-6,
-        name=f"const:{value:g}",
+        name=f"const:{_id_float(value)}",
     )
 
 
-def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) -> ScalingFunction:
-    """f(r) = r**exponent * (log r)**log_exponent, for r > 1.
+def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
+    """f(r) = r**exponent * (log r)**log_exponent, for r > 1, verified from r = 2.
 
     With s = log r, ell(s) = p s + q log s for p = exponent and q =
     log_exponent.  With p > 0 and q > 0, f increases from 0 at r = 1 and
@@ -719,10 +706,7 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
     undefined at r = 1 too: it raises EvaluationError naming r for every
     r <= 1.
     """
-    if domain_floor <= 1.0:
-        raise PreconditionError("powerlog needs domain_floor > 1 (log r must be positive)")
-
-    name = f"powerlog:{exponent:g},{log_exponent:g}"
+    name = f"powerlog:{_id_float(exponent)},{_id_float(log_exponent)}"
 
     # below r = 1, (log r)**q is complex or of alternating sign; with q < 0
     # it is 1/0 at r = 1 as well, so there the least log r is the least float > 0
@@ -746,12 +730,12 @@ def powerlog(exponent: float, log_exponent: float, domain_floor: float = 2.0) ->
     if log_exponent > 0.0 and math.isfinite(k) and math.isfinite(_S_LO / log_exponent):
         inv = lambda log_y, q=log_exponent, k=k: k * wrightomega(log_y / q - math.log(k))  # noqa: E731
 
-    ends = ell(np.log([domain_floor, domain_floor * 10.0**GRID_DECADES]))
+    ends = ell(np.log([2.0, 2.0 * 10.0**GRID_DECADES]))
     return ScalingFunction(
         LogLog(ell),
         INCREASING if ends[1] >= ends[0] else DECREASING,
         _FIT,
-        domain_floor,
+        2.0,
         name=name,
         exact_inverse=inv,
     )
@@ -771,17 +755,17 @@ def exp_decay(c0: float, gamma: float) -> ScalingFunction:
         DECREASING,
         _FIT,
         floor,
-        name=f"exp-decay:{c0:g},{gamma:g}",
+        name=f"exp-decay:{_id_float(c0)},{_id_float(gamma)}",
     )
 
 
-def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
+def iterated_log_g(eps: float) -> ScalingFunction:
     """g(t) = exp(-(log t) * (log log t)**(1+eps)); decays faster than any power.
 
     ell(s) = -s (log s)**(1+eps), defined for t >= e: below it log log t < 0,
-    and its power is complex.
+    and its power is complex.  Verified from t = 16.
     """
-    name = f"iterated-log-g:{eps:g}"
+    name = f"iterated-log-g:{_id_float(eps)}"
     undefined = f"{name}: undefined at t={{:g}} (log log t < 0)"
 
     def ell(s, e=eps):
@@ -789,11 +773,11 @@ def iterated_log_g(eps: float, domain_floor: float = 16.0) -> ScalingFunction:
         return -s * np.log(s) ** (1.0 + e)
 
     # the verification grid stays within exp range for moderate eps
-    return ScalingFunction(LogLog(ell), DECREASING, _FIT, domain_floor, name=name)
+    return ScalingFunction(LogLog(ell), DECREASING, _FIT, 16.0, name=name)
 
 
-def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
-    """g(t) = (log log(e^e + t))**eps / log(e + t).
+def loglog_g(eps: float) -> ScalingFunction:
+    """g(t) = (log log(e^e + t))**eps / log(e + t), verified from t = 4.
 
     eps = 0 gives exactly 1/log(e + t); eps = 1 the (log log t)/(log t) shape.
     """
@@ -802,35 +786,51 @@ def loglog_g(eps: float, domain_floor: float = 4.0) -> ScalingFunction:
         t = np.exp(s)
         return e * np.log(np.log(np.log(_EE + t))) - np.log(np.log(_E + t))
 
-    return ScalingFunction(LogLog(ell), DECREASING, _FIT, domain_floor, name=f"loglog-g:{eps:g}")
+    return ScalingFunction(LogLog(ell), DECREASING, _FIT, 4.0, name=f"loglog-g:{_id_float(eps)}")
 
 
 #: the preset of each id head, and its number of arguments
-_PRESETS = {
-    "power": (power, 1), "powerlog": (powerlog, 2), "exp-decay": (exp_decay, 2),
-    "iterated-log-g": (iterated_log_g, 1), "loglog-g": (loglog_g, 1), "const": (constant, 1),
-}
+_PRESETS = {"power": power, "powerlog": powerlog, "exp-decay": exp_decay,
+            "iterated-log-g": iterated_log_g, "loglog-g": loglog_g, "const": constant}
+_ARITY = {"power": 1, "powerlog": 2, "exp-decay": 2, "iterated-log-g": 1, "loglog-g": 1, "const": 1}
+
+
+def _id_float(x: float) -> str:
+    """x as ids write it: the shortest digits that read back as x, repr without a trailing ".0"."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
+def _parse_id(spec: str, kind: str, arity: dict[str, int]) -> tuple[str, list[float]]:
+    """The head (lower case, a key of arity) and the float arguments of a
+    ``HEAD[:ARG,...]`` id, checked: ValueError names the id and its kind."""
+    head, _, tail = spec.partition(":")
+    head = head.strip().lower()
+    if head not in arity:
+        raise ValueError(f"unknown {kind} {spec!r}")
+    try:
+        args = [float(a) for a in tail.split(",")] if tail else []
+    except ValueError as exc:
+        raise ValueError(f"bad numeric arguments in {kind} id {spec!r}") from exc
+    if len(args) != arity[head]:
+        raise ValueError(f"wrong argument count in {kind} id {spec!r}")
+    return head, args
 
 
 def from_id(spec: str) -> ScalingFunction:
-    """Build a preset from its string id.
+    """Build a preset from its string id, the ``name`` it carries.
 
-    Grammar (documented for config files and the CLI):
+    Grammar (``HEAD[:ARG,...]``, a case-blind head and float arguments):
         power:EXP              r**EXP
         powerlog:EXP,LOGEXP    r**EXP * (log r)**LOGEXP          (r > 1)
         exp-decay:C0,GAMMA     exp(-C0 * r**GAMMA)
         iterated-log-g:EPS     exp(-(log t)(log log t)**(1+EPS))  (t >= 16)
         loglog-g:EPS           (log log(e^e+t))**EPS / log(e+t)
         const:C                C
+
+    ValueError names the id for an unknown head ("unknown scaling preset"),
+    an argument that is not a number ("bad numeric arguments") and a wrong
+    number of arguments ("wrong argument count"), as in ``kernels.from_id``.
     """
-    head, _, tail = spec.partition(":")
-    try:
-        args = [float(a) for a in tail.split(",")] if tail else []
-    except ValueError as exc:
-        raise ValueError(f"bad numeric arguments in preset id {spec!r}") from exc
-    make, arity = _PRESETS.get(head.strip().lower(), (None, 0))
-    if make is None:
-        raise ValueError(f"unknown scaling preset {spec!r}")
-    if len(args) != arity:
-        raise ValueError(f"wrong argument count in preset id {spec!r}")
-    return make(*args)
+    head, args = _parse_id(spec, "scaling preset", _ARITY)
+    return _PRESETS[head](*args)

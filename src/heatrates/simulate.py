@@ -39,6 +39,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PreconditionError, UnsupportedModelError
 from .kernels import KernelModel
+from .scaling import _id_float
 
 #: the most points a scheme lays out for one horizon.  A grid is kept with
 #: its steps (two floats a point) and every path writes dim positions a
@@ -107,7 +108,7 @@ class UniformGrid(_Scheme):
 
     @cached_property
     def label(self) -> str:
-        return f"uniform:{self.dt:g}"
+        return f"uniform:{_id_float(self.dt)}"
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class DyadicBlocks(_Scheme):
 
     @cached_property
     def label(self) -> str:
-        return f"dyadic:{self.base:g}:{self.per_block}"
+        return f"dyadic:{self.per_block}:{_id_float(self.base)}"
 
 
 def _real(x, name: str) -> float:
@@ -171,17 +172,20 @@ def _real(x, name: str) -> float:
 
 
 def scheme_from_id(spec: str):
-    """Parse scheme ids: "uniform:DT" or "dyadic:PER_BLOCK[:BASE]"."""
+    """Parse scheme ids as labels write them: "uniform:DT" or
+    "dyadic:PER_BLOCK[:BASE]" (PER_BLOCK 256 where empty, BASE 2 where left
+    out).  ValueError names a malformed id."""
     head, _, tail = spec.partition(":")
-    head = head.strip().lower()
-    if head == "uniform":
-        return UniformGrid(dt=float(tail))
-    if head == "dyadic":
-        parts = tail.split(":") if tail else []
-        per_block = int(parts[0]) if parts and parts[0] else 256
-        base = float(parts[1]) if len(parts) > 1 else 2.0
-        return DyadicBlocks(base=base, per_block=per_block)
-    raise ValueError(f"unknown scheme {spec!r}")
+    head, parts = head.strip().lower(), tail.split(":")
+    try:
+        if head == "uniform" and len(parts) == 1:
+            return UniformGrid(dt=float(tail))
+        if head == "dyadic" and len(parts) <= 2:
+            per_block = int(parts[0]) if parts[0] else 256
+            return DyadicBlocks(base=float(parts[1]) if len(parts) > 1 else 2.0, per_block=per_block)
+    except ValueError as exc:
+        raise ValueError(f"bad numeric arguments in scheme id {spec!r}") from exc
+    raise ValueError(f"not a scheme id: {spec!r} (uniform:DT or dyadic:PER_BLOCK[:BASE])")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from heatrates.integral_tests import (
     DIVERGENT,
     INCONCLUSIVE,
     K_MAX,
+    LOG2,
     ONE_PROB,
     ZERO_PROB,
     classify_tail_integral,
@@ -19,6 +21,7 @@ from heatrates.integral_tests import (
     kolmogorov_test,
     subcritical_lower_rate_test,
     upper_rate_test,
+    _classify_blocks,
 )
 
 log = math.log
@@ -522,3 +525,47 @@ def test_exact_powerlog_inverse_keeps_the_verdicts(name):
     np.testing.assert_allclose(
         [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=3e-12, atol=0.0
     )
+
+
+#: u = log t at the middle of each block from t0 = 16
+_BLOCK_U = math.log(16.0) + (np.arange(K_MAX) + 0.5) * LOG2
+
+
+class TestClassifierAbstains:
+    """Each INCONCLUSIVE return of the block classifier, on synthetic block
+    sums s_k (the labels and reasons as they stand)."""
+
+    @pytest.mark.parametrize("s, reason, depth", [
+        # ten nonzero blocks, fewer than the fits need
+        (np.where(np.arange(K_MAX) >= K_MAX - 10, 1.0, 0.0), "insufficient usable blocks", 0),
+        # geometric ratio 1.003: past the 0.002 descend band, inside the 0.005 decision band
+        (1.003 ** np.arange(K_MAX), "geometric rate 1.003 inside margin but not at boundary", 0),
+        # u^-0.957: condensed ratio 2^0.043, past the 0.02 descend band, inside the 0.05 margin
+        (_BLOCK_U**-0.957, "condensed ratio 1.0303 inside margin but not at boundary", 1),
+        # 1 / (u log u log log u): critical at every depth
+        (1.0 / (_BLOCK_U * np.log(_BLOCK_U) * np.log(np.log(_BLOCK_U))),
+         "condensed ratio 1 within margin at depth 3", 3),
+    ], ids=["few-blocks", "geometric", "condensed", "deepest"])
+    def test_reason(self, s, reason, depth):
+        v = _classify_blocks(s, 16.0)
+        assert (v.label, v.reason, v.depth_used) == (INCONCLUSIVE, reason, depth)
+        assert v.partial_sum == float(np.sum(s))
+
+    @pytest.mark.parametrize("error", [EvaluationError, PreconditionError])
+    def test_an_error_of_f_is_raised_again_with_its_block(self, error):
+        def f(t):
+            if t > 16.0 * 2.0**5:  # the first such node is in block 5
+                raise error("no value here")
+            return 1.0 / t**2
+
+        with pytest.raises(error, match="^block 5: no value here$"):
+            classify_tail_integral(f, 16.0)
+
+
+@pytest.mark.parametrize("s", [None, np.where(np.arange(K_MAX) >= K_MAX - 10, 1.0, 0.0)],
+                         ids=["convergent", "inconclusive"])
+def test_verdict_as_dict_survives_json(s):
+    v = classify_tail_integral(lambda t: t**-2.0, 16.0) if s is None else _classify_blocks(s, 16.0)
+    d = v.as_dict()
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
+    assert d["class"] == v.label and len(d["block_table"]) == K_MAX

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from heatrates import kernels as kn
@@ -136,6 +139,63 @@ class TestPresets:
         m = kn.from_id(spec)
         assert (m.model_id, m.dim) == (model_id, 3)
 
+    @pytest.mark.parametrize("spec, what", [
+        ("stable:1.5", "wrong argument count"), ("stable:1.5,3,4", "wrong argument count"),
+        ("stable:abc,3", "bad numeric arguments"), ("gaussian", "wrong argument count"),
+        ("stablelike:3", "wrong argument count"), ("subgaussian:3,2", "wrong argument count"),
+        ("cauchy1d:5", "wrong argument count"), ("brownian-sheet:1", "unknown kernel preset"),
+    ])
+    def test_malformed_ids_raise_naming_the_id(self, spec, what):
+        # the same three errors as scaling ids, each naming the id
+        with pytest.raises(ValueError, match=f"^{what}.*{re.escape(repr(spec))}$"):
+            kn.from_id(spec)
+
+    _PARAM = st.floats(1e-3, 1e3)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(alpha=st.floats(1e-3, 2.0, exclude_max=True), dim=st.integers(1, 5),
+           dv=_PARAM, dw=_PARAM, c0=_PARAM)
+    def test_model_ids_rebuild_their_models(self, alpha, dim, dv, dw, c0):
+        stable = kn.from_id(f"stable:{alpha!r},{dim}")
+        assert (stable.alpha, stable.dim) == (alpha, dim)
+        envelope_only = [kn.from_id(f"stablelike:{dv!r},{dw!r}"),
+                         kn.from_id(f"subgaussian:{dv!r},{1.0 + dw!r},{c0!r}")]
+        for m in [stable] + envelope_only:
+            again = kn.from_id(m.model_id)
+            assert again.model_id == m.model_id
+            assert (again.alpha, again.dim, again.c0) == (m.alpha, m.dim, m.c0)
+            assert (again.V.envelope, again.phi.envelope) == (m.V.envelope, m.phi.envelope)
+        assert [m.V.envelope.d_lo for m in envelope_only] == [dv, dv]
+        assert [m.phi.envelope.d_lo for m in envelope_only] == [dw, 1.0 + dw]
+
+
+class TestUnitBall:
+    def test_exact_in_one_to_three_dimensions(self):
+        want = [2.0, math.pi, 4.0 * math.pi / 3.0]
+        assert [kn.from_id(f"stable:1.5,{d}").mu_ball for d in (1, 2, 3)] == want
+        assert [kn.from_id(f"gaussian:{d}").mu_ball for d in (1, 2, 3)] == want
+        assert kn.from_id("cauchy1d").mu_ball == 2.0
+
+    def test_one_without_a_law(self):
+        assert kn.from_id("stablelike:3,1.5").mu_ball == 1.0
+        assert kn.from_id("jump:power:3;powerlog:1.5,1").mu_ball == 1.0
+
+    @pytest.mark.parametrize("dim", range(4, 9))
+    def test_gamma_function_formula(self, dim):
+        want = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+        assert kn.from_id(f"stable:1.5,{dim}").mu_ball == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_underflows_to_zero_in_huge_dimensions(self):
+        # the recurrence stops at the underflow, not after 5e299 steps
+        assert kn.from_id("stable:1.5,1e300").mu_ball == 0.0
+
+    def test_tail_constant_carries_the_ball(self):
+        # c1 = C_hi mu_ball sup V(theta r)/V(r) / (1 - c0): the 4-d law and
+        # its envelope-only twin differ by the 4-d ball, pi^2 / 2
+        law, envelope = kn.from_id("stable:1.5,4"), kn.from_id("stablelike:4,1.5")
+        ratio = kn.tail_constant(law) / kn.tail_constant(envelope)
+        assert ratio == pytest.approx(math.pi**2 / 2.0, rel=1e-14, abs=0.0)
+
 
 class TestEnvelopeDensity:
     def test_on_diagonal_branch(self):
@@ -244,7 +304,7 @@ class TestExactLaws:
     def test_stable_alpha1_matches_cauchy(self):
         m = kn.KernelModel(
             model_id="s11", form=kn.STABLE_LIKE, V=kn.power(1.0), phi=kn.power(1.0),
-            exact_law=kn.StableLaw(1.0, 1), mu_ball=2.0,
+            exact_law=kn.StableLaw(1.0, 1),
         )
         for t, r in [(1.0, 0.5), (2.0, 5.0), (1.0, 40.0)]:
             assert kn.density(m, t, r) == pytest.approx(
@@ -625,7 +685,7 @@ class TestTailProbability:
                     call(jump)
         # a model whose c1 fails keeps its (h, rho)
         m = kn.from_id("stablelike:3,1.5")
-        no_decay = sc.HConditionReport(ok=False, mode=sc.UPPER_DECAY, theta=8.0, c0=1.0, worst_point=2.0)
+        no_decay = sc.HConditionReport(ok=False, theta=8.0, c0=1.0, worst_point=2.0)
         monkeypatch.setattr(kn, "check_h_conditions", lambda *a, **k: no_decay)
         h, rho = kn.tail_profile(m)
         for _ in range(2):
@@ -833,6 +893,13 @@ class TestClassifyLongRun:
         # never forms phi^-1(t), so it classifies instead of raising
         label, verdict = kn.classify_long_run(kn.from_id(spec))
         assert label == kn.TRANSIENT and verdict.label == CONVERGENT
+
+    def test_inconclusive_near_the_critical_exponent(self):
+        # V(phi^-1(t)) = t^0.9957 is 1/t to within a geometric block ratio of
+        # 1.003: inside the decision band, outside the descend band
+        label, verdict = kn.classify_long_run(kn.from_id("stablelike:0.9957,1"))
+        assert label == kn.INCONCLUSIVE_CLASS
+        assert verdict.reason == "geometric rate 1.003 inside margin but not at boundary"
 
     def test_phi_undefined_at_one(self):
         # phi = powerlog:1.5,-0.3 is increasing on its domain [2, 2e8] but

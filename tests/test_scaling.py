@@ -732,6 +732,41 @@ class TestPresetGrammar:
         with pytest.raises(ValueError):
             sc.from_id("power:1,2")
 
+    @pytest.mark.parametrize("spec, what", [
+        ("exotic:1", "unknown scaling preset"), ("power:x", "bad numeric arguments in scaling preset id"),
+        ("power", "wrong argument count in scaling preset id"), ("powerlog:1", "wrong argument count"),
+    ])
+    def test_errors_name_the_id(self, spec, what):
+        with pytest.raises(ValueError, match=f"^{what}.*'{spec}'$"):
+            sc.from_id(spec)
+
+    @pytest.mark.parametrize("x, text", [
+        (2.0, "2"), (-1.5, "-1.5"), (1 / 3, "0.3333333333333333"), (1.23456789, "1.23456789"),
+        (1e16, "1e+16"), (123456789.0, "123456789"), (-0.0, "-0"), (math.inf, "inf"),
+    ])
+    def test_ids_write_the_shortest_exact_digits(self, x, text):
+        assert sc._id_float(x) == text and float(text) == x
+
+    @pytest.mark.parametrize("make, args", [
+        (sc.power, [st.floats(-50.0, 50.0)]),
+        (sc.constant, [st.floats(1e-300, 1e300)]),
+        (sc.powerlog, [st.floats(0.1, 10.0), st.floats(0.0, 10.0)]),
+        (sc.exp_decay, [st.floats(0.01, 10.0), st.floats(0.1, 3.0)]),
+        (sc.iterated_log_g, [st.floats(-0.5, 2.0)]),
+        (sc.loglog_g, [st.floats(0.0, 1.0)]),
+    ], ids=["power", "const", "powerlog", "exp-decay", "iterated-log-g", "loglog-g"])
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_names_rebuild_their_presets(self, make, args, data):
+        # a name is an id of the same function: the same parameters read
+        # back from it, and the same ell
+        params = [data.draw(a) for a in args]
+        f = make(*params)
+        assert [float(a) for a in f.name.partition(":")[2].split(",")] == params
+        g = sc.from_id(f.name)
+        s = np.linspace(1.0, 5.0, 9)
+        assert g.name == f.name and np.array_equal(g.ell(s), f.ell(s))
+
 
 # every preset the id grammar builds, with arguments inside its domain
 PRESET_IDS = [

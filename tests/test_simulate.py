@@ -2,10 +2,13 @@ import copy
 import hashlib
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from heatrates import kernels as kn
@@ -233,12 +236,34 @@ class TestGridCache:
         with pytest.raises(PreconditionError):
             sim.DyadicBlocks(per_block=64).grid(bad)
 
-    @pytest.mark.parametrize("spec, label", [("dyadic:64", "dyadic:2:64"), ("uniform:0.25",) * 2])
+    @pytest.mark.parametrize("spec, label", [("dyadic:64", "dyadic:64:2"), ("uniform:0.25",) * 2])
     def test_label_is_kept_and_not_part_of_equality(self, spec, label):
         used, unused = sim.scheme_from_id(spec), sim.scheme_from_id(spec)
         assert used.label == label and used.label is used.label
         assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
         assert pickle.loads(pickle.dumps(used)).label == label
+
+
+class TestSchemeIds:
+    def test_dyadic_label_is_its_id(self):
+        # written in the order the id grammar reads: PER_BLOCK, then BASE
+        scheme = sim.DyadicBlocks(base=3.0, per_block=64)
+        assert scheme.label == "dyadic:64:3"
+        assert sim.scheme_from_id(scheme.label) == scheme
+
+    @pytest.mark.parametrize("spec", [
+        "dyadic:64:3:1", "dyadic:2.5", "dyadic:64:x", "uniform:x", "uniform", "uniform:0.25:1", "brownian:1",
+    ])
+    def test_malformed_ids_raise_naming_the_id(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            sim.scheme_from_id(spec)
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(base=st.floats(allow_nan=False), per_block=st.integers(1, 10**6), dt=st.floats(allow_nan=False))
+    def test_labels_rebuild_their_schemes(self, base, per_block, dt):
+        for scheme in (sim.DyadicBlocks(base=base, per_block=per_block), sim.UniformGrid(dt=dt)):
+            again = sim.scheme_from_id(scheme.label)
+            assert again == scheme and again.label == scheme.label
 
 
 class TestDeterminism:
