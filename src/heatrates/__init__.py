@@ -2,8 +2,9 @@
 
 Classifies the convergence of rate-function integral tests, evaluates
 potential-theory bounds (Green function, capacity, hitting and occupation
-probabilities) for stable-like kernel models, simulates the underlying
-processes with exact increments, and verifies the bounds by Monte Carlo.
+probabilities) for stable-like kernel models, and samples the underlying
+processes with exact increments, with the path functionals (window extrema,
+first hitting times) that Monte Carlo estimates of those bounds read.
 """
 
 __version__ = "0.1.0"

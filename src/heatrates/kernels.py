@@ -20,6 +20,10 @@ KernelModel.long_run, the tail profile (h, rho) and tail constant c1, and
 StableLaw.table.  A copy by dataclasses.replace or with_comparability
 starts without them; a derivation that raises is not cached.
 
+scipy.special loads on the first special function a law calls (the
+chi-square tails of GaussianLaw, the gamma functions of StableLaw's
+table), not at import: sampling paths never loads it.
+
 Convention fixed across the package: the isotropic alpha-stable law has
 characteristic function exp(-t |xi|^alpha).  Hence alpha = 2 is Gaussian
 with per-coordinate variance 2t and heat kernel
@@ -35,7 +39,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import PreconditionError, UnsupportedModelError
 from .integral_tests import CONVERGENT, DIVERGENT, Verdict
@@ -46,6 +49,7 @@ from .scaling import (
     ScalingFunction,
     check_h_conditions,
     _id_float,
+    _lazy_import,
     _parse_id,
     exp_decay,
     from_id as scaling_from_id,
@@ -53,6 +57,8 @@ from .scaling import (
     log_inverse,
     power,
 )
+
+special = _lazy_import("scipy.special")  # loaded by the first special function called
 
 STABLE_LIKE = "stable-like"
 SUB_GAUSSIAN = "sub-gaussian"
@@ -149,14 +155,19 @@ class KernelModel:
 
     @cached_property
     def _tail_c1(self) -> float:
-        """c1 of tail_constant, from the cached h."""
+        """c1 of tail_constant, from the cached h; V's doubling ratio is
+        taken in logs, as V itself underflows on its grid in high dimension."""
         h = self._tail_profile[0]
         rep = check_h_conditions(h, UPPER_DECAY, grid=_TAIL_DECAY_GRID)
         if not rep.ok:
             raise UnsupportedModelError(f"{self.model_id}: no geometric tail decay found")
         grid = self.V.grid()
-        c_v = float(np.max(self.V(rep.theta * grid) / self.V(grid)))
-        return max(1.0 / h(1.0), self.c_hi * self.mu_ball * c_v / (1.0 - rep.c0))
+        log_c_v = float(np.max(self.V.log_value(rep.theta * grid) - self.V.log_value(grid)))
+        c_v = math.exp(log_c_v) if log_c_v < 709.0 else math.inf  # past e**709, raised below
+        annuli = self.c_hi * self.mu_ball * c_v / (1.0 - rep.c0)
+        if not annuli < math.inf:  # true for NaN too
+            raise UnsupportedModelError(f"{self.model_id}: the tail constant c1 is not finite")
+        return max(1.0 / h(1.0), annuli)
 
     def with_comparability(self, c_lo: float, c_hi: float) -> "KernelModel":
         return replace(self, c_lo=c_lo, c_hi=c_hi)
@@ -814,8 +825,11 @@ def _envelope_tail_midpoint(model: KernelModel, t: float, r: float) -> float:
     knots = np.unique(np.clip(np.append(lo + _TAIL_GRADING, [lo, math.log(scale), hi]), lo, hi))
     u, weight = _gauss_legendre(_piece_ends(knots, _TAIL_STEP), 16)
     s = np.exp(u)
-    val = float(weight @ (envelope_density(model, t, s) * model.V(s)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is raised below
+        val = float(weight @ (envelope_density(model, t, s) * model.V(s)))
     mid = 0.5 * (model.c_lo + model.c_hi) * model.mu_ball * model.V.envelope.d_hi * val
+    if not mid < math.inf:  # true for NaN too
+        raise UnsupportedModelError(f"{model.model_id}: the envelope tail midpoint is not finite")
     return min(max(mid, 0.0), 1.0)
 
 

@@ -19,19 +19,38 @@ log y in s, and the grid checks take one array call of ell.  The presets
 define ell (a ``LogLog``).  A user's evaluator f keeps its own values: a
 call is f at r itself (element by element if f only takes floats), and
 ell(s) = log f(e**s) serves the rest.
+
+scipy.special loads on first use, by powerlog's exact inverse (Wright's
+omega), not at import.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .errors import BracketError, EvaluationError, PreconditionError
+
+
+def _lazy_import(name: str):
+    """The module name, loaded on the first lookup of one of its attributes
+    (importlib's LazyLoader recipe): no import cost until it is used, and
+    then a plain module.  An imported module is returned as it is."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+special = _lazy_import("scipy.special")
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -411,8 +430,16 @@ def inverse(f: ScalingFunction, y):
 
     y is a float or 0-d array (a float comes back) or an array of targets
     (an array of the same shape comes back).  A root past the float range
-    raises OverflowError naming its target.
+    raises OverflowError naming its target.  A Python float y with an exact
+    inverse takes math.log and math.exp, without numpy's array handling.
     """
+    if type(y) is float and f.exact_inverse is not None and f.monotonicity == INCREASING:
+        if not 0.0 < y < math.inf:  # false for NaN too
+            raise BracketError(f"target value {y!r} not a positive real")
+        s = f.exact_inverse(math.log(y))
+        if s > _S_HI:
+            raise OverflowError(f"{f.name or 'scaling function'}: inverse of y={y:g} overflows")
+        return math.exp(s)
     y = np.asarray(y, dtype=float)[()]  # a numpy float for a float or 0-d y
     ok = (y > 0.0) & (y < math.inf)
     if not _all(ok):
@@ -527,6 +554,14 @@ def _auto_brackets(f: ScalingFunction, log_y: np.ndarray) -> tuple[np.ndarray, .
     return lo, g_lo, hi, g_hi
 
 
+def _exp_text(x: float) -> str:
+    """e**x as %g, or as "exp(x)" where it passes the float range."""
+    try:
+        return f"{math.exp(x):g}"
+    except OverflowError:
+        return f"exp({x:g})"
+
+
 def _gallop_points(
     f: ScalingFunction, log_y: float, s0: float, l0: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -549,7 +584,7 @@ def _gallop_points(
         if ns == s:
             side = "above" if up else "below"
             raise BracketError(
-                f"could not bracket y={math.exp(log_y):g} from {side}: no finite value past t={math.exp(s):g}"
+                f"could not bracket y={_exp_text(log_y)} from {side}: no finite value past t={_exp_text(s)}"
             )
         nl = None
         if _S_LO < ns < _S_HI:
@@ -728,7 +763,7 @@ def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
     k = log_exponent / exponent if exponent > 0.0 else math.nan
     # the closed form needs q/p, and log y / q for every positive float y, finite
     if log_exponent > 0.0 and math.isfinite(k) and math.isfinite(_S_LO / log_exponent):
-        inv = lambda log_y, q=log_exponent, k=k: k * wrightomega(log_y / q - math.log(k))  # noqa: E731
+        inv = lambda log_y, q=log_exponent, k=k: k * special.wrightomega(log_y / q - math.log(k))  # noqa: E731
 
     ends = ell(np.log([2.0, 2.0 * 10.0**GRID_DECADES]))
     return ScalingFunction(

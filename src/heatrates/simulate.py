@@ -63,16 +63,17 @@ class _Scheme:
     def grid(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         """(times, steps) for this horizon, steps = np.diff(times).
 
-        Built by ``times`` on the first call for a horizon and kept on the
-        instance for its lifetime, so every later call returns the same two
-        read-only arrays.  A real horizon (a number or a 0-d array) keys the
-        grids as a float.  An invalid horizon is never kept: it raises on
-        every call.
+        Built by ``times`` on the first call for a horizon, checked to
+        strictly increase from 0, and kept on the instance for its lifetime,
+        so every later call returns the same two read-only arrays.  A real
+        horizon (a number or a 0-d array) keys the grids as a float.  An
+        invalid horizon is never kept: it raises on every call.
         """
         horizon = _real(horizon, "horizon")
         grid = self._grids.get(horizon)
         if grid is None:
             times = self.times(horizon)
+            _check_times(times)
             steps = np.diff(times)
             times.flags.writeable = steps.flags.writeable = False
             grid = self._grids[horizon] = (times, steps)
@@ -162,6 +163,15 @@ class DyadicBlocks(_Scheme):
         return f"dyadic:{self.per_block}:{_id_float(self.base)}"
 
 
+def _check_times(times: np.ndarray) -> None:
+    """PreconditionError unless times is a non-empty 1-d grid that strictly
+    increases from 0."""
+    if times.ndim != 1 or not times.shape[0]:
+        raise PreconditionError("times must be a non-empty 1-d grid")
+    if times[0] != 0.0 or not (times[1:] > times[:-1]).all():
+        raise PreconditionError("times must strictly increase from 0")
+
+
 def _real(x, name: str) -> float:
     """x as a float: a real number, or a real 0-d array."""
     if not isinstance(x, numbers.Real):
@@ -193,7 +203,8 @@ class PathSkeleton:
     """A sampled trajectory on a deterministic time grid.
 
     From sample_path, times is the scheme's read-only grid, one array shared
-    by every path drawn with that scheme and horizon.
+    by every path drawn with that scheme and horizon, and checked once, when
+    the scheme built it; a skeleton built directly checks its own.
     """
 
     times: np.ndarray
@@ -204,14 +215,19 @@ class PathSkeleton:
 
     def __post_init__(self):
         t, x = self.times, self.positions
-        if t.ndim != 1 or not t.shape[0]:
-            raise PreconditionError("times must be a non-empty 1-d grid")
+        _check_times(t)
         if x.ndim != 2 or x.shape[0] != t.shape[0] or not x.shape[1]:
             raise PreconditionError(
                 f"positions must have shape (len(times), dim), got {x.shape}"
             )
-        if t[0] != 0.0 or not (t[1:] > t[:-1]).all():
-            raise PreconditionError("times must strictly increase from 0")
+
+    @classmethod
+    def _on_grid(cls, **fields) -> "PathSkeleton":
+        """A skeleton on a scheme's checked grid, with positions of one row
+        per grid point, built without checking either again."""
+        path = object.__new__(cls)
+        path.__dict__.update(fields)
+        return path
 
     @property
     def horizon(self) -> float:
@@ -290,7 +306,7 @@ def sample_path(
     np.cumsum(incs, axis=0, out=positions[1:])
     if start is not None:
         positions += _point(start, incs.shape[1], "start")
-    return PathSkeleton(
+    return PathSkeleton._on_grid(
         times=times,
         positions=positions,
         seed=key.key,

@@ -739,6 +739,34 @@ class TestTailProbability:
         # numpy's array log, exp and power may round a last bit differently
         assert kn.tail_constant(m) == pytest.approx(want, rel=1e-15)
 
+    def test_tail_constant_in_high_dimension(self):
+        # V = r^dim underflows on its grid from dim 54 on, so the doubling
+        # ratio 2^dim is taken from log V: c1 = max(1, C_hi w_d 2^d / (1 - c0))
+        # with theta = 2 and c0 = 2^-1.5 for h = r^-1.5
+        for dim in range(40, 81):
+            m = kn.from_id(f"stable:1.5,{dim}")
+            want = max(1.0, m.c_hi * m.mu_ball * 2.0**dim / (1.0 - 2.0**-1.5))
+            assert kn.tail_constant(m) == pytest.approx(want, rel=1e-12, abs=0.0), dim
+
+    def test_tail_constant_in_low_dimension_is_unchanged(self):
+        # the values of the linear ratio V(2r) / V(r)
+        for dim, c1 in ((1, 618.7672642712118), (2, 1943.914691716294), (3, 5183.7725112434755)):
+            got = kn.tail_constant(kn.from_id(f"stable:1.5,{dim}"))
+            assert got == pytest.approx(c1, rel=1e-14, abs=0.0), dim
+
+    def test_tail_constant_past_the_float_range_raises(self):
+        # 2^1100 overflows, and the unit ball's volume underflows to 0
+        with pytest.raises(UnsupportedModelError, match="stable:1.5,1100: the tail constant c1 is not finite"):
+            kn.tail_constant(kn.from_id("stable:1.5,1100"))
+
+    @pytest.mark.parametrize("dim", [40, 54, 60, 100])
+    def test_envelope_tail_midpoint_past_the_float_range_raises(self, dim):
+        # V(s) = s^dim overflows where the envelope underflows, inside the
+        # midpoint's rule: raised, where it was NaN
+        spec = f"stable:1.5,{dim}"
+        with pytest.raises(UnsupportedModelError, match=f"{spec}: the envelope tail midpoint is not finite"):
+            kn.tail_probability(kn.from_id(spec), 2.0, 3.0)
+
     def test_bound_respected_on_grid(self, cauchy):
         for t in (1.0, 4.0, 16.0):
             for r in (1.0, 4.0, 16.0, 64.0):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -179,6 +180,31 @@ class TestGridCache:
             ref = sim.sample_path(STABLE15_3, h, sim.scheme_from_id(spec), seed=5, replica=3)
             assert np.array_equal(path.times, ref.times)
             assert np.array_equal(path.positions, ref.positions)
+
+    @pytest.mark.parametrize("spec, horizon, _other", SCHEMES)
+    def test_grid_is_checked_once_not_per_path(self, spec, horizon, _other, monkeypatch):
+        checked = []
+        check = sim._check_times
+        monkeypatch.setattr(sim, "_check_times", lambda t: (checked.append(t), check(t)))
+        scheme = sim.scheme_from_id(spec)
+        paths = [sim.sample_path(GAUSS3, horizon, scheme, seed=11, replica=i) for i in range(20)]
+        assert len(checked) == 1 and checked[0] is paths[0].times
+        # the same fields, given directly, are checked again
+        names = [f.name for f in dataclasses.fields(sim.PathSkeleton)]
+        direct = sim.PathSkeleton(*(getattr(paths[0], n) for n in names))
+        assert len(checked) == 2
+        assert all(getattr(direct, n) is getattr(paths[0], n) for n in names)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0, 2.0], [0.5, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    def test_a_grid_that_does_not_increase_from_zero_is_refused(self, grid):
+        class Given(sim.UniformGrid):
+            def times(self, horizon):
+                return np.array(grid)
+
+        scheme = Given(1.0)
+        for _ in range(2):  # and not kept
+            with pytest.raises(PreconditionError, match="times must strictly increase from 0"):
+                sim.sample_path(GAUSS3, 2.0, scheme, seed=0)
 
     @pytest.mark.parametrize(
         "make", [lambda: sim.DyadicBlocks(per_block=64), lambda: sim.UniformGrid(0.25)]

@@ -66,6 +66,43 @@ def test_importing_the_package_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "[]"
 
 
+#: a fresh interpreter's view of scipy.special: whether its ufuncs are loaded
+#: after importing the package, and after one chdtrc and one wrightomega
+#: call; then the two values as float hex
+_FIRST_USE = (
+    "import sys\n"
+    "{preload}"
+    "import heatrates.integral_tests, heatrates.kernels, heatrates.potential\n"
+    "import heatrates.scaling as sc, heatrates.simulate\n"
+    "from heatrates import kernels as kn\n"
+    "print('scipy.special._ufuncs' in sys.modules)\n"
+    "a = kn.radial_sf(kn.from_id('gaussian:3'), 1.0, 1.0)\n"
+    "b = sc.inverse(sc.from_id('powerlog:1.5,1'), 10.0)\n"
+    "print('scipy.special._ufuncs' in sys.modules)\n"
+    "print(a.hex(), b.hex())\n"
+)
+
+
+def _first_use(preload: str) -> list[str]:
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _FIRST_USE.format(preload=preload)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    return out.stdout.split("\n")
+
+
+def test_scipy_special_loads_on_first_use():
+    # importing the five modules loads no special function; the first call
+    # of one loads scipy.special, and the values are those of a process
+    # that imported it first
+    lazy = _first_use("")
+    assert lazy[:2] == ["False", "True"]
+    eager = _first_use("import scipy.special\n")
+    assert eager[:2] == ["True", "True"]
+    assert lazy[2] == eager[2]
+
+
 @pytest.mark.parametrize("spec", ["stable:1.5,3", "stable:0.5,1", "stable:1.9,2", "gaussian:3"])
 def test_green_function_raises_no_warnings(spec):
     m = kn.from_id(spec)
