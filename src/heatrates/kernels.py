@@ -48,6 +48,7 @@ from .scaling import (
     UPPER_DECAY,
     ScalingFunction,
     check_h_conditions,
+    _S_HI,
     _id_float,
     _lazy_import,
     _parse_id,
@@ -163,7 +164,7 @@ class KernelModel:
             raise UnsupportedModelError(f"{self.model_id}: no geometric tail decay found")
         grid = self.V.grid()
         log_c_v = float(np.max(self.V.log_value(rep.theta * grid) - self.V.log_value(grid)))
-        c_v = math.exp(log_c_v) if log_c_v < 709.0 else math.inf  # past e**709, raised below
+        c_v = math.exp(log_c_v) if log_c_v <= _S_HI else math.inf  # past the float range, raised below
         annuli = self.c_hi * self.mu_ball * c_v / (1.0 - rep.c0)
         if not annuli < math.inf:  # true for NaN too
             raise UnsupportedModelError(f"{self.model_id}: the tail constant c1 is not finite")

@@ -430,16 +430,8 @@ def inverse(f: ScalingFunction, y):
 
     y is a float or 0-d array (a float comes back) or an array of targets
     (an array of the same shape comes back).  A root past the float range
-    raises OverflowError naming its target.  A Python float y with an exact
-    inverse takes math.log and math.exp, without numpy's array handling.
+    raises OverflowError naming its target.
     """
-    if type(y) is float and f.exact_inverse is not None and f.monotonicity == INCREASING:
-        if not 0.0 < y < math.inf:  # false for NaN too
-            raise BracketError(f"target value {y!r} not a positive real")
-        s = f.exact_inverse(math.log(y))
-        if s > _S_HI:
-            raise OverflowError(f"{f.name or 'scaling function'}: inverse of y={y:g} overflows")
-        return math.exp(s)
     y = np.asarray(y, dtype=float)[()]  # a numpy float for a float or 0-d y
     ok = (y > 0.0) & (y < math.inf)
     if not _all(ok):

@@ -214,19 +214,27 @@ class PathSkeleton:
     scheme_label: str
 
     def __post_init__(self):
+        _check_times(self.times)
+        self._check_positions()
+
+    def _check_positions(self) -> None:
         t, x = self.times, self.positions
-        _check_times(t)
         if x.ndim != 2 or x.shape[0] != t.shape[0] or not x.shape[1]:
             raise PreconditionError(
                 f"positions must have shape (len(times), dim), got {x.shape}"
             )
 
     @classmethod
-    def _on_grid(cls, **fields) -> "PathSkeleton":
-        """A skeleton on a scheme's checked grid, with positions of one row
-        per grid point, built without checking either again."""
+    def _on_grid(
+        cls, times: np.ndarray, positions: np.ndarray, seed: int, model_id: str, scheme_label: str
+    ) -> "PathSkeleton":
+        """A skeleton on a scheme's grid, which _Scheme.grid checked when it
+        built it: only the shape of positions is checked here."""
         path = object.__new__(cls)
-        path.__dict__.update(fields)
+        path.__dict__.update(
+            times=times, positions=positions, seed=seed, model_id=model_id, scheme_label=scheme_label
+        )
+        path._check_positions()
         return path
 
     @property

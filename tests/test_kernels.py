@@ -754,6 +754,12 @@ class TestTailProbability:
             got = kn.tail_constant(kn.from_id(f"stable:1.5,{dim}"))
             assert got == pytest.approx(c1, rel=1e-14, abs=0.0), dim
 
+    def test_tail_constant_at_the_edge_of_the_float_range(self):
+        # 2^1023 = e^709.09 is a float; the unit ball's volume underflows to
+        # 0, so the formula reads max(1, 0) = 1
+        m = kn.from_id("stable:1.5,1023")
+        assert kn.tail_constant(m) == max(1.0, m.c_hi * m.mu_ball * 2.0**1023 / (1.0 - 2.0**-1.5)) == 1.0
+
     def test_tail_constant_past_the_float_range_raises(self):
         # 2^1100 overflows, and the unit ball's volume underflows to 0
         with pytest.raises(UnsupportedModelError, match="stable:1.5,1100: the tail constant c1 is not finite"):

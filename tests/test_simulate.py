@@ -195,6 +195,12 @@ class TestGridCache:
         assert len(checked) == 2
         assert all(getattr(direct, n) is getattr(paths[0], n) for n in names)
 
+    def test_positions_are_checked_on_a_checked_grid(self, monkeypatch):
+        # a law whose increments have no coordinates is refused per path
+        monkeypatch.setattr(sim, "sample_increments", lambda model, steps, rng: np.empty((len(steps), 0)))
+        with pytest.raises(PreconditionError, match=r"positions must have shape \(len\(times\), dim\), got \(9, 0\)"):
+            sim.sample_path(GAUSS3, 2.0, sim.UniformGrid(0.25), seed=0)
+
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0, 2.0], [0.5, 1.0, 2.0], [0.0, 2.0, 1.0]])
     def test_a_grid_that_does_not_increase_from_zero_is_refused(self, grid):
         class Given(sim.UniformGrid):
