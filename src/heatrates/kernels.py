@@ -22,7 +22,10 @@ starts without them; a derivation that raises is not cached.
 
 scipy.special loads on the first special function a law calls (the
 chi-square tails of GaussianLaw, the gamma functions of StableLaw's
-table), not at import: sampling paths never loads it.
+table), not at import.  Only the laws' density, cdf and sf and StableLaw's
+table call one: sampling paths and the whole classifier (the integral
+tests, classify_long_run, and powerlog's inverse through scaling's numpy
+Wright omega) never load it.
 
 Convention fixed across the package: the isotropic alpha-stable law has
 characteristic function exp(-t |xi|^alpha).  Hence alpha = 2 is Gaussian
@@ -33,7 +36,9 @@ Cauchy law with density t / (pi (x^2 + t^2)).
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -50,7 +55,6 @@ from .scaling import (
     check_h_conditions,
     _S_HI,
     _id_float,
-    _lazy_import,
     _parse_id,
     exp_decay,
     from_id as scaling_from_id,
@@ -58,6 +62,20 @@ from .scaling import (
     log_inverse,
     power,
 )
+
+
+def _lazy_import(name: str):
+    """The module name, loaded on the first lookup of one of its attributes
+    (importlib's LazyLoader recipe): no import cost until it is used, and
+    then a plain module.  An imported module is returned as it is."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
 
 special = _lazy_import("scipy.special")  # loaded by the first special function called
 

@@ -20,37 +20,20 @@ define ell (a ``LogLog``).  A user's evaluator f keeps its own values: a
 call is f at r itself (element by element if f only takes floats), and
 ell(s) = log f(e**s) serves the rest.
 
-scipy.special loads on first use, by powerlog's exact inverse (Wright's
-omega), not at import.
+Wright's omega, for powerlog's exact inverse, is ``_omega``: a numpy port of
+the real branch of Lawrence, Corless & Jeffrey's Algorithm 917 (ACM TOMS 38,
+2012), so this module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BracketError, EvaluationError, PreconditionError
-
-
-def _lazy_import(name: str):
-    """The module name, loaded on the first lookup of one of its attributes
-    (importlib's LazyLoader recipe): no import cost until it is used, and
-    then a plain module.  An imported module is returned as it is."""
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
-
-
-special = _lazy_import("scipy.special")
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -513,7 +496,7 @@ def log_inverse(f: ScalingFunction, log_y) -> np.ndarray:
 _GALLOP_MAX_STEP = 64.0 * math.log(2.0)
 #: s = log t of the least and the largest positive float t (so |log y| <= -_S_LO
 #: for every float y > 0)
-_S_LO, _S_HI = math.log(math.ulp(0.0)), math.log(sys.float_info.max)
+_S_LO, _S_HI = math.log(math.ulp(0.0)), math.log(np.finfo(float).max)
 
 
 def _auto_brackets(f: ScalingFunction, log_y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -674,10 +657,6 @@ def evaluate_rate(candidate: RateCandidate, t):
 # presets
 # ---------------------------------------------------------------------------
 
-_E = math.e
-_EE = math.exp(math.e)
-
-
 # Each preset is one ell(s) = log f(e**s), an array expression in s.
 
 
@@ -713,6 +692,68 @@ def constant(value: float) -> ScalingFunction:
     )
 
 
+#: Algorithm 917 takes a second step where its condition test exceeds this
+_OMEGA_TWO_STEPS = 72.0 * np.finfo(float).eps
+
+
+def _fsc_step(x, w) -> tuple:
+    """One Fritsch-Shafer-Crowley step from w towards the root of w + log w
+    = x, in Algorithm 917's arithmetic; returns the new w, and the residual
+    and 1 + w the step started from."""
+    r = x - w - np.log(w)
+    wp1 = w + 1.0
+    a = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + r / wp1 * (a - r) / (a - 2.0 * r)), r, wp1
+
+
+def _omega_steps(x, w):
+    """omega(x) from a start w within 0.17 of it, relative: one step, and a
+    second one where the condition test asks for it."""
+    w, r, wp1 = _fsc_step(x, w)
+    # |r|**4 and (1 + w)**6 by products: numpy's pow is slow at a negative r
+    r2, v2 = r * r, wp1 * wp1
+    again = np.abs((2.0 * w * w - 8.0 * w - 1.0) * (r2 * r2)) >= _OMEGA_TWO_STEPS * (v2 * v2 * v2)
+    if _all(again):  # every element, or a scalar x
+        return _fsc_step(x, w)[0]
+    if _all(~again):
+        return w
+    w[again] = _fsc_step(x[again], w[again])[0]
+    return w
+
+
+def _omega_series(x):
+    """Algorithm 917's start for x >= 1: x - log x + log x / x."""
+    lx = np.log(x)
+    return x - lx + lx / x
+
+
+def _omega(x):
+    """Wright's omega, the real w with w + log w = x, elementwise: a numpy
+    port of the real branch of Algorithm 917 (Lawrence, Corless & Jeffrey,
+    ACM TOMS 38, 2012), as scipy.special.wrightomega evaluates it.
+
+    The start is e**x below -2, exp(2 (x - 1) / 3) on [-2, 1) and the
+    series of ``_omega_series`` from 1 on; one Fritsch-Shafer-Crowley step
+    follows, and a second where the condition test asks for it.  Below -50
+    omega is e**x and above 1e20 it is x, to double precision, and those
+    are returned: 0 at -inf, inf at inf, NaN at NaN.  A float or 0-d x gives
+    a numpy float, an array an array of its shape.
+    """
+    x = np.asarray(x, dtype=float)[()]  # a numpy float for a float or 0-d x
+    if _all((1.0 <= x) & (x <= 1e20)):  # false for NaN: the common case
+        return _omega_steps(x, _omega_series(x))
+    # the steps run on x clipped to [-50, 1e20], NaN kept, and outside it
+    # omega is e**x or x itself (0 at -inf, inf at inf)
+    xc = np.minimum(np.maximum(x, -50.0), 1e20)
+    start = np.where(
+        xc < 1.0,
+        np.exp(np.where(xc < -2.0, xc, 2.0 * (np.minimum(xc, 1.0) - 1.0) / 3.0)),
+        _omega_series(np.maximum(xc, 1.0)),
+    )[()]
+    w = _omega_steps(xc, start)
+    return np.where(x < -50.0, np.exp(np.minimum(x, -50.0)), np.where(x > 1e20, x, w))[()]
+
+
 def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
     """f(r) = r**exponent * (log r)**log_exponent, for r > 1, verified from r = 2.
 
@@ -726,6 +767,8 @@ def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
     where omega is the Wright omega function, the solution w of
     w + log w = z (Corless & Jeffrey 2002); this is de Bruijn conjugation
     (Bingham, Goldie & Teugels, Regular Variation, 1987, section 1.5.7).
+    omega is ``_omega``, the real branch of Algorithm 917 (Lawrence,
+    Corless & Jeffrey 2012) in numpy.
     ``inverse`` then solves no equation.  For p <= 0 or q <= 0 (or q so
     small that log y / q overflows) there is no exact inverse, and
     ``inverse`` solves by regula falsi.  At r = 1, f is 0 and ``log_value``
@@ -755,7 +798,7 @@ def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
     k = log_exponent / exponent if exponent > 0.0 else math.nan
     # the closed form needs q/p, and log y / q for every positive float y, finite
     if log_exponent > 0.0 and math.isfinite(k) and math.isfinite(_S_LO / log_exponent):
-        inv = lambda log_y, q=log_exponent, k=k: k * special.wrightomega(log_y / q - math.log(k))  # noqa: E731
+        inv = lambda log_y, q=log_exponent, k=k: k * _omega(log_y / q - math.log(k))  # noqa: E731
 
     ends = ell(np.log([2.0, 2.0 * 10.0**GRID_DECADES]))
     return ScalingFunction(
@@ -777,8 +820,19 @@ def exp_decay(c0: float, gamma: float) -> ScalingFunction:
         raise PreconditionError("exp-decay needs c0 > 0 and gamma > 0")
     # keep the verification grid clear of exp underflow
     floor = min(1e-6, (700.0 / c0) ** (1.0 / gamma) / 10.0**GRID_DECADES)
+    # below top, c0 (e**s)**gamma is a float; past it, ell is -inf where
+    # that overflows, quietly, and past the float range of r = e**s, where
+    # r**gamma may still be a float, -c0 exp(gamma s)
+    top = min(709.0, (709.0 - max(math.log(c0), 0.0)) / gamma)
+
+    def ell(s, a=c0, g=gamma):
+        if _all(s < top):
+            return -a * np.exp(s) ** g
+        with np.errstate(over="ignore"):
+            return np.where(s < _S_HI, -a * np.exp(s) ** g, -a * np.exp(g * s))[()]
+
     return ScalingFunction(
-        LogLog(lambda s, a=c0, g=gamma: -a * np.exp(s) ** g),
+        LogLog(ell),
         DECREASING,
         _FIT,
         floor,
@@ -810,8 +864,8 @@ def loglog_g(eps: float) -> ScalingFunction:
     """
 
     def ell(s, e=eps):
-        t = np.exp(s)
-        return e * np.log(np.log(np.log(_EE + t))) - np.log(np.log(_E + t))
+        # log(e^e + t) and log(e + t), t = e**s, without forming t
+        return e * np.log(np.log(np.logaddexp(math.e, s))) - np.log(np.logaddexp(1.0, s))
 
     return ScalingFunction(LogLog(ell), DECREASING, _FIT, 4.0, name=f"loglog-g:{_id_float(eps)}")
 

@@ -1021,6 +1021,169 @@ class TestPowerlogExactInverse:
         assert sc.powerlog(p, q).exact_inverse is None
 
 
+_EPS = np.finfo(float).eps
+
+
+def _omega_tol(x):
+    # 8 ulps; on [-50, -2) both implementations take the residual x - w -
+    # log w with log w near x, rounded to ulp(x), twice: where numpy's exp
+    # and the C library's start one ulp apart, that rounding may differ, by
+    # up to 4 ulp(x) / eps ulps of w (15 ulps at x = -7.3, 1 below -10)
+    x = np.asarray(x, dtype=float)
+    return np.where((-50.0 <= x) & (x < -2.0), 8.0 + 4.0 * np.spacing(np.abs(x)) / _EPS, 8.0)
+
+
+def _ulps(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    with np.errstate(invalid="ignore"):  # inf - inf and NaN, where they are the same
+        gap = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    return np.where(same, 0.0, gap)
+
+
+class TestWrightOmega:
+    """scaling._omega, the real branch of Algorithm 917 in numpy, against
+    scipy.special.wrightomega, the same algorithm in C."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(x=st.one_of(st.floats(-745.0, 1e300), st.floats(-60.0, 60.0)))
+    @example(x=-7.297456)
+    @example(x=5.537545)
+    @example(x=1.0)
+    @example(x=-2.0)
+    @example(x=-50.0)
+    @example(x=1e20)
+    def test_matches_scipy(self, x):
+        assert _ulps(sc._omega(x), wrightomega(x)) <= _omega_tol(x)
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-745.0, -50.0, 100_001), np.linspace(-50.0, -2.0, 100_001),
+        np.linspace(-2.0, 1.0, 100_001), np.linspace(1.0, 10.0, 100_001),
+        np.linspace(10.0, 1e3, 100_001), np.geomspace(1e3, 1e300, 10_001),
+    ], ids=["-745..-50", "-50..-2", "-2..1", "1..10", "10..1e3", "1e3..1e300"])
+    def test_matches_scipy_on_a_sweep(self, x):
+        assert np.all(_ulps(sc._omega(x), wrightomega(x)) <= _omega_tol(x))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(x=st.one_of(st.floats(-708.0, 1e300), st.floats(-60.0, 60.0)))
+    @example(x=5.537545)
+    def test_residual(self, x):
+        # w + log w = x up to rounding, where w is a normal float (x above
+        # log of the least one, -708.4); the algorithm stops once its
+        # condition test says a further step would move w by less than
+        # eps, and scipy's wrightomega, like this port, reaches 5.8 eps
+        # max(1, |x|) near x = 5.54
+        w = sc._omega(x)
+        assert abs(w + math.log(w) - x) <= 8.0 * _EPS * max(1.0, abs(x))
+
+    def test_edge_values(self):
+        x = np.array([-np.inf, -1e300, -800.0, -745.0, 1e20, 1.5e20, 1e300, np.inf, np.nan, 0.0, 1.0])
+        w = sc._omega(x)
+        assert w[:3].tolist() == [0.0, 0.0, 0.0]
+        assert w[3] == math.exp(-745.0) > 0.0  # the least float
+        assert w[4:8].tolist() == x[4:8].tolist()
+        assert math.isnan(w[8])
+        assert w[9] == pytest.approx(0.5671432904097838, rel=2 * _EPS)  # the omega constant
+        assert w[10] == 1.0
+        assert np.all(_ulps(w, wrightomega(x)) <= _omega_tol(x))
+
+    def test_shapes(self):
+        # one code path: a float and a 0-d array give a numpy float, an array
+        # an array of its shape, each element as a float call gives it
+        x = np.array([[-800.0, -30.0, -5.0, 0.5], [1.0, 7.0, 1e5, 1e25]])
+        w = sc._omega(x)
+        assert w.shape == x.shape
+        floats = [sc._omega(v) for v in x.ravel().tolist()]
+        zero_d = [sc._omega(np.array(v)) for v in x.ravel()]
+        for got in (floats, zero_d):
+            assert all(type(g) is np.float64 for g in got)
+            assert got == w.ravel().tolist()
+        # all of x >= 1 takes the unmasked path, as a float does
+        assert sc._omega(np.array([3.0, 30.0])).tolist() == [sc._omega(3.0), sc._omega(30.0)]
+        assert sc._omega(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_no_runtime_warning(self):
+        x = np.concatenate([
+            [-np.inf, np.inf, np.nan, -1e308, 1e308, -0.0, 5e-324],
+            np.linspace(-800.0, 100.0, 20_001), np.geomspace(100.0, 1e300, 2_001),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc._omega(x)
+            for v in x[::97].tolist():
+                sc._omega(v)
+
+
+class TestPresetsPastTheFloatRange:
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_loglog_g_matches_the_direct_formula(self, eps):
+        # ell written in s agrees with log(e^e + t) and log(e + t) formed
+        # from t = e**s wherever t is a float: within 8 ulps on the verified
+        # domain (t >= 4), and within 4 eps absolute below it, where ell
+        # tends to 0
+        ee = math.exp(math.e)
+        f = sc.loglog_g(eps)
+        for s, tol in ((np.linspace(math.log(4.0), 700.0, 4_001), None), (np.linspace(-700.0, math.log(4.0), 4_001), 4 * _EPS)):
+            t = np.exp(s)
+            direct = eps * np.log(np.log(np.log(ee + t))) - np.log(np.log(math.e + t))
+            got = f.ell(s)
+            if tol is None:
+                assert np.all(_ulps(got, direct) <= 8.0), np.max(_ulps(got, direct))
+            else:
+                assert np.all(np.abs(got - direct) <= tol)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_loglog_g_past_the_float_range(self, eps):
+        # e**s overflows from s = 709.78 on; ell stays finite and decreasing
+        s = np.array([700.0, 709.0, 710.0, 1e4, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = sc.from_id(f"loglog-g:{eps}").ell(s)
+            assert sc.from_id(f"loglog-g:{eps}").ell(710.0) == v[2]
+        assert np.all(np.isfinite(v)) and np.all(np.diff(v) < 0)
+        # log log(e + t) = log s + log1p(e^(1-s)/s...) ~ log s for large s
+        assert v[-1] == pytest.approx(eps * math.log(math.log(1e300)) - math.log(1e300), rel=1e-12)
+
+    def test_exp_decay_overflow_is_minus_inf_quietly(self):
+        f = sc.from_id("exp-decay:1,2")
+        s = np.array([1.0, 300.0, 400.0, 710.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = f.ell(s)
+            assert [f.ell(x) for x in s.tolist()] == v.tolist()
+        # (e^s)^2 overflows from s = 354.9 on; below it, the values as before
+        assert v[2:].tolist() == [-math.inf] * 3
+        assert v[:2].tolist() == (-(np.exp(s[:2]) ** 2.0)).tolist()
+
+    def test_exp_decay_past_the_float_range_of_r(self):
+        # gamma < 1: r = e**s overflows at s = 710, r**gamma = e**(gamma s) not
+        f = sc.from_id("exp-decay:3,0.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = f.ell(np.array([10.0, 700.0, 710.0, 1e4]))
+        assert v[0] == -3.0 * math.exp(10.0) ** 0.5 and v[1] == -3.0 * math.exp(700.0) ** 0.5
+        assert v[2] == pytest.approx(-3.0 * math.exp(355.0), rel=1e-13)
+        assert v[3] == -math.inf
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(c0=st.floats(1e-3, 1e12), gamma=st.floats(0.05, 5.0), s=st.floats(-50.0, 800.0))
+    def test_exp_decay_unchanged_where_finite(self, c0, gamma, s):
+        # the same expression wherever (e^s)^gamma is a float, and -inf or a
+        # finite value, without a warning, past it
+        f = sc.exp_decay(c0, gamma)
+        s = np.array([s, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.ell(s)
+        with np.errstate(over="ignore"):
+            before = -c0 * np.exp(s) ** gamma
+        if np.isfinite(before[0]):
+            assert got.tolist() == before.tolist()
+        else:
+            assert got[0] == -math.inf or (s[0] >= sc._S_HI and np.isfinite(got[0]))
+            assert got[1] == before[1]
+
+
 # closed forms of every preset family at a float r, written out with math so
 # that they share no code with the presets: f, log f, and the elasticity
 # d log f / d log r
