@@ -1028,7 +1028,7 @@ def _omega_tol(x):
     # 8 ulps; on [-50, -2) both implementations take the residual x - w -
     # log w with log w near x, rounded to ulp(x), twice: where numpy's exp
     # and the C library's start one ulp apart, that rounding may differ, by
-    # up to 4 ulp(x) / eps ulps of w (15 ulps at x = -7.3, 1 below -10)
+    # up to 4 ulp(x) / eps ulps of w (15 ulps at x = -6.249117, 1 below -10)
     x = np.asarray(x, dtype=float)
     return np.where((-50.0 <= x) & (x < -2.0), 8.0 + 4.0 * np.spacing(np.abs(x)) / _EPS, 8.0)
 
@@ -1047,7 +1047,7 @@ class TestWrightOmega:
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(x=st.one_of(st.floats(-745.0, 1e300), st.floats(-60.0, 60.0)))
-    @example(x=-7.297456)
+    @example(x=-6.249117)  # 15 ulps apart
     @example(x=5.537545)
     @example(x=1.0)
     @example(x=-2.0)
