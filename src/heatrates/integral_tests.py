@@ -271,8 +271,6 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
 
 ONE_PROB = "one-prob"
 ZERO_PROB = "zero-prob"
-UPPER = "upper"
-LOWER = "lower"
 
 
 def _start(t0: float, reached: Callable[[float], bool], what: str) -> float:

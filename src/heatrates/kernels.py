@@ -18,7 +18,9 @@ simulate.sample_increments draws from it.
 What depends on a model alone is cached per instance on first use:
 KernelModel.long_run, the tail profile (h, rho) and tail constant c1, and
 StableLaw.table.  A copy by dataclasses.replace or with_comparability
-starts without them; a derivation that raises is not cached.
+starts without them, and one by pickle or copy.deepcopy carries them; a
+derivation that raises is not cached.  Models are values: one id builds
+equal models, with equal hashes, as their V and phi are equal presets.
 
 scipy.special loads on the first special function a law calls (the
 chi-square tails of GaussianLaw, the gamma functions of StableLaw's

@@ -15,10 +15,12 @@ ell(s) = log f(e**s) (the natural form of regularly varying scales: Bingham,
 Goldie & Teugels, Regular Variation, 1987, section 1.5.7; a power law is a
 line in s, an envelope a pair of slopes).  The rest derives from it: f(r) =
 exp ell(log r), ``log_value(r)`` = ell(log r), ``inverse`` solves ell(s) =
-log y in s, and the grid checks take one array call of ell.  The presets
-define ell (a ``LogLog``).  A user's evaluator f keeps its own values: a
-call is f at r itself (element by element if f only takes floats), and
-ell(s) = log f(e**s) serves the rest.
+log y in s, and the grid checks take one array call of ell.  A preset
+defines ell (a ``LogLog``) by a module-level function bound to its
+parameters, so presets are values, equal, hashed and pickled by their
+parameters.  A user's evaluator f keeps its own values: a call is f at r
+itself (element by element if f only takes floats), and ell(s) = log
+f(e**s) serves the rest.
 
 Wright's omega, for powerlog's exact inverse, is ``_omega``: a numpy port of
 the real branch of Lawrence, Corless & Jeffrey's Algorithm 917 (ACM TOMS 38,
@@ -28,6 +30,7 @@ the real branch of Lawrence, Corless & Jeffrey's Algorithm 917 (ACM TOMS 38,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -99,6 +102,17 @@ class LogLog:
 
 
 @dataclass(frozen=True)
+class _Bound:
+    """fn(x, *args): a module-level fn and its parameters, equal, hashed and pickled by them."""
+
+    fn: Callable
+    args: tuple
+
+    def __call__(self, x):
+        return self.fn(x, *self.args)
+
+
+@dataclass(frozen=True)
 class ScalingFunction:
     """A positive monotone function on (0, inf) with a verified envelope.
 
@@ -121,7 +135,8 @@ class ScalingFunction:
     ``log_value`` at r is one call of ell at s = log r (r = 0 is s = -inf,
     r < 0 NaN), and so is a call for a ``LogLog``, f(r) = exp ell(log r); a
     user's f is called at r itself.  Either gives a float for a float or
-    0-d r, else an array of r's shape.
+    0-d r, else an array of r's shape.  A function on a user's f does not
+    pickle: the wrappers of f set at construction (ell, _at) are closures.
     """
 
     evaluator: Callable
@@ -328,18 +343,17 @@ def fit_envelope(evaluator: Callable[[float], float], domain_floor: float) -> En
 def check_doubling(
     f: ScalingFunction, factor: float, c: float, grid=None
 ) -> tuple[bool, float]:
-    """Check f(factor*r) <= c*f(r) on a grid; return (ok, worst ratio)."""
+    """Check f(factor*r) <= c*f(r) on a grid, in logs; return (ok, worst ratio)."""
     if factor <= 1:
         raise PreconditionError("factor must exceed 1")
     pts = np.asarray(f.grid() if grid is None else grid, dtype=float)
     if pts.size == 0 or np.any(np.diff(pts) <= 0):
         raise PreconditionError("grid must be nonempty and sorted")
-    r = np.concatenate([factor * pts, pts])  # one call of f, on both
-    vals = f(r)
-    bad = ~np.isfinite(vals)
+    r = np.concatenate([factor * pts, pts])
+    bad = ~(f.log_value(r) < math.inf)  # NaN or +inf; -inf, f = 0, is a value
     if bad.any():
         raise EvaluationError(f"{f.name or 'scaling function'}: non-finite value at r={r[bad][0]:g}")
-    worst = float(np.max(vals[: pts.size] / vals[pts.size :]))
+    worst = _worst_log_ratio(f, pts, factor, 1.0)[0]
     return bool(worst <= c * (1 + GRID_RTOL)), worst
 
 
@@ -639,25 +653,11 @@ def log_rate(candidate: RateCandidate, t):
     return log_inverse(candidate.phi, u + candidate.g.ell(u))
 
 
-def evaluate_rate(candidate: RateCandidate, t):
-    """A rate candidate at a time t > 1, or at an array of times: exp of
-    ``log_rate``, which must give a finite positive value (EvaluationError
-    names the first t where not)."""
-    with np.errstate(over="ignore"):  # past the float range is inf, which is reported
-        v = np.exp(log_rate(candidate, t))
-    bad = ~(np.isfinite(v) & (v > 0))
-    if bad.any():
-        raise EvaluationError(
-            f"rate candidate evaluated to {_first(v, bad)!r} at t={_first(t, bad):g}"
-        )
-    return v
-
-
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
 
-# Each preset is one ell(s) = log f(e**s), an array expression in s.
+# Each preset's ell(s) = log f(e**s) is a module-level function of s and its parameters, in a _Bound.
 
 
 def _check_domain(s, least: float, undefined: str) -> None:
@@ -668,11 +668,11 @@ def _check_domain(s, least: float, undefined: str) -> None:
 
 
 def power(exponent: float) -> ScalingFunction:
-    """f(r) = r**exponent: ell(s) = exponent * s."""
+    """f(r) = r**exponent: ell(s) = s * exponent, and log y / exponent its inverse."""
     mono = INCREASING if exponent >= 0 else DECREASING
-    inv = (lambda log_y, p=exponent: log_y / p) if exponent != 0 else None
+    inv = _Bound(operator.truediv, (exponent,)) if exponent != 0 else None
     return ScalingFunction(
-        LogLog(lambda s, p=exponent: p * s),
+        LogLog(_Bound(operator.mul, (exponent,))),
         mono,
         Envelope(1.0, exponent, 1.0, exponent),
         name=f"power:{_id_float(exponent)}",
@@ -680,12 +680,16 @@ def power(exponent: float) -> ScalingFunction:
     )
 
 
+def _constant_ell(s, lv):
+    return np.full(np.shape(s), lv)
+
+
 def constant(value: float) -> ScalingFunction:
     """f(r) = value; admissible wherever only nonincreasing g is required."""
     if value <= 0:
         raise PreconditionError("constant preset must be positive")
     return ScalingFunction(
-        LogLog(lambda s, lv=math.log(value): np.full(np.shape(s), lv)),
+        LogLog(_Bound(_constant_ell, (math.log(value),))),
         DECREASING,
         Envelope(1.0, 0.0, 1.0, 0.0),
         name=f"const:{_id_float(value)}",
@@ -754,6 +758,20 @@ def _omega(x):
     return np.where(x < -50.0, np.exp(np.minimum(x, -50.0)), np.where(x > 1e20, x, w))[()]
 
 
+def _powerlog_ell(s, p, q, least, undefined):
+    _check_domain(s, least, undefined)
+    if not q:  # (log r)**0 is 1, at r = 1 too
+        return p * s
+    if _all(s > 0.0):
+        return p * s + q * np.log(s)
+    with np.errstate(divide="ignore"):  # q > 0: log s = -inf at s = 0, where f = 0
+        return p * s + q * np.log(s)
+
+
+def _powerlog_inverse(log_y, q, k):
+    return k * _omega(log_y / q - math.log(k))
+
+
 def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
     """f(r) = r**exponent * (log r)**log_exponent, for r > 1, verified from r = 2.
 
@@ -784,21 +802,12 @@ def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
         least, undefined = math.ulp(0.0), f"{name}: undefined at r={{:g}} (log r <= 0)"
     else:
         least, undefined = 0.0, f"{name}: undefined at r={{:g}} (log r < 0)"
-
-    def ell(s, p=exponent, q=log_exponent):
-        _check_domain(s, least, undefined)
-        if not q:  # (log r)**0 is 1, at r = 1 too
-            return p * s
-        if _all(s > 0.0):
-            return p * s + q * np.log(s)
-        with np.errstate(divide="ignore"):  # q > 0: log s = -inf at s = 0, where f = 0
-            return p * s + q * np.log(s)
-
+    ell = _Bound(_powerlog_ell, (exponent, log_exponent, least, undefined))
     inv = None
     k = log_exponent / exponent if exponent > 0.0 else math.nan
     # the closed form needs q/p, and log y / q for every positive float y, finite
     if log_exponent > 0.0 and math.isfinite(k) and math.isfinite(_S_LO / log_exponent):
-        inv = lambda log_y, q=log_exponent, k=k: k * _omega(log_y / q - math.log(k))  # noqa: E731
+        inv = _Bound(_powerlog_inverse, (log_exponent, k))
 
     ends = ell(np.log([2.0, 2.0 * 10.0**GRID_DECADES]))
     return ScalingFunction(
@@ -809,6 +818,13 @@ def powerlog(exponent: float, log_exponent: float) -> ScalingFunction:
         name=name,
         exact_inverse=inv,
     )
+
+
+def _exp_decay_ell(s, a, g, top):
+    if _all(s < top):
+        return -a * np.exp(s) ** g
+    with np.errstate(over="ignore"):
+        return np.where(s < _S_HI, -a * np.exp(s) ** g, -a * np.exp(g * s))[()]
 
 
 def exp_decay(c0: float, gamma: float) -> ScalingFunction:
@@ -824,20 +840,18 @@ def exp_decay(c0: float, gamma: float) -> ScalingFunction:
     # that overflows, quietly, and past the float range of r = e**s, where
     # r**gamma may still be a float, -c0 exp(gamma s)
     top = min(709.0, (709.0 - max(math.log(c0), 0.0)) / gamma)
-
-    def ell(s, a=c0, g=gamma):
-        if _all(s < top):
-            return -a * np.exp(s) ** g
-        with np.errstate(over="ignore"):
-            return np.where(s < _S_HI, -a * np.exp(s) ** g, -a * np.exp(g * s))[()]
-
     return ScalingFunction(
-        LogLog(ell),
+        LogLog(_Bound(_exp_decay_ell, (c0, gamma, top))),
         DECREASING,
         _FIT,
         floor,
         name=f"exp-decay:{_id_float(c0)},{_id_float(gamma)}",
     )
+
+
+def _iterated_log_g_ell(s, e, undefined):
+    _check_domain(s, 1.0, undefined)
+    return -s * np.log(s) ** (1.0 + e)
 
 
 def iterated_log_g(eps: float) -> ScalingFunction:
@@ -847,14 +861,18 @@ def iterated_log_g(eps: float) -> ScalingFunction:
     and its power is complex.  Verified from t = 16.
     """
     name = f"iterated-log-g:{_id_float(eps)}"
-    undefined = f"{name}: undefined at t={{:g}} (log log t < 0)"
-
-    def ell(s, e=eps):
-        _check_domain(s, 1.0, undefined)
-        return -s * np.log(s) ** (1.0 + e)
-
+    ell = _Bound(_iterated_log_g_ell, (eps, f"{name}: undefined at t={{:g}} (log log t < 0)"))
     # the verification grid stays within exp range for moderate eps
     return ScalingFunction(LogLog(ell), DECREASING, _FIT, 16.0, name=name)
+
+
+def _loglog_g_ell(s, e):
+    # log(e^e + t) and log(e + t), t = e**s, without forming t
+    if _all(s < math.inf):  # false for NaN too
+        return e * np.log(np.log(np.logaddexp(math.e, s))) - np.log(np.logaddexp(1.0, s))
+    with np.errstate(invalid="ignore"):  # g is 0 at t = inf, where the logs are inf
+        v = e * np.log(np.log(np.logaddexp(math.e, s))) - np.log(np.logaddexp(1.0, s))
+    return np.where(s == math.inf, -math.inf, v)[()]
 
 
 def loglog_g(eps: float) -> ScalingFunction:
@@ -862,12 +880,8 @@ def loglog_g(eps: float) -> ScalingFunction:
 
     eps = 0 gives exactly 1/log(e + t); eps = 1 the (log log t)/(log t) shape.
     """
-
-    def ell(s, e=eps):
-        # log(e^e + t) and log(e + t), t = e**s, without forming t
-        return e * np.log(np.log(np.logaddexp(math.e, s))) - np.log(np.logaddexp(1.0, s))
-
-    return ScalingFunction(LogLog(ell), DECREASING, _FIT, 4.0, name=f"loglog-g:{_id_float(eps)}")
+    return ScalingFunction(LogLog(_Bound(_loglog_g_ell, (eps,))), DECREASING, _FIT, 4.0,
+                           name=f"loglog-g:{_id_float(eps)}")
 
 
 #: the preset of each id head, and its number of arguments

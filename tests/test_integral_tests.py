@@ -415,9 +415,9 @@ def _float_reference(name):
 
     def upper(cand, direction):
         if direction == ONE_PROB:
-            arg = lambda t: sc.evaluate_rate(cand, t) / (2.0 * rho(4.0 * t))
+            arg = lambda t: np.exp(sc.log_rate(cand, t)) / (2.0 * rho(4.0 * t))
         else:
-            arg = lambda t: 2.0 * sc.evaluate_rate(cand, 4.0 * t) / rho(t)
+            arg = lambda t: 2.0 * np.exp(sc.log_rate(cand, 4.0 * t)) / rho(t)
         f = lambda t: cut(h.log_value(arg(t)) - math.log(t))
         return (lambda: upper_rate_test(h, rho, cand, 1.0, direction)), f, 16.0
 

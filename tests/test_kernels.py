@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -154,17 +156,24 @@ class TestPresets:
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(alpha=st.floats(1e-3, 2.0, exclude_max=True), dim=st.integers(1, 5),
-           dv=_PARAM, dw=_PARAM, c0=_PARAM)
-    def test_model_ids_rebuild_their_models(self, alpha, dim, dv, dw, c0):
+           dv=_PARAM, dw=_PARAM, c0=_PARAM, q=st.floats(0.0, 3.0))
+    def test_model_ids_rebuild_their_models(self, alpha, dim, dv, dw, c0, q):
+        # and a model is a value: equal and hashed alike to the one its id
+        # builds, and it pickles
         stable = kn.from_id(f"stable:{alpha!r},{dim}")
         assert (stable.alpha, stable.dim) == (alpha, dim)
         envelope_only = [kn.from_id(f"stablelike:{dv!r},{dw!r}"),
                          kn.from_id(f"subgaussian:{dv!r},{1.0 + dw!r},{c0!r}")]
-        for m in [stable] + envelope_only:
+        others = [kn.from_id("cauchy1d"), kn.from_id(f"gaussian:{min(dim, 3)}"),
+                  kn.from_id(f"jump:power:{dv!r};powerlog:{min(dw, 10.0)!r},{q!r}")]
+        for m in [stable] + envelope_only + others:
             again = kn.from_id(m.model_id)
             assert again.model_id == m.model_id
             assert (again.alpha, again.dim, again.c0) == (m.alpha, m.dim, m.c0)
             assert (again.V.envelope, again.phi.envelope) == (m.V.envelope, m.phi.envelope)
+            assert again == m and hash(again) == hash(m)
+            back = pickle.loads(pickle.dumps(m))
+            assert back == m and hash(back) == hash(m)
         assert [m.V.envelope.d_lo for m in envelope_only] == [dv, dv]
         assert [m.phi.envelope.d_lo for m in envelope_only] == [dw, 1.0 + dw]
 
@@ -591,6 +600,42 @@ class TestTableMemory:
             tracemalloc.stop()
         assert build_peak < 8e6
         assert max(peaks) < 8e6 + build_peak
+
+    @settings(max_examples=16, deadline=None, database=None, derandomize=True)
+    @given(spec=st.one_of(
+        st.builds("stable:{!r},{}".format, st.floats(0.3, 1.9), st.integers(1, 3)),
+        st.builds("gaussian:{}".format, st.integers(1, 3)), st.just("cauchy1d"),
+        st.builds("subgaussian:{!r},{!r},{!r}".format, st.floats(0.5, 4.0), st.floats(1.2, 3.0),
+                  st.floats(0.1, 2.0)),
+        st.builds("jump:power:{!r};powerlog:{!r},{!r}".format, st.floats(0.5, 4.0), st.floats(0.5, 2.5),
+                  st.floats(0.0, 1.5)),
+    ), filled=st.booleans())
+    def test_copies_answer_alike(self, spec, filled):
+        # pickle and deepcopy carry the caches (long_run, the tail profile
+        # and c1, StableLaw.table), and the copy answers as the model does,
+        # bit for bit; replace starts empty
+        def answers(m):
+            out = [kn.classify_long_run(m)[0], m.long_run]
+            try:
+                out.append(kn.tail_constant(m).hex())
+            except UnsupportedModelError as exc:
+                out.append(str(exc))
+            if m.has_density:
+                t, r = np.array([[0.5], [3.0]]), np.array([0.0, 0.7, 2.0, 40.0])
+                out += [v.hex() for v in kn.density(m, t, r).ravel().tolist()]
+                out += [v.hex() for v in kn.radial_sf(m, t, r).ravel().tolist()]
+            return out
+
+        m = kn.from_id(spec)
+        if filled:
+            answers(m)
+        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert again == m
+            if filled:
+                assert "long_run" in again.__dict__
+                assert not isinstance(m.exact_law, kn.StableLaw) or "table" in again.exact_law.__dict__
+            assert answers(again) == answers(m)
+        assert "long_run" not in dataclasses.replace(m).__dict__
 
     def test_classification_does_not_build_the_table(self):
         m = kn.from_id("stable:1.5,3")

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import pickle
 import sys
 import warnings
 
@@ -429,6 +430,13 @@ class TestCheckDoubling:
         assert ok
         assert worst == pytest.approx(2.0**alpha, rel=1e-12)
 
+    def test_underflowing_power_law(self):
+        # power:60 underflows to 0 below r = 7e-6 on its grid: the ratio is
+        # taken in logs, not as 0/0
+        ok, worst = sc.check_doubling(sc.power(60.0), 2.0, 2.0**60 * (1 + 1e-9))
+        assert ok
+        assert worst == pytest.approx(2.0**60, rel=1e-12)
+
     def test_square_fails_tight_constant(self):
         f = sc.power(2.0)
         ok, worst = sc.check_doubling(f, 2.0, 3.0)
@@ -678,24 +686,24 @@ class TestPowerlogDomain:
 class TestRateCandidates:
     def test_subcritical_example(self):
         cand = sc.RateCandidate("subcritical", sc.power(2.0), sc.power(-0.25))
-        assert sc.evaluate_rate(cand, 16.0) == pytest.approx(2.0, rel=1e-12)
+        assert np.exp(sc.log_rate(cand, 16.0)) == pytest.approx(2.0, rel=1e-12)
 
     def test_critical_constant_g(self):
         cand = sc.RateCandidate("critical", sc.power(1.0), sc.constant(0.5))
-        assert sc.evaluate_rate(cand, 10.0) == pytest.approx(5.0, rel=1e-12)
+        assert np.exp(sc.log_rate(cand, 10.0)) == pytest.approx(5.0, rel=1e-12)
 
     def test_critical_power_oracle(self):
         g = sc.loglog_g(0.0)  # 1/log(e+t)
         cand = sc.RateCandidate("critical", sc.power(1.3), g)
         t = 100.0
         expected = (t * g(t)) ** (1.0 / 1.3)
-        assert sc.evaluate_rate(cand, t) == pytest.approx(expected, rel=1e-10)
+        assert np.exp(sc.log_rate(cand, t)) == pytest.approx(expected, rel=1e-10)
 
     def test_subcritical_unit_g_is_inverse(self):
         phi = sc.powerlog(2.0, 1.0)
         cand = sc.RateCandidate("subcritical", phi, sc.constant(1.0))
         for t in (3.0, 47.0, 1234.0):
-            assert sc.evaluate_rate(cand, t) == pytest.approx(
+            assert np.exp(sc.log_rate(cand, t)) == pytest.approx(
                 sc.inverse(phi, t), rel=1e-10
             )
 
@@ -706,7 +714,7 @@ class TestRateCandidates:
     def test_requires_t_above_one(self):
         cand = sc.RateCandidate("direct", sc.power(1.0))
         with pytest.raises(PreconditionError):
-            sc.evaluate_rate(cand, 0.5)
+            sc.log_rate(cand, 0.5)
 
 
 class TestPresetGrammar:
@@ -766,13 +774,17 @@ class TestPresetGrammar:
     @given(data=st.data())
     def test_names_rebuild_their_presets(self, make, args, data):
         # a name is an id of the same function: the same parameters read
-        # back from it, and the same ell
+        # back from it, and the same ell; a preset is a value, equal and
+        # hashed alike to the one its name builds, and it pickles
         params = [data.draw(a) for a in args]
         f = make(*params)
         assert [float(a) for a in f.name.partition(":")[2].split(",")] == params
         g = sc.from_id(f.name)
         s = np.linspace(1.0, 5.0, 9)
         assert g.name == f.name and np.array_equal(g.ell(s), f.ell(s))
+        assert g == f and hash(g) == hash(f) and make(*params) == f
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and hash(back) == hash(f) and np.array_equal(back.ell(s), f.ell(s))
 
 
 # every preset the id grammar builds, with arguments inside its domain
@@ -966,13 +978,13 @@ class TestArrays:
 
     @pytest.mark.parametrize("recipe, g", [("direct", None), ("subcritical", "powerlog:0,-0.5"),
                                            ("critical", "loglog-g:1")])
-    def test_evaluate_rate_matches_scalar_calls(self, recipe, g):
+    def test_log_rate_matches_scalar_calls(self, recipe, g):
         cand = sc.RateCandidate(recipe, sc.powerlog(1.5, 1.0), g and sc.from_id(g))
         t = np.geomspace(16.0, 1e60, 25)
-        want = [sc.evaluate_rate(cand, float(x)) for x in t]
-        np.testing.assert_allclose(sc.evaluate_rate(cand, t), want, rtol=1e-12, atol=0.0)
+        want = [np.exp(sc.log_rate(cand, float(x))) for x in t]
+        np.testing.assert_allclose(np.exp(sc.log_rate(cand, t)), want, rtol=1e-12, atol=0.0)
         with pytest.raises(PreconditionError, match="0.5"):
-            sc.evaluate_rate(cand, np.array([4.0, 0.5]))
+            sc.log_rate(cand, np.array([4.0, 0.5]))
 
 
 class TestPowerlogExactInverse:
@@ -1134,12 +1146,17 @@ class TestPresetsPastTheFloatRange:
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_loglog_g_past_the_float_range(self, eps):
-        # e**s overflows from s = 709.78 on; ell stays finite and decreasing
+        # e**s overflows from s = 709.78 on; ell stays finite and decreasing,
+        # and at s = inf, t = inf, g is 0
         s = np.array([700.0, 709.0, 710.0, 1e4, 1e300])
+        f = sc.from_id(f"loglog-g:{eps}")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v = sc.from_id(f"loglog-g:{eps}").ell(s)
-            assert sc.from_id(f"loglog-g:{eps}").ell(710.0) == v[2]
+            v = f.ell(s)
+            assert f.ell(710.0) == v[2]
+            assert f.ell(math.inf) == -math.inf and f(math.inf) == 0.0
+            assert np.array_equal(f.ell(np.append(s, [math.inf, math.nan])), np.append(v, [-math.inf, math.nan]),
+                                  equal_nan=True)
         assert np.all(np.isfinite(v)) and np.all(np.diff(v) < 0)
         # log log(e + t) = log s + log1p(e^(1-s)/s...) ~ log s for large s
         assert v[-1] == pytest.approx(eps * math.log(math.log(1e300)) - math.log(1e300), rel=1e-12)
