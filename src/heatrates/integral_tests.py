@@ -4,14 +4,15 @@ The decision engine computes dyadic block integrals
 
     s_k = integral of f over [2^k t0, 2^(k+1) t0]
 
-by one 16-point Gauss-Legendre rule per block in the log-transformed
-variable u = log t, then resolves the convergence class by iterated Cauchy
-condensation: the raw block ratio settles the geometric scale; dividing out
-the critical factor at each further scale (1/t, then 1/log t, then
-1/log log t) turns the next logarithmic scale into a condensed series whose
-implied term ratio is read off a least-squares exponent fit.  A ratio
-within the margin band at one depth descends to the next; within the margin
-at the deepest condensation the engine abstains.
+by one 16-point Gauss-Legendre rule per block in u = log t (built once, at
+import, read-only, for t0 = 1, and shifted by log t0), then resolves the
+convergence class by iterated Cauchy condensation: the raw block ratio
+settles the geometric scale; dividing out the critical factor at each
+further scale (1/t, then 1/log t, then 1/log log t) turns the next
+logarithmic scale into a condensed series whose implied term ratio is read
+off a least-squares exponent fit.  A ratio within the margin band at one
+depth descends to the next; within the margin at the deepest condensation
+the engine abstains.
 
 The named tests at the bottom wrap the engine with the specific integrands
 of the classical rate-function criteria (Kolmogorov, Dvoretzky-Erdos,
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -120,30 +121,30 @@ class Verdict:
         }
 
 
+#: the block rule of t0 = 1, on [k log 2, (k + 1) log 2] for k < K_MAX: nodes
+#: u = log t and weights in du, built once at import, read-only
+_BLOCK_U, _BLOCK_W = _gauss_legendre(LOG2 * np.arange(K_MAX + 1), 16)
+_BLOCK_U.flags.writeable = _BLOCK_W.flags.writeable = False
+
+
 def _block_nodes(t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t, in increasing order, and weights in dt of the dyadic blocks:
-    the 16-point rule in u = log t on every block."""
-    u, w = _gauss_legendre(math.log(t0) + LOG2 * np.arange(K_MAX + 1), 16)
-    t = np.exp(u)
-    return t, w * t
+    """Nodes t, in increasing order, and weights in dt of the dyadic blocks
+    from t0: the rule built at import, its nodes shifted by log t0 (its
+    weights in du do not move)."""
+    _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
+    t = np.exp(_BLOCK_U + math.log(t0))
+    return t, _BLOCK_W * t
 
 
 def _block_sums(t: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dyadic block integrals from the integrand's values v at the nodes t."""
     g = weight * v
-    ok = np.isfinite(g) & (v >= 0)
-    if not ok.all():
-        i = int(np.argmin(ok))
+    if not (v.min() >= 0.0 and g.max() < math.inf):  # false for NaN too
+        i = int(np.argmin(np.isfinite(g) & (v >= 0)))
         if not math.isfinite(g[i]):
             raise EvaluationError(f"block {i // 16}: integrand non-finite at t={t[i]:g}")
         raise PreconditionError(f"block {i // 16}: integrand negative at t={t[i]:g}")
     return g.reshape(K_MAX, 16).sum(axis=1)
-
-
-def _lstsq_coeffs(y: np.ndarray, cols: Sequence[np.ndarray]) -> np.ndarray:
-    X = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return coef
 
 
 def classify_tail_integral(f: Callable[[float], float], t0: float = 16.0) -> Verdict:
@@ -155,7 +156,6 @@ def classify_tail_integral(f: Callable[[float], float], t0: float = 16.0) -> Ver
     f is called once per node, with a float, in increasing t; an error it
     raises is raised again with the block's number in front.
     """
-    _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
     t, weight = _block_nodes(t0)
     vals = []
     try:
@@ -170,7 +170,6 @@ def _classify_log(log_f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdi
     """classify_tail_integral for an integrand given by its log as an array
     expression, called once on all block nodes (an error it raises names its
     argument, not the block), and exponentiated by the module docstring's rule."""
-    _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
     t, weight = _block_nodes(t0)
     x = log_f(t)
     with np.errstate(over="ignore"):  # +inf is reported with its block
@@ -182,19 +181,17 @@ def _classify_log(log_f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdi
 def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     """The verdict on the block integrals s of the blocks from t0 on."""
     table = list(enumerate(s.tolist()))
-    partial = float(np.sum(s))
+    partial = float(s.sum())
 
     # vanishing tail: everything beyond some block is numerically zero
-    tail_quarter = s[3 * K_MAX // 4 :]
-    if np.all(tail_quarter == 0.0):
+    if not s[3 * K_MAX // 4 :].any():
         return Verdict(CONVERGENT, partial, None, 0, table, "tail numerically zero")
 
     # fit on blocks with u = log t large enough that shift corrections
     # log(u + c) - log(u) are captured by the reciprocal absorber columns
-    nz = np.nonzero(s > 0)[0]
-    u0 = math.log(t0)
-    u = u0 + (nz + 0.5) * LOG2
-    usable = nz[u >= 8.0]
+    nz = (s > 0).nonzero()[0]
+    u = math.log(t0) + (nz + 0.5) * LOG2
+    usable, uk = nz[u >= 8.0], u[u >= 8.0]
     if usable.size < 16:
         return Verdict(
             INCONCLUSIVE, partial, None, 0, table, "insufficient usable blocks"
@@ -202,9 +199,9 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
 
     # empirical monotonicity of the block tail
     tail = s[usable[usable >= usable[-1] // 2]]
-    d = np.diff(tail)
+    d = tail[1:] - tail[:-1]
     tol = 1e-6 * np.maximum(tail[:-1], tail[1:])
-    if not (np.all(d <= tol) or np.all(d >= -tol)):
+    if not ((d <= tol).all() or (d >= -tol).all()):
         return Verdict(
             INCONCLUSIVE, partial, None, 0, table, "blocks not eventually monotone"
         )
@@ -212,7 +209,7 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     # depth 0: raw ratio test on the block series (geometric scale)
     last = usable[usable >= usable[-1] - max(8, usable.size // 3)]
     ratios = s[last[1:]] / s[last[:-1]]
-    steps = np.diff(last).astype(float)
+    steps = (last[1:] - last[:-1]).astype(float)
     rates = np.sort(ratios ** (1.0 / steps)).tolist()  # their median, bit for bit np.median
     mid = len(rates) // 2
     l0 = rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
@@ -225,19 +222,19 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     # otherwise bias the exponents.  Depth 1, 2, 3 divides out 1/t,
     # 1/(t log t), 1/(t log t loglog t) and reads the exponent of log t,
     # loglog t, logloglog t off the third coefficient
-    uk = u0 + (usable + 0.5) * LOG2
     y = np.log(s[usable])
     lu = np.log(uk)
     llu = np.log(lu)
     lllu = np.log(llu)
-    one = np.ones_like(uk)
+    one, inv_u = np.ones_like(uk), 1.0 / uk
     levels = (
-        (y, [one, uk, lu, llu, lllu, 1.0 / uk, 1.0 / uk**2]),
-        (y + lu, [one, lu, llu, lllu, 1.0 / uk, 1.0 / (uk * lu)]),
-        (y + lu + llu, [one, llu, lllu, 1.0 / lu, 1.0 / uk]),
+        (y, [one, uk, lu, llu, lllu, inv_u, 1.0 / uk**2]),
+        (y + lu, [one, lu, llu, lllu, inv_u, 1.0 / (uk * lu)]),
+        (y + lu + llu, [one, llu, lllu, 1.0 / lu, inv_u]),
     )
     for depth, (target, cols) in enumerate(levels, 1):
-        coef = _lstsq_coeffs(target, cols)
+        # the columns side by side, column-major as lstsq takes them
+        coef = np.linalg.lstsq(np.array(cols).T, target, rcond=None)[0]
         if depth == 1:  # the joint fit also carries the exponent of t
             delta = -coef[1]
             l0_fit = 2.0**-delta

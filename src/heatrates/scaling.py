@@ -165,7 +165,7 @@ class ScalingFunction:
         if self.exact_inverse is not None:  # at four grid points: log y -> s, not y -> t
             with np.errstate(all="ignore"):  # a wrong closed form may give NaN or inf
                 back = self.ell(np.asarray(self.exact_inverse(logs[::21]), dtype=float))
-            if not np.all(np.abs(back - logs[::21]) <= GRID_RTOL * (1.0 + np.abs(logs[::21]))):
+            if not (np.abs(back - logs[::21]) <= GRID_RTOL * (1.0 + np.abs(logs[::21]))).all():
                 raise PreconditionError(f"{self.name or 'scaling function'}: exact_inverse is not "
                                         "log y -> s with ell(s) = log y on the grid")
 
@@ -180,32 +180,30 @@ class ScalingFunction:
         log f - d_lo (d_hi) s, a_j - a_i >= log c_lo and b_j - b_i <= log
         c_hi, all up to GRID_RTOL.  A violation names the first failing pair
         in i-major order."""
-        steps = np.diff(logs)
         up = self.monotonicity == INCREASING
-        wrong = steps < _LOG_SLACK if up else steps > -_LOG_SLACK
-        if wrong.any():
-            kind = "nondecreasing" if up else "nonincreasing"
+        steps = logs[1:] - logs[:-1] if up else logs[:-1] - logs[1:]  # < 0 the wrong way
+        if steps.min() < _LOG_SLACK:
             raise PreconditionError(
-                f"{self.name or 'scaling function'}: not {kind} near r={g[int(np.argmax(wrong))]:g}"
+                f"{self.name or 'scaling function'}: not {'nondecreasing' if up else 'nonincreasing'} "
+                f"near r={g[int(np.argmax(steps < _LOG_SLACK))]:g}"
             )
         env = self.envelope
         a, b = logs - env.d_lo * s, logs - env.d_hi * s
         tol_lo = math.log(env.c_lo) + _LOG_SLACK
         tol_hi = math.log(env.c_hi) + math.log1p(GRID_RTOL)
-        # min_j>i (a_j - a_i) = (min_j>i a_j) - a_i: extremes from the right check all pairs
-        a_min = np.minimum.accumulate(a[::-1])[::-1]
-        b_max = np.maximum.accumulate(b[::-1])[::-1]
-        bad = (a_min[1:] - a[:-1] < tol_lo) | (b_max[1:] - b[:-1] > tol_hi)
-        if not bad.any():
-            return
-        i = int(np.argmax(bad))
-        j = i + 1 + int(np.argmax((a[i + 1 :] - a[i] < tol_lo) | (b[i + 1 :] - b[i] > tol_hi)))
-        span, ratio = g[j] / g[i], math.exp(logs[j] - logs[i])
-        raise PreconditionError(
-            f"{self.name or 'scaling function'}: envelope violated at "
-            f"(r={g[i]:g}, R={g[j]:g}): ratio={ratio:g} outside "
-            f"[{env.c_lo * span**env.d_lo:g}, {env.c_hi * span**env.d_hi:g}]"
-        )
+        # min_j>i (a_j - a_i) = (min_j>i a_j) - a_i: extremes from the right check all
+        # pairs; fmin and fmax pass over NaN, which fails no comparison
+        gap_a = np.minimum.accumulate(a[::-1])[-2::-1] - a[:-1]
+        gap_b = np.maximum.accumulate(b[::-1])[-2::-1] - b[:-1]
+        if np.fmin.reduce(gap_a) < tol_lo or np.fmax.reduce(gap_b) > tol_hi:
+            i = int(np.argmax((gap_a < tol_lo) | (gap_b > tol_hi)))
+            j = i + 1 + int(np.argmax((a[i + 1 :] - a[i] < tol_lo) | (b[i + 1 :] - b[i] > tol_hi)))
+            span, ratio = g[j] / g[i], math.exp(logs[j] - logs[i])
+            raise PreconditionError(
+                f"{self.name or 'scaling function'}: envelope violated at "
+                f"(r={g[i]:g}, R={g[j]:g}): ratio={ratio:g} outside "
+                f"[{env.c_lo * span**env.d_lo:g}, {env.c_hi * span**env.d_hi:g}]"
+            )
 
     def _ell_checked(self, s, t: Optional[float] = None):
         """ell(s), raising EvaluationError where it is NaN or +inf (f not
@@ -283,9 +281,10 @@ def _grid_logs(evaluator: Callable, g: np.ndarray, s: np.ndarray, name: str) -> 
     and positive on the grid: EvaluationError names the first r where not."""
     if isinstance(evaluator, LogLog):
         logs = np.asarray(evaluator.ell(s), dtype=float)
-        for bad, what in ((~(logs < math.inf), "non-finite"), (logs == -math.inf, "non-positive")):
-            if bad.any():
-                raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
+        if not np.isfinite(logs).all():
+            for bad, what in ((~(logs < math.inf), "non-finite"), (logs == -math.inf, "non-positive")):
+                if bad.any():
+                    raise EvaluationError(f"{name or 'scaling function'}: {what} value at r={g[bad][0]:g}")
         return evaluator.ell, None, logs
     try:
         out = evaluator(g)
@@ -314,7 +313,7 @@ def _grid_logs(evaluator: Callable, g: np.ndarray, s: np.ndarray, name: str) -> 
 def _fit(s: np.ndarray, logs: np.ndarray) -> Envelope:
     """The tightest power bracket of the grid pairs, from the slopes of log
     f between neighbours, with a multiplicative safety margin of 1e-6."""
-    slopes = np.diff(logs) / np.diff(s)
+    slopes = (logs[1:] - logs[:-1]) / (s[1:] - s[:-1])
     return Envelope(1.0 - 1e-6, float(slopes.min()), 1.0 + 1e-6, float(slopes.max()))
 
 
@@ -349,10 +348,6 @@ def check_doubling(
     pts = np.asarray(f.grid() if grid is None else grid, dtype=float)
     if pts.size == 0 or np.any(np.diff(pts) <= 0):
         raise PreconditionError("grid must be nonempty and sorted")
-    r = np.concatenate([factor * pts, pts])
-    bad = ~(f.log_value(r) < math.inf)  # NaN or +inf; -inf, f = 0, is a value
-    if bad.any():
-        raise EvaluationError(f"{f.name or 'scaling function'}: non-finite value at r={r[bad][0]:g}")
     worst = _worst_log_ratio(f, pts, factor, 1.0)[0]
     return bool(worst <= c * (1 + GRID_RTOL)), worst
 
@@ -414,8 +409,15 @@ def check_h_conditions(
 
 def _worst_log_ratio(h: ScalingFunction, pts: np.ndarray, a: float, b: float):
     """The largest h(a r)/h(b r) over r in pts, taken in logs and inf past
-    e**700, and the first r where it is reached."""
-    diff = h.log_value(a * pts) - h.log_value(b * pts)
+    e**700, and the first r where it is reached.  EvaluationError names the
+    first point where h is not finite, else the first r with h(a r) = h(b r) = 0."""
+    r = np.stack([a * pts, b * pts])
+    num, den = logs = h.log_value(r.ravel()).reshape(r.shape)  # a user's f takes 1-d arrays
+    for bad, at, what in ((~(logs < math.inf), r, "non-finite value"),
+                          (np.maximum(num, den) == -math.inf, pts, f"0 at both {a:g} r and {b:g} r")):
+        if bad.any():
+            raise EvaluationError(f"{h.name or 'scaling function'}: {what} at r={at[bad][0]:g}")
+    diff = num - den
     with np.errstate(over="ignore"):  # exp past 709 is inf, which is not kept
         ratio = np.where(diff < 700.0, np.exp(diff), math.inf)
     k = int(np.argmax(ratio))
@@ -444,7 +446,8 @@ def inverse(f: ScalingFunction, y):
 def log_inverse(f: ScalingFunction, log_y) -> np.ndarray:
     """s = log f^-1(y), the root of ell(s) = log y, for increasing f and an
     array of log y.  Where f^-1(y) leaves the float range s is still a
-    float, so a caller that needs only ell of s never forms f^-1(y).
+    float, so a caller that needs only ell of s never forms f^-1(y); but a
+    user's f takes t = e**s itself, so there such a root raises BracketError.
 
     Uses the exact inverse when the function carries one; its accuracy is
     the float conditioning of the closed form, not the stopping rule below.
@@ -506,7 +509,7 @@ def log_inverse(f: ScalingFunction, log_y) -> np.ndarray:
 
 
 #: the bracketing gallop moves s by a step that starts at log 2 and doubles
-#: at every step, up to this cap
+#: at every step, up to this cap while t = e**s is a float (past it, uncapped)
 _GALLOP_MAX_STEP = 64.0 * math.log(2.0)
 #: s = log t of the least and the largest positive float t (so |log y| <= -_S_LO
 #: for every float y > 0)
@@ -559,9 +562,9 @@ def _gallop_points(
 
     The gallop starts at s0 = log t0, so a target above f(t0) never
     evaluates f below 1 or below the verified domain, and steps towards log
-    y until a value reaches it.  A step that leaves the float range in t = e**s, or
-    to a point where ell is NaN or +inf or raises, is retried from the same
-    s with half its length; once that no longer moves s, BracketError.  The
+    y until a value reaches it.  A step to where ell is NaN or +inf or raises, or
+    (a user's f, not a LogLog) to t = e**s past the float range, is retried from
+    the same s with half its length; once that no longer moves s, BracketError.  The
     points depend on f alone, so the gallop towards y passes a prefix of the
     points of the gallop towards any target farther out.
     """
@@ -576,7 +579,7 @@ def _gallop_points(
                 f"could not bracket y={_exp_text(log_y)} from {side}: no finite value past t={_exp_text(s)}"
             )
         nl = None
-        if _S_LO < ns < _S_HI:
+        if f._at is None or _S_LO < ns < _S_HI:
             try:
                 nl = float(f._ell_checked(ns))
             except (OverflowError, EvaluationError):
@@ -589,7 +592,7 @@ def _gallop_points(
         if (nl >= log_y) if up else (nl <= log_y):
             return np.array(ss), np.array(ls)
         s = ns
-        step = min(2.0 * step, _GALLOP_MAX_STEP)
+        step = min(2.0 * step, _GALLOP_MAX_STEP) if _S_LO < s < _S_HI else 2.0 * step
 
 
 # ---------------------------------------------------------------------------

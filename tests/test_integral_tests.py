@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from heatrates import integral_tests as it
 from heatrates import scaling as sc
 from heatrates.errors import EvaluationError, PreconditionError
 from heatrates.integral_tests import (
@@ -205,6 +206,31 @@ class TestBlockRule:
         exact = _block_closed_forms(u)[name]
         blocks = np.array([s for _, s in classify_tail_integral(f, t0).block_table])
         np.testing.assert_allclose(blocks, exact, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("t0", [1e-3, 16.0, 32.0, 16.0 * 2.0**40])
+    def test_prebuilt_rule_matches_the_rule_built_for_t0(self, t0):
+        # log t0 + (k log 2 + x) and (log t0 + k log 2) + x both round at the
+        # larger of |u| and |log t0|: ulps are counted at that scale
+        u, t_ref, weight_ref = _rule_built_for(t0)
+        t, weight = it._block_nodes(t0)
+        ulp = np.spacing(np.maximum(np.abs(u), abs(math.log(t0))))
+        assert np.all(np.abs(np.log(t) - u) <= 2.0 * ulp)
+        np.testing.assert_allclose(t, t_ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(weight, weight_ref, rtol=1e-13, atol=0.0)
+
+    def test_prebuilt_rule_is_read_only(self):
+        for a in (it._BLOCK_U, it._BLOCK_W):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def _rule_built_for(t0):
+    """u, t and the weights in dt of the block rule built afresh for t0, from
+    the block ends log t0 + k log 2."""
+    u, w = it._gauss_legendre(math.log(t0) + LOG2 * np.arange(K_MAX + 1), 16)
+    t = np.exp(u)
+    return u, t, w * t
 
 
 class TestKolmogorov:
@@ -467,6 +493,34 @@ class TestNamedTestsOnArrays:
         np.testing.assert_allclose(
             [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=1e-13, atol=0.0
         )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "kolmogorov-lil", "kolmogorov-power", "dvoretzky-erdos", "upper-subcritical",
+        "upper-critical-zero", "subcritical-lower", "critical-lower", "stable:1.5,3", "stable:1,1",
+    ],
+)
+def test_prebuilt_rule_keeps_the_verdicts(name, monkeypatch):
+    # each named test, and classify_long_run, on the rule built at import and
+    # on one built afresh for its t0: the same label, reason and depth
+    from heatrates import kernels as kn
+
+    if name.startswith("stable"):
+        run = lambda: kn.classify_long_run(kn.from_id(name))[1]
+    else:
+        run = _float_reference(name)[0]
+    got = run()
+    monkeypatch.setattr(it, "_block_nodes", lambda t0: _rule_built_for(t0)[1:])
+    want = run()
+    assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
+    assert got.partial_sum == pytest.approx(want.partial_sum, rel=1e-13, abs=0.0)
+    if want.tail_exponent_estimate is not None:
+        assert got.tail_exponent_estimate == pytest.approx(want.tail_exponent_estimate, rel=0.0, abs=1e-11)
+    np.testing.assert_allclose(
+        [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=1e-13, atol=0.0
+    )
 
 
 def _powerlog_inverting(name, exact):

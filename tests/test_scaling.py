@@ -459,6 +459,12 @@ class TestCheckDoubling:
         assert ok
         assert worst <= c_sweep * (1 + 1e-9)
 
+    def test_zero_at_both_points_is_an_error(self):
+        # exp-decay:1,2 is 0 (log h = -inf) at r = 1e200 and 2e200: the ratio
+        # is 0/0, which warned and read inf
+        with pytest.raises(EvaluationError, match=r"exp-decay:1,2: 0 at both 2 r and 1 r at r=1e\+200"):
+            sc.check_doubling(sc.exp_decay(1.0, 2.0), 2.0, 10.0, grid=[1e200, 1e201])
+
     def test_nonfinite_evaluation_reported(self):
         # verified on [1e-8, 1]; NaN past r = 50, where the doubling grid reaches
         f = sc.ScalingFunction(
@@ -497,6 +503,13 @@ class TestHConditions:
             h, sc.LOWER_DOUBLING, c0=1e6, grid=np.geomspace(1.01, 40.0, 64)
         )
         assert not low.ok  # ratio h(r)/h(2r) = exp(3 c0 r^2) grows past any c0
+
+    @pytest.mark.parametrize("mode, c0", [(sc.UPPER_DECAY, None), (sc.LOWER_DOUBLING, 2.0)])
+    def test_zero_at_both_points_is_an_error(self, mode, c0):
+        # exp-decay:1,2 is 0 (log h = -inf) from r = 1e200 on: h(theta r)/h(r)
+        # and h(r)/h(2r) are 0/0 there, which warned and read inf
+        with pytest.raises(EvaluationError, match=r"exp-decay:1,2: 0 at both .*r=1e\+200"):
+            sc.check_h_conditions(sc.exp_decay(1.0, 2.0), mode, grid=[1e200, 1e201], c0=c0)
 
     def test_not_decreasing_rejected(self):
         f = sc.power(1.0)
@@ -663,11 +676,38 @@ class TestPowerlogDomain:
                 sc.inverse(f, 2.0)
 
     def test_bracket_error_names_a_target_past_the_float_range(self):
-        # y = e^1100 is written from its log, not formed by exp
-        f = sc.from_id("powerlog:1.5,-0.3")
+        # y = e^1100 is written from its log, not formed by exp; a user's f
+        # takes t itself, so its gallop stops where t leaves the float range
+        ev = lambda r: r**0.5 * np.log(r) ** -0.3
+        f = sc.ScalingFunction(ev, sc.INCREASING, sc.fit_envelope(ev, 2.0), 2.0)
         with pytest.raises(BracketError, match=r"could not bracket y=exp\(1100\) from above: "
                                                r"no finite value past t=1.79769e\+308"):
             sc.log_inverse(f, np.array([1100.0]))
+
+    @pytest.mark.parametrize("spec", ["powerlog:0.5,-0.3", "powerlog:0.5,0.5"])
+    def test_log_inverse_past_the_float_range(self, spec):
+        # a LogLog's ell takes s alone: regula falsi finds roots past t =
+        # 1.8e308 (s = 709.78), as far out as s = 2e12, where the closed form,
+        # if there is one, agrees; a float y with such a root (y = 1e300 at
+        # s = 1374) overflows
+        p = sc.from_id(spec)
+        f = dataclasses.replace(p, exact_inverse=None)
+        log_y = np.array([1100.0, 1e6, 1e12])
+        s = sc.log_inverse(f, log_y)
+        assert np.all(s > 709.79)
+        assert np.all(np.abs(f.ell(s) - log_y) <= 1e-12 * log_y)
+        if p.exact_inverse is not None:
+            np.testing.assert_allclose(s, sc.log_inverse(p, log_y), rtol=1e-13, atol=0.0)
+        with pytest.raises(OverflowError, match=r"inverse of y=1e\+300 overflows"):
+            sc.inverse(f, 1e300)
+
+    def test_gallop_stops_without_a_root(self):
+        # an increasing LogLog bounded by 1 never reaches y = e: past the
+        # float range of t its gallop steps on, doubling, to s = inf
+        f = sc.ScalingFunction(sc.LogLog(lambda s: -np.exp(-s)), sc.INCREASING,
+                               sc.Envelope(1.0, 0.0, 2.0, 1.0), 1.0)
+        with pytest.raises(BracketError, match="could not bracket y=2.71828 from above"):
+            sc.log_inverse(f, 1.0)
 
     def test_gallop_starts_at_the_domain_floor(self):
         # a target above f(floor) never evaluates f below the floor
