@@ -29,7 +29,7 @@ where log f <= -745 (exp is 0 or subnormal there) or -inf, and a NaN or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,7 +94,7 @@ def _positive_finite(name: str, x: float) -> None:
         raise PreconditionError(f"{name} must be positive and finite, got {x!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of a convergence classification.
 
@@ -107,8 +107,8 @@ class Verdict:
     partial_sum: float
     tail_exponent_estimate: Optional[float]
     depth_used: int
-    block_table: list[tuple[int, float]] = field(default_factory=list)
-    reason: str = ""
+    block_sums: tuple[float, ...]  # s_k at position k
+    reason: str
 
     def as_dict(self) -> dict:
         return {
@@ -117,7 +117,7 @@ class Verdict:
             "tail_exponent_estimate": self.tail_exponent_estimate,
             "depth_used": self.depth_used,
             "reason": self.reason,
-            "block_table": [[k, s] for k, s in self.block_table],
+            "block_sums": list(self.block_sums),
         }
 
 
@@ -180,12 +180,12 @@ def _classify_log(log_f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdi
 
 def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     """The verdict on the block integrals s of the blocks from t0 on."""
-    table = list(enumerate(s.tolist()))
+    sums = tuple(s.tolist())
     partial = float(s.sum())
 
     # vanishing tail: everything beyond some block is numerically zero
     if not s[3 * K_MAX // 4 :].any():
-        return Verdict(CONVERGENT, partial, None, 0, table, "tail numerically zero")
+        return Verdict(CONVERGENT, partial, None, 0, sums, "tail numerically zero")
 
     # fit on blocks with u = log t large enough that shift corrections
     # log(u + c) - log(u) are captured by the reciprocal absorber columns
@@ -194,7 +194,7 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     usable, uk = nz[u >= 8.0], u[u >= 8.0]
     if usable.size < 16:
         return Verdict(
-            INCONCLUSIVE, partial, None, 0, table, "insufficient usable blocks"
+            INCONCLUSIVE, partial, None, 0, sums, "insufficient usable blocks"
         )
 
     # empirical monotonicity of the block tail
@@ -203,7 +203,7 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     tol = 1e-6 * np.maximum(tail[:-1], tail[1:])
     if not ((d <= tol).all() or (d >= -tol).all()):
         return Verdict(
-            INCONCLUSIVE, partial, None, 0, table, "blocks not eventually monotone"
+            INCONCLUSIVE, partial, None, 0, sums, "blocks not eventually monotone"
         )
 
     # depth 0: raw ratio test on the block series (geometric scale)
@@ -215,7 +215,7 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
     l0 = rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
     if abs(l0 - 1.0) > RATIO_MARGIN:
         label = CONVERGENT if l0 < 1.0 else DIVERGENT
-        return Verdict(label, partial, -math.log2(l0), 0, table, f"block ratio {l0:.4g}")
+        return Verdict(label, partial, -math.log2(l0), 0, sums, f"block ratio {l0:.4g}")
 
     # condensation fits on u = log t regressors; the reciprocal columns
     # absorb shift corrections like log(u + c) - log(u) ~ c/u that would
@@ -240,24 +240,24 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
             l0_fit = 2.0**-delta
             if abs(l0_fit - 1.0) > GEOMETRIC_DECISIVE:
                 label = CONVERGENT if delta > 0 else DIVERGENT
-                return Verdict(label, partial, float(delta), 0, table, f"fitted geometric rate {l0_fit:.5g}")
+                return Verdict(label, partial, float(delta), 0, sums, f"fitted geometric rate {l0_fit:.5g}")
             if abs(l0_fit - 1.0) > DESCEND_BAND_GEOMETRIC:
                 return Verdict(
-                    INCONCLUSIVE, partial, float(delta), 0, table,
+                    INCONCLUSIVE, partial, float(delta), 0, sums,
                     f"geometric rate {l0_fit:.5g} inside margin but not at boundary",
                 )
         p_hat = -coef[2]
         ratio = 2.0 ** (1.0 - p_hat)
         if abs(ratio - 1.0) > RATIO_MARGIN:
             label = CONVERGENT if ratio < 1.0 else DIVERGENT
-            return Verdict(label, partial, float(p_hat), depth, table, f"condensed ratio {ratio:.4g}")
+            return Verdict(label, partial, float(p_hat), depth, sums, f"condensed ratio {ratio:.4g}")
         if depth < len(levels) and abs(ratio - 1.0) > DESCEND_BAND:
             return Verdict(
-                INCONCLUSIVE, partial, float(p_hat), depth, table,
+                INCONCLUSIVE, partial, float(p_hat), depth, sums,
                 f"condensed ratio {ratio:.5g} inside margin but not at boundary",
             )
     return Verdict(
-        INCONCLUSIVE, partial, float(p_hat), depth, table,
+        INCONCLUSIVE, partial, float(p_hat), depth, sums,
         f"condensed ratio {ratio:.5g} within margin at depth {depth}",
     )
 

@@ -52,7 +52,6 @@ from .integral_tests import CONVERGENT, DIVERGENT, Verdict
 from .integral_tests import _LEGENDRE, _classify_log, _gauss_legendre, _piece_ends
 from .scaling import (
     INCREASING,
-    UPPER_DECAY,
     ScalingFunction,
     check_h_conditions,
     _S_HI,
@@ -179,7 +178,7 @@ class KernelModel:
         """c1 of tail_constant, from the cached h; V's doubling ratio is
         taken in logs, as V itself underflows on its grid in high dimension."""
         h = self._tail_profile[0]
-        rep = check_h_conditions(h, UPPER_DECAY, grid=_TAIL_DECAY_GRID)
+        rep = check_h_conditions(h, grid=_TAIL_DECAY_GRID)
         if not rep.ok:
             raise UnsupportedModelError(f"{self.model_id}: no geometric tail decay found")
         grid = self.V.grid()
@@ -885,67 +884,6 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
     if verdict.label == DIVERGENT:
         return RECURRENT, verdict
     return INCONCLUSIVE_CLASS, verdict
-
-
-@dataclass(frozen=True)
-class CompHeatReport:
-    ratio: float
-    k_bound: float
-
-    @property
-    def ok(self) -> bool:
-        return (1.0 - 1e-9) / self.k_bound <= self.ratio <= self.k_bound * (1.0 + 1e-9)
-
-
-def comp_heat_bound(model: KernelModel) -> float:
-    """Uniform contract constant K for polynomial-envelope models.
-
-    Valid for stable-like and two-sided-jump forms, where doubling the
-    off-diagonal distance moves the envelope by at most a constant; the
-    sub-gaussian envelope has no uniform constant (its comparison contract
-    depends on the configuration, see comp_heat_check).
-    """
-    if model.form == SUB_GAUSSIAN:
-        raise UnsupportedModelError(
-            "sub-gaussian envelopes admit no uniform comparison constant"
-        )
-    env_v, env_p = model.V.envelope, model.phi.envelope
-    move = env_v.c_hi * 2.0**env_v.d_hi * env_p.c_hi * 2.0**env_p.d_hi
-    return (model.c_hi / model.c_lo) * move
-
-
-def comp_heat_check(model: KernelModel, t: float, x, y, z) -> CompHeatReport:
-    """Ratio p(t,x,z) / p(t,y,z) for nearby x, y.
-
-    Requires d(x, y) <= phi^-1(t).  For polynomial envelopes (stable-like,
-    two-sided-jump) the contract constant is uniform in the configuration;
-    for sub-gaussian envelopes it carries the exponential displacement
-    factor exp(c0 |w_x^gamma - w_y^gamma|), w_p = d(p, z)/t^(1/b).
-    """
-    if not model.has_density:
-        raise UnsupportedModelError("comp-heat check needs an exact law")
-    x, y, z = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (x, y, z))
-    dxy = float(np.linalg.norm(x - y))
-    thr = inverse(model.phi, t)
-    if dxy > thr:
-        raise PreconditionError(
-            f"d(x,y)={dxy:g} exceeds phi^-1(t)={thr:g}; no comparison contract"
-        )
-    dxz = float(np.linalg.norm(x - z))
-    dyz = float(np.linalg.norm(y - z))
-    num = density(model, t, dxz)
-    den = density(model, t, dyz)
-    if model.form == SUB_GAUSSIAN:
-        b = model.phi.envelope.d_lo
-        gamma = b / (b - 1.0)
-        wx = dxz / t ** (1.0 / b)
-        wy = dyz / t ** (1.0 / b)
-        k = (model.c_hi / model.c_lo) * math.exp(
-            model.c0 * abs(wx**gamma - wy**gamma)
-        )
-    else:
-        k = comp_heat_bound(model)
-    return CompHeatReport(ratio=num / den, k_bound=k)
 
 
 def comparability_sweep(model: KernelModel, t_grid=None, n_dist: int = 24) -> tuple[float, float]:

@@ -85,7 +85,7 @@ def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     on-diagonal decay beyond it.  ENVELOPE mode takes p = envelope_density
     and returns a BoundPair, the integral times the declared comparability
     constants; QUADRATURE mode (exact-law models) takes p = density and
-    returns the value.  Requires a transient model.
+    returns the value.  Requires a transient model and a finite t_big.
     """
     if not d > 0:  # false for NaN too
         raise PreconditionError("distance must be positive")
@@ -96,6 +96,8 @@ def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     if p is density and not model.has_density:
         raise UnsupportedRegimeError("quadrature mode needs an exact law")
     t_big = _GREEN_REACH * max(model.phi(2.0 * d), 1.0)
+    if not t_big < math.inf:  # true for d = inf too
+        raise PreconditionError(f"green function at d={d:g}: t_big = {_GREEN_REACH:g} phi(2d) is not finite")
     knots = np.append(math.log(model.phi(d)) + _GREEN_KNOTS, math.log(t_big))
     u, weight = _gauss_legendre(_piece_ends(knots, _GREEN_STEP), 16)
     t = np.exp(u)

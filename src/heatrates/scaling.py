@@ -339,82 +339,43 @@ def fit_envelope(evaluator: Callable[[float], float], domain_floor: float) -> En
 # ---------------------------------------------------------------------------
 
 
-def check_doubling(
-    f: ScalingFunction, factor: float, c: float, grid=None
-) -> tuple[bool, float]:
-    """Check f(factor*r) <= c*f(r) on a grid, in logs; return (ok, worst ratio)."""
-    if factor <= 1:
-        raise PreconditionError("factor must exceed 1")
-    pts = np.asarray(f.grid() if grid is None else grid, dtype=float)
-    if pts.size == 0 or np.any(np.diff(pts) <= 0):
-        raise PreconditionError("grid must be nonempty and sorted")
-    worst = _worst_log_ratio(f, pts, factor, 1.0)[0]
-    return bool(worst <= c * (1 + GRID_RTOL)), worst
-
-
 @dataclass(frozen=True)
 class HConditionReport:
     ok: bool
-    theta: Optional[float]
+    theta: float
     c0: float
     worst_point: float
 
 
-UPPER_DECAY = "upper-decay"
-LOWER_DOUBLING = "lower-doubling"
-
-
-def check_h_conditions(
-    h: ScalingFunction, mode: str, grid=None, c0: Optional[float] = None
-) -> HConditionReport:
-    """Verify the decay conditions a tail profile h must satisfy.
-
-    UPPER_DECAY: look for theta > 1 and c0 in (0,1) with
-    h(theta*r) <= c0*h(r) for grid r > 1; theta swept over {2,4,8} and the
-    best (smallest) c0 reported.
-
-    LOWER_DOUBLING: verify h(r) <= c0*h(2r) for the declared c0 > 1.
-    """
+def check_h_conditions(h: ScalingFunction, grid=None) -> HConditionReport:
+    """Verify the geometric decay h(theta r) <= c0 h(r), theta > 1 and c0 in
+    (0, 1), for grid r > 1: the hypothesis on the tail profile h that the
+    annulus sum for the tail constant c1 needs.  The smallest theta in {2, 4,
+    8} that gives c0 < 1 is reported; if none does, the sweep's smallest c0."""
     if h.monotonicity != DECREASING:
         raise PreconditionError("h must be decreasing")
     pts = np.asarray(h.grid() if grid is None else grid, dtype=float)
     pts = pts[pts > 1.0]
     if pts.size == 0:
         raise PreconditionError("grid has no points above 1")
-
-    if mode == UPPER_DECAY:
-        # report the smallest theta that achieves c0 < 1; if none does,
-        # report the sweep's smallest c0 so the failure is quantified
-        best: Optional[tuple[float, float, float]] = None  # (c0, theta, argmax)
-        for theta in (2.0, 4.0, 8.0):
-            worst, arg = _worst_log_ratio(h, pts, theta, 1.0)
-            if 0 < worst < 1:
-                return HConditionReport(ok=True, theta=theta, c0=worst, worst_point=arg)
-            if best is None or worst < best[0]:
-                best = (worst, theta, arg)
-        c0_found, theta, arg = best
-        return HConditionReport(ok=False, theta=theta, c0=c0_found, worst_point=arg)
-
-    if mode == LOWER_DOUBLING:
-        if c0 is None or c0 <= 1:
-            raise PreconditionError("lower-doubling mode needs declared c0 > 1")
-        # log-domain ratio: h may underflow to 0 at 2r
-        worst, arg = _worst_log_ratio(h, pts, 1.0, 2.0)
-        return HConditionReport(
-            ok=bool(worst <= c0 * (1 + GRID_RTOL)), theta=None, c0=worst, worst_point=arg
-        )
-
-    raise ValueError(f"unknown mode {mode!r}")
+    tries = []  # (c0, theta, argmax): on a tie in c0, the smaller theta
+    for theta in (2.0, 4.0, 8.0):
+        worst, arg = _worst_log_ratio(h, pts, theta)
+        if 0 < worst < 1:
+            return HConditionReport(ok=True, theta=theta, c0=worst, worst_point=arg)
+        tries.append((worst, theta, arg))
+    worst, theta, arg = min(tries)
+    return HConditionReport(ok=False, theta=theta, c0=worst, worst_point=arg)
 
 
-def _worst_log_ratio(h: ScalingFunction, pts: np.ndarray, a: float, b: float):
-    """The largest h(a r)/h(b r) over r in pts, taken in logs and inf past
+def _worst_log_ratio(h: ScalingFunction, pts: np.ndarray, a: float):
+    """The largest h(a r)/h(r) over r in pts, taken in logs and inf past
     e**700, and the first r where it is reached.  EvaluationError names the
-    first point where h is not finite, else the first r with h(a r) = h(b r) = 0."""
-    r = np.stack([a * pts, b * pts])
+    first point where h is not finite, else the first r with h(a r) = h(r) = 0."""
+    r = np.stack([a * pts, pts])
     num, den = logs = h.log_value(r.ravel()).reshape(r.shape)  # a user's f takes 1-d arrays
     for bad, at, what in ((~(logs < math.inf), r, "non-finite value"),
-                          (np.maximum(num, den) == -math.inf, pts, f"0 at both {a:g} r and {b:g} r")):
+                          (np.maximum(num, den) == -math.inf, pts, f"0 at both {a:g} r and r")):
         if bad.any():
             raise EvaluationError(f"{h.name or 'scaling function'}: {what} at r={at[bad][0]:g}")
     diff = num - den
@@ -835,8 +796,8 @@ def exp_decay(c0: float, gamma: float) -> ScalingFunction:
     ell(s) = -c0 (e**s)**gamma.  e**s, raised to gamma, gives r**gamma
     within gamma times the rounding of s = log r, half the error of
     exp(gamma s), which rounds gamma s as well."""
-    if c0 <= 0 or gamma <= 0:
-        raise PreconditionError("exp-decay needs c0 > 0 and gamma > 0")
+    if not (0 < c0 < math.inf and 0 < gamma < math.inf):  # false for NaN too
+        raise PreconditionError(f"exp-decay needs finite c0 > 0 and gamma > 0, got {c0:g}, {gamma:g}")
     # keep the verification grid clear of exp underflow
     floor = min(1e-6, (700.0 / c0) ** (1.0 / gamma) / 10.0**GRID_DECADES)
     # below top, c0 (e**s)**gamma is a float; past it, ell is -inf where

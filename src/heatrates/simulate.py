@@ -23,6 +23,9 @@ independent, order-free, and individually regenerable.  A Philox stream is
 fixed by its key and counter alone, so the key words [s, r] reach Philox
 directly, as the state of a seed sequence that returns them: no OS entropy
 is read, and the draws equal Philox(key=s + r 2^64)'s.
+
+Entry points: ``replica_rng(s, r)`` regenerates replica r's stream, and
+``scheme_from_id`` reads a path's ``scheme_label`` back into its scheme.
 """
 
 from __future__ import annotations
@@ -94,9 +97,13 @@ class _Scheme:
 class UniformGrid(_Scheme):
     dt: float
 
+    def __post_init__(self):
+        if not 0 < self.dt < math.inf:  # false for NaN too
+            raise PreconditionError("dt must be positive and finite")
+
     def times(self, horizon: float) -> np.ndarray:
-        if not (0 < self.dt < math.inf and 0 < horizon < math.inf):
-            raise PreconditionError("dt and horizon must be positive and finite")
+        if not 0 < horizon < math.inf:
+            raise PreconditionError("horizon must be positive and finite")
         steps = horizon / self.dt + 1e-9
         _check_size(self.label, steps + 1.0, horizon)  # the n + 1 points of n dt, to within one
         n = int(math.floor(steps))
@@ -124,6 +131,10 @@ class DyadicBlocks(_Scheme):
     base: float = 2.0
     per_block: int = 256
 
+    def __post_init__(self):
+        if not (self.base > 1 and self.per_block >= 1):  # false for NaN too
+            raise PreconditionError("base must exceed 1 and per_block be >= 1")
+
     def times(self, horizon: float) -> np.ndarray:
         """The per-block linspace grids, joined and deduplicated.
 
@@ -132,8 +143,6 @@ class DyadicBlocks(_Scheme):
         and each starts where the last ended, so dropping repeats of the
         previous value equals np.unique of the joined blocks.
         """
-        if not (self.base > 1 and self.per_block >= 1):
-            raise PreconditionError("base must exceed 1 and per_block be >= 1")
         if not 0 < horizon < math.inf:
             raise PreconditionError("horizon must be positive and finite")
         n = self.per_block
@@ -184,7 +193,7 @@ def _real(x, name: str) -> float:
 def scheme_from_id(spec: str):
     """Parse scheme ids as labels write them: "uniform:DT" or
     "dyadic:PER_BLOCK[:BASE]" (PER_BLOCK 256 where empty, BASE 2 where left
-    out).  ValueError names a malformed id."""
+    out).  ValueError names a malformed id, or one its scheme rejects."""
     head, _, tail = spec.partition(":")
     head, parts = head.strip().lower(), tail.split(":")
     try:
@@ -193,7 +202,7 @@ def scheme_from_id(spec: str):
         if head == "dyadic" and len(parts) <= 2:
             per_block = int(parts[0]) if parts[0] else 256
             return DyadicBlocks(base=float(parts[1]) if len(parts) > 1 else 2.0, per_block=per_block)
-    except ValueError as exc:
+    except (ValueError, PreconditionError) as exc:
         raise ValueError(f"bad numeric arguments in scheme id {spec!r}") from exc
     raise ValueError(f"not a scheme id: {spec!r} (uniform:DT or dyadic:PER_BLOCK[:BASE])")
 

@@ -101,7 +101,7 @@ class TestClassifyTailIntegral:
         v = classify_tail_integral(lambda t: 1.0 / (t * log(t) ** 1.5))
         assert v.depth_used == 1
         assert v.tail_exponent_estimate == pytest.approx(1.5, abs=0.05)
-        assert len(v.block_table) == 240
+        assert len(v.block_sums) == 240
         assert v.partial_sum > 0
 
     def test_scale_invariance(self):
@@ -204,7 +204,7 @@ class TestBlockRule:
         f, t0 = {c[0]: (c[1], c[2]) for c in LABELED_SUITE}[name]
         u = math.log(t0) + math.log(2.0) * np.arange(K_MAX + 1)
         exact = _block_closed_forms(u)[name]
-        blocks = np.array([s for _, s in classify_tail_integral(f, t0).block_table])
+        blocks = np.array(classify_tail_integral(f, t0).block_sums)
         np.testing.assert_allclose(blocks, exact, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("t0", [1e-3, 16.0, 32.0, 16.0 * 2.0**40])
@@ -490,9 +490,7 @@ class TestNamedTestsOnArrays:
         run, f, t0 = _float_reference(name)
         got, want = run(), classify_tail_integral(f, t0)
         assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
-        np.testing.assert_allclose(
-            [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=1e-13, atol=0.0
-        )
+        np.testing.assert_allclose(got.block_sums, want.block_sums, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -518,9 +516,7 @@ def test_prebuilt_rule_keeps_the_verdicts(name, monkeypatch):
     assert got.partial_sum == pytest.approx(want.partial_sum, rel=1e-13, abs=0.0)
     if want.tail_exponent_estimate is not None:
         assert got.tail_exponent_estimate == pytest.approx(want.tail_exponent_estimate, rel=0.0, abs=1e-11)
-    np.testing.assert_allclose(
-        [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=1e-13, atol=0.0
-    )
+    np.testing.assert_allclose(got.block_sums, want.block_sums, rtol=1e-13, atol=0.0)
 
 
 def _powerlog_inverting(name, exact):
@@ -576,9 +572,7 @@ def test_exact_powerlog_inverse_keeps_the_verdicts(name):
     got, want = _powerlog_inverting(name, True), _powerlog_inverting(name, False)
     assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
     assert got.partial_sum == pytest.approx(want.partial_sum, rel=1e-12, abs=0.0)
-    np.testing.assert_allclose(
-        [s for _, s in got.block_table], [s for _, s in want.block_table], rtol=3e-12, atol=0.0
-    )
+    np.testing.assert_allclose(got.block_sums, want.block_sums, rtol=3e-12, atol=0.0)
 
 
 #: u = log t at the middle of each block from t0 = 16
@@ -622,4 +616,4 @@ def test_verdict_as_dict_survives_json(s):
     v = classify_tail_integral(lambda t: t**-2.0, 16.0) if s is None else _classify_blocks(s, 16.0)
     d = v.as_dict()
     assert json.loads(json.dumps(d, allow_nan=False)) == d
-    assert d["class"] == v.label and len(d["block_table"]) == K_MAX
+    assert d["class"] == v.label and len(d["block_sums"]) == K_MAX

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -93,3 +94,11 @@ def test_nan_arguments_raise_precondition_error(call):
     # checked up front, not after computing a non-finite bound
     with pytest.raises(PreconditionError):
         call(kn.from_id("stable:1.5,3"))
+
+
+@pytest.mark.parametrize("mode", [pt.ENVELOPE, pt.QUADRATURE])
+@pytest.mark.parametrize("d", [1e300, math.inf])
+def test_green_past_the_float_range_names_d(d, mode):
+    # phi(2d) overflows, so t_big is inf and the rule's pieces would span inf - inf
+    with pytest.raises(PreconditionError, match=re.escape(f"d={d:g}")):
+        pt.green_function(kn.from_id("stable:1.5,3"), d, mode)

@@ -282,31 +282,23 @@ class TestLogGrid:
         assert math.isinf(math.nextafter(self.TOP, math.inf) * 10.0**sc.GRID_DECADES)
 
 
-def _doubling_loop(f, factor, pts):
-    # reference: the worst doubling ratio as one Python loop over grid points
-    return max(f(factor * r) / f(r) for r in pts)
-
-
-def _h_loop(h, mode, pts, c0=None):
-    # reference: the decay checks as one Python loop over float grid points,
+def _h_loop(h, pts):
+    # reference: the decay check as one Python loop over float grid points,
     # (ok, theta, c0, worst_point) with the first point of the largest ratio
     pts = [r for r in pts if r > 1.0]
 
-    def worst(num, den):
+    def worst(theta):
         w, arg = -math.inf, pts[0]
         for r in pts:
-            diff = h.log_value(num * r) - h.log_value(den * r)
+            diff = h.log_value(theta * r) - h.log_value(r)
             ratio = math.exp(diff) if diff < 700.0 else math.inf
             if ratio > w:
                 w, arg = ratio, r
         return w, arg
 
-    if mode == sc.LOWER_DOUBLING:
-        w, arg = worst(1.0, 2.0)
-        return w <= c0 * (1 + sc.GRID_RTOL), None, w, arg
     best = None
     for theta in (2.0, 4.0, 8.0):
-        w, arg = worst(theta, 1.0)
+        w, arg = worst(theta)
         if 0 < w < 1:
             return True, theta, w, arg
         if best is None or w < best[2]:
@@ -333,44 +325,27 @@ class TestGridChecksMatchLoops:
     def test_upper_decay(self, spec):
         h = sc.from_id(spec)
         for grid in (h.grid(), self.GRID[self.GRID >= h.domain_floor]):
-            got = sc.check_h_conditions(h, sc.UPPER_DECAY, grid=grid)
-            assert _report(got) == _h_loop(h, sc.UPPER_DECAY, grid.tolist()), (spec, grid[0])
+            got = sc.check_h_conditions(h, grid=grid)
+            assert _report(got) == _h_loop(h, grid.tolist()), (spec, grid[0])
 
-    @pytest.mark.parametrize(
-        "spec, c0", [("power:-1.5", 2.0**1.5), ("exp-decay:0.25,2", 1e6), ("exp-decay:1,1.5", 1e3),
-                     ("loglog-g:0", 1.5)],
-    )
-    def test_lower_doubling(self, spec, c0):
-        h = sc.from_id(spec)
-        got = sc.check_h_conditions(h, sc.LOWER_DOUBLING, grid=self.GRID, c0=c0)
-        assert _report(got) == _h_loop(h, sc.LOWER_DOUBLING, self.GRID.tolist(), c0)
-
-    def test_lower_doubling_past_the_cutoff(self):
-        # log h(r) - log h(2r) = 0.25 (4 - 1) r**2 passes 700 at r = 30.55:
-        # the ratio is inf from there, also at r = 30.66, where it is e**705
-        # and would still be a float, and the first such point is reported
-        h = sc.exp_decay(0.25, 2.0)
-        grid = np.sort(np.append(self.GRID, 30.66))
-        got = sc.check_h_conditions(h, sc.LOWER_DOUBLING, grid=grid, c0=1e6)
-        assert (got.ok, got.c0, got.worst_point) == (False, math.inf, 30.66)
-        assert _report(got) == _h_loop(h, sc.LOWER_DOUBLING, grid.tolist(), 1e6)
+    def test_past_the_cutoff(self):
+        # a user's h, declared decreasing and verified on [1e-8, 1], that
+        # rises past r = 100: log h(2r) - log h(r) = 705 passes 700, so the
+        # ratio is inf, though e**705 would still be a float, and the first
+        # such point is reported
+        h = sc.ScalingFunction(lambda r: math.exp(-700.0 if r <= 100.0 else 5.0), sc.DECREASING,
+                               sc.Envelope(1.0, 0.0, 1.0, 0.0), domain_floor=1e-8)
+        got = sc.check_h_conditions(h, grid=self.GRID)
+        first = float(self.GRID[self.GRID > 50.0][0])
+        assert (got.ok, got.theta, got.c0, got.worst_point) == (False, 2.0, math.inf, first)
+        assert _report(got) == _h_loop(h, self.GRID.tolist())
 
     def test_scalar_only_profile(self):
         h = sc.ScalingFunction(lambda s: math.exp(-s), sc.DECREASING,
                                sc.fit_envelope(lambda s: math.exp(-s), 1e-6))
         assert h(self.GRID).tolist() == [h(r) for r in self.GRID.tolist()]
-        for mode, c0 in ((sc.UPPER_DECAY, None), (sc.LOWER_DOUBLING, 1e9)):
-            got = sc.check_h_conditions(h, mode, grid=self.GRID, c0=c0)
-            assert _report(got) == _h_loop(h, mode, self.GRID.tolist(), c0)
-
-    @pytest.mark.parametrize("spec", ["power:2", "power:1.7", "powerlog:1.5,1", "loglog-g:1"])
-    def test_doubling(self, spec):
-        f = sc.from_id(spec)
-        for factor in (2.0, 3.5):
-            ok, worst = sc.check_doubling(f, factor, 10.0)
-            want = _doubling_loop(f, factor, f.grid().tolist())
-            assert worst == pytest.approx(want, rel=1e-15) and ok == (want <= 10.0 * (1 + 1e-9))
-
+        got = sc.check_h_conditions(h, grid=self.GRID)
+        assert _report(got) == _h_loop(h, self.GRID.tolist())
 
 def _grid_values_loop(evaluator, g, name=""):
     """_grid_values as one call per np.float64 grid point, with its two checks."""
@@ -422,99 +397,42 @@ class TestGridValues:
         assert str(got.value) == str(want.value)
 
 
-class TestCheckDoubling:
-    def test_power_law_identity(self):
-        alpha = 1.7
-        f = sc.power(alpha)
-        ok, worst = sc.check_doubling(f, 2.0, 2.0**alpha)
-        assert ok
-        assert worst == pytest.approx(2.0**alpha, rel=1e-12)
-
-    def test_underflowing_power_law(self):
-        # power:60 underflows to 0 below r = 7e-6 on its grid: the ratio is
-        # taken in logs, not as 0/0
-        ok, worst = sc.check_doubling(sc.power(60.0), 2.0, 2.0**60 * (1 + 1e-9))
-        assert ok
-        assert worst == pytest.approx(2.0**60, rel=1e-12)
-
-    def test_square_fails_tight_constant(self):
-        f = sc.power(2.0)
-        ok, worst = sc.check_doubling(f, 2.0, 3.0)
-        assert not ok
-        assert worst == pytest.approx(4.0, rel=1e-12)
-
-    def test_wobbly_cubic_with_swept_constant(self):
-        # constant measured by an independent dense sweep, then asserted
-        def ev(r):
-            return r**3 * (1.0 + 0.1 * math.sin(math.log(r)))
-
-        f = sc.ScalingFunction(
-            evaluator=ev,
-            monotonicity=sc.INCREASING,
-            envelope=sc.fit_envelope(ev, 1e-6),
-        )
-        dense = np.geomspace(1e-6, 1e2, 4001)
-        c_sweep = max(ev(2.0 * r) / ev(r) for r in dense)
-        ok, worst = sc.check_doubling(f, 2.0, c_sweep)
-        assert ok
-        assert worst <= c_sweep * (1 + 1e-9)
-
-    def test_zero_at_both_points_is_an_error(self):
-        # exp-decay:1,2 is 0 (log h = -inf) at r = 1e200 and 2e200: the ratio
-        # is 0/0, which warned and read inf
-        with pytest.raises(EvaluationError, match=r"exp-decay:1,2: 0 at both 2 r and 1 r at r=1e\+200"):
-            sc.check_doubling(sc.exp_decay(1.0, 2.0), 2.0, 10.0, grid=[1e200, 1e201])
-
-    def test_nonfinite_evaluation_reported(self):
-        # verified on [1e-8, 1]; NaN past r = 50, where the doubling grid reaches
-        f = sc.ScalingFunction(
-            lambda r: float("nan") if r > 50 else r,
-            sc.INCREASING,
-            sc.Envelope(1.0, 1.0, 1.0, 1.0),
-            domain_floor=1e-8,
-        )
-        with pytest.raises(EvaluationError, match="r=80"):
-            sc.check_doubling(f, 2.0, 2.0, grid=np.array([1.0, 10.0, 40.0]))
-
-
 class TestHConditions:
     def test_power_upper_decay(self):
         beta = 1.5
         h = sc.power(-beta)
-        rep = sc.check_h_conditions(h, sc.UPPER_DECAY)
+        rep = sc.check_h_conditions(h)
         assert rep.ok
         assert rep.c0 == pytest.approx(2.0**-beta, rel=1e-9)
         assert rep.theta == 2.0
 
-    def test_power_lower_doubling_equality(self):
-        beta = 1.5
-        h = sc.power(-beta)
-        rep = sc.check_h_conditions(h, sc.LOWER_DOUBLING, c0=2.0**beta)
-        assert rep.ok
-        assert rep.c0 == pytest.approx(2.0**beta, rel=1e-9)
-
     def test_stretched_exponential_shape(self):
-        # exp(-c0 s^{beta/(beta-1)}): decays too fast for any doubling
-        # constant from below, fine for the upper-decay condition
+        # exp(-c0 s^{beta/(beta-1)}) decays geometrically
         h = sc.exp_decay(0.25, 2.0)
-        up = sc.check_h_conditions(h, sc.UPPER_DECAY, grid=np.geomspace(1.01, 12.0, 64))
+        up = sc.check_h_conditions(h, grid=np.geomspace(1.01, 12.0, 64))
         assert up.ok and up.c0 < 1.0
-        low = sc.check_h_conditions(
-            h, sc.LOWER_DOUBLING, c0=1e6, grid=np.geomspace(1.01, 40.0, 64)
-        )
-        assert not low.ok  # ratio h(r)/h(2r) = exp(3 c0 r^2) grows past any c0
 
-    @pytest.mark.parametrize("mode, c0", [(sc.UPPER_DECAY, None), (sc.LOWER_DOUBLING, 2.0)])
-    def test_zero_at_both_points_is_an_error(self, mode, c0):
+    def test_zero_at_both_points_is_an_error(self):
         # exp-decay:1,2 is 0 (log h = -inf) from r = 1e200 on: h(theta r)/h(r)
-        # and h(r)/h(2r) are 0/0 there, which warned and read inf
-        with pytest.raises(EvaluationError, match=r"exp-decay:1,2: 0 at both .*r=1e\+200"):
-            sc.check_h_conditions(sc.exp_decay(1.0, 2.0), mode, grid=[1e200, 1e201], c0=c0)
+        # is 0/0 there, which warned and read inf
+        with pytest.raises(EvaluationError, match=r"exp-decay:1,2: 0 at both 2 r and r at r=1e\+200"):
+            sc.check_h_conditions(sc.exp_decay(1.0, 2.0), grid=[1e200, 1e201])
+
+    def test_nonfinite_evaluation_reported(self):
+        # verified on [1e-8, 1]; NaN past r = 50, where theta r = 2 r reaches
+        h = sc.ScalingFunction(
+            lambda r: float("nan") if r > 50 else 1.0 / r,
+            sc.DECREASING,
+            sc.Envelope(1.0, -1.0, 1.0, -1.0),
+            domain_floor=1e-8,
+        )
+        with pytest.raises(EvaluationError, match=r"non-finite value at r=80$"):
+            sc.check_h_conditions(h, grid=np.array([2.0, 10.0, 40.0]))
 
     def test_not_decreasing_rejected(self):
         f = sc.power(1.0)
         with pytest.raises(PreconditionError):
-            sc.check_h_conditions(f, sc.UPPER_DECAY)
+            sc.check_h_conditions(f)
 
 
 class TestInverse:
@@ -793,6 +711,12 @@ class TestPresetGrammar:
     ])
     def test_errors_name_the_id(self, spec, what):
         with pytest.raises(ValueError, match=f"^{what}.*'{spec}'$"):
+            sc.from_id(spec)
+
+    @pytest.mark.parametrize("spec", ["exp-decay:1,inf", "exp-decay:inf,1", "exp-decay:0,2", "exp-decay:1,nan"])
+    def test_exp_decay_needs_finite_positive_parameters(self, spec):
+        # rejected before the grid is evaluated: an infinite gamma gives no float profile
+        with pytest.raises(PreconditionError, match="exp-decay needs finite c0 > 0 and gamma > 0"):
             sc.from_id(spec)
 
     @pytest.mark.parametrize("x, text", [

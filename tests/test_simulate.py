@@ -285,13 +285,15 @@ class TestSchemeIds:
 
     @pytest.mark.parametrize("spec", [
         "dyadic:64:3:1", "dyadic:2.5", "dyadic:64:x", "uniform:x", "uniform", "uniform:0.25:1", "brownian:1",
+        "uniform:-1", "dyadic:0", "dyadic:64:nan",
     ])
     def test_malformed_ids_raise_naming_the_id(self, spec):
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             sim.scheme_from_id(spec)
 
     @settings(max_examples=50, deadline=None, database=None, derandomize=True)
-    @given(base=st.floats(allow_nan=False), per_block=st.integers(1, 10**6), dt=st.floats(allow_nan=False))
+    @given(base=st.floats(min_value=1.0, exclude_min=True), per_block=st.integers(1, 10**6),
+           dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     def test_labels_rebuild_their_schemes(self, base, per_block, dt):
         for scheme in (sim.DyadicBlocks(base=base, per_block=per_block), sim.UniformGrid(dt=dt)):
             again = sim.scheme_from_id(scheme.label)
