@@ -12,7 +12,12 @@ further scale (1/t, then 1/log t, then 1/log log t) turns the next
 logarithmic scale into a condensed series whose implied term ratio is read
 off a least-squares exponent fit.  A ratio within the margin band at one
 depth descends to the next; within the margin at the deepest condensation
-the engine abstains.
+the engine abstains.  A fit's columns depend only on t0 and on which blocks
+are positive, so for the default t0 = 16 with every block positive the
+exponents the three depths read are one read-only linear map of the log
+block sums, R log s + c, built at import from the columns' pseudo-inverse;
+any other t0, or a zero block, fits by ``np.linalg.lstsq`` on its own
+columns.
 
 The named tests at the bottom wrap the engine with the specific integrands
 of the classical rate-function criteria (Kolmogorov, Dvoretzky-Erdos,
@@ -63,6 +68,8 @@ DESCEND_BAND = 0.02
 #: Fitted-geometric decision threshold (the fit separates scales, so it is
 #: sharper than the raw-ratio margin).
 GEOMETRIC_DECISIVE = 0.005
+#: the start of a named test's integral when none is given
+_T0 = 16.0
 
 
 # -- composite Gauss-Legendre rules (the classifier's blocks, the stable law's
@@ -147,7 +154,7 @@ def _block_sums(t: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
     return g.reshape(K_MAX, 16).sum(axis=1)
 
 
-def classify_tail_integral(f: Callable[[float], float], t0: float = 16.0) -> Verdict:
+def classify_tail_integral(f: Callable[[float], float], t0: float = _T0) -> Verdict:
     """Classify the improper integral of a nonnegative f over (t0, inf).
 
     f must be finite and nonnegative on [t0, t0 * 2**K_MAX]; the block
@@ -176,6 +183,34 @@ def _classify_log(log_f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdi
         v = np.exp(x)
     v[x <= -745.0] = 0.0
     return _classify_blocks(_block_sums(t, weight, v), t0)
+
+
+def _fit_levels(uk: np.ndarray, y) -> tuple:
+    """(target, columns) of the fits at depths k = 1, 2, 3 on u = uk and log s = y:
+    each divides out the critical factor below its scale and reads the exponent of
+    the k-fold log of t off coefficient 2; the 1/u columns absorb shift corrections."""
+    lu = np.log(uk)
+    llu = np.log(lu)
+    lllu = np.log(llu)
+    one, inv_u = np.ones_like(uk), 1.0 / uk
+    return (
+        (y, [one, uk, lu, llu, lllu, inv_u, 1.0 / uk**2]),
+        (y + lu, [one, lu, llu, lllu, inv_u, 1.0 / (uk * lu)]),
+        (y + lu + llu, [one, llu, lllu, 1.0 / lu, inv_u]),
+    )
+
+
+def _prebuilt_fit() -> tuple[np.ndarray, np.ndarray]:
+    """R and c of the module docstring, from the fits' pseudo-inverses at t0 = _T0."""
+    u = math.log(_T0) + (np.arange(K_MAX) + 0.5) * LOG2
+    (_, cols1), (lu, cols2), (lu_llu, cols3) = _fit_levels(u[u >= 8.0], 0.0)
+    p1, p2, p3 = (np.linalg.pinv(np.array(cols).T) for cols in (cols1, cols2, cols3))
+    R, c = np.array([p1[1], p1[2], p2[2], p3[2]]), np.array([0.0, 0.0, p2[2] @ lu, p3[2] @ lu_llu])
+    R.flags.writeable = c.flags.writeable = False
+    return R, c
+
+
+_FIT_R, _FIT_C = _prebuilt_fit()
 
 
 def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
@@ -217,26 +252,18 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
         label = CONVERGENT if l0 < 1.0 else DIVERGENT
         return Verdict(label, partial, -math.log2(l0), 0, sums, f"block ratio {l0:.4g}")
 
-    # condensation fits on u = log t regressors; the reciprocal columns
-    # absorb shift corrections like log(u + c) - log(u) ~ c/u that would
-    # otherwise bias the exponents.  Depth 1, 2, 3 divides out 1/t,
-    # 1/(t log t), 1/(t log t loglog t) and reads the exponent of log t,
-    # loglog t, logloglog t off the third coefficient
+    # the fits' coefficients 1 (of u, read at depth 1) and 2: R log s + c at
+    # t0 = _T0 with every block positive, else lstsq per depth reached
     y = np.log(s[usable])
-    lu = np.log(uk)
-    llu = np.log(lu)
-    lllu = np.log(llu)
-    one, inv_u = np.ones_like(uk), 1.0 / uk
-    levels = (
-        (y, [one, uk, lu, llu, lllu, inv_u, 1.0 / uk**2]),
-        (y + lu, [one, lu, llu, lllu, inv_u, 1.0 / (uk * lu)]),
-        (y + lu + llu, [one, llu, lllu, 1.0 / lu, inv_u]),
-    )
-    for depth, (target, cols) in enumerate(levels, 1):
-        # the columns side by side, column-major as lstsq takes them
-        coef = np.linalg.lstsq(np.array(cols).T, target, rcond=None)[0]
+    if t0 == _T0 and nz.size == K_MAX:
+        fit = _FIT_R @ y + _FIT_C
+        fits = [(fit[0], p) for p in fit[1:]]
+    else:  # the columns side by side, column-major as lstsq takes them
+        fits = (np.linalg.lstsq(np.array(cols).T, target, rcond=None)[0][1:3]
+                for target, cols in _fit_levels(uk, y))
+    for depth, (coef_u, coef_log) in enumerate(fits, 1):
         if depth == 1:  # the joint fit also carries the exponent of t
-            delta = -coef[1]
+            delta = -coef_u
             l0_fit = 2.0**-delta
             if abs(l0_fit - 1.0) > GEOMETRIC_DECISIVE:
                 label = CONVERGENT if delta > 0 else DIVERGENT
@@ -246,12 +273,12 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
                     INCONCLUSIVE, partial, float(delta), 0, sums,
                     f"geometric rate {l0_fit:.5g} inside margin but not at boundary",
                 )
-        p_hat = -coef[2]
+        p_hat = -coef_log
         ratio = 2.0 ** (1.0 - p_hat)
         if abs(ratio - 1.0) > RATIO_MARGIN:
             label = CONVERGENT if ratio < 1.0 else DIVERGENT
             return Verdict(label, partial, float(p_hat), depth, sums, f"condensed ratio {ratio:.4g}")
-        if depth < len(levels) and abs(ratio - 1.0) > DESCEND_BAND:
+        if depth < 3 and abs(ratio - 1.0) > DESCEND_BAND:
             return Verdict(
                 INCONCLUSIVE, partial, float(p_hat), depth, sums,
                 f"condensed ratio {ratio:.5g} inside margin but not at boundary",
@@ -280,7 +307,7 @@ def _start(t0: float, reached: Callable[[float], bool], what: str) -> float:
     raise PreconditionError(f"{what} on any reachable scale")
 
 
-def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
+def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = _T0) -> Verdict:
     """Forefront test for Brownian-scale growth functions g increasing to inf.
 
     Classifies int_1^inf t^-1 g(t)^dim exp(-g(t)^2/2) dt.
@@ -298,7 +325,7 @@ def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
     return _classify_log(log_f, t0)
 
 
-def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = 16.0) -> Verdict:
+def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = _T0) -> Verdict:
     """Rear-front test for transient Brownian motion, dim >= 3.
 
     Classifies int_1^inf t^-1 h(t)^(dim-2) dt for h decreasing to 0.
@@ -316,7 +343,7 @@ def upper_rate_test(
     phi_candidate: RateCandidate,
     eps: float = 1.0,
     direction: str = ONE_PROB,
-    t0: float = 16.0,
+    t0: float = _T0,
 ) -> Verdict:
     """Integral test behind the upper-rate zero-one law.
 
@@ -344,7 +371,7 @@ def upper_rate_test(
     return _classify_log(log_f, t0)
 
 
-def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> Verdict:
+def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = _T0) -> Verdict:
     """Lower-rate test when volume grows strictly faster than the walk scale.
 
     With varphi(t) = phi^{-1}(t) g(t), classifies
@@ -383,7 +410,7 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = 16.0) -> 
     return _classify_log(log_f, start)
 
 
-def critical_lower_rate_test(g: ScalingFunction, t0: float = 16.0) -> Verdict:
+def critical_lower_rate_test(g: ScalingFunction, t0: float = _T0) -> Verdict:
     """Spitzer-type closest-approach test in the critical (recurrent) case.
 
     Classifies int_1^inf dt / (t |log g(t)|) for g decreasing to 0, as log f

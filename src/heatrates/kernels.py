@@ -146,7 +146,7 @@ class KernelModel:
     def mu_ball(self) -> float:
         """mu(B(x, 1)) / V(1), the unit ball's volume w_d in d = dim dimensions:
         w_d = w_(d-2) 2 pi / d from w_0 = 1, w_1 = 2 (2, pi, 4 pi / 3 exactly),
-        until w underflows to 0 (past d of about 400)."""
+        until w underflows to 0 (from d = 453 on, which from_id refuses)."""
         d = 0 if self.exact_law is None else self.exact_law.dim  # w_0 = 1 without a law
         w, k = (2.0, 3) if d % 2 else (1.0, 2)
         while k <= d and w:
@@ -228,7 +228,9 @@ def from_id(spec: str) -> KernelModel:
     Grammar:
         cauchy1d                  1-d Cauchy law (stable-like dv=1, dw=1)
         gaussian:DIM              Brownian law (sub-gaussian dv=DIM, dw=2, c0=1/4)
-        stable:ALPHA,DIM          isotropic stable law (stable-like dv=DIM, dw=ALPHA)
+        stable:ALPHA,DIM          isotropic stable law (stable-like dv=DIM, dw=ALPHA); DIM >= 4
+                                  has no exact density, only envelope-level results, and
+                                  DIM > 452 is refused (its unit ball's volume underflows)
         stablelike:DV,DW          envelope only; DV, DW finite and > 0
         subgaussian:DV,DW,C0      envelope only; DV, C0 finite and > 0, DW > 1
         jump:V_ID;PHI_ID          two-sided-jump envelope from scaling presets
@@ -270,8 +272,12 @@ def from_id(spec: str) -> KernelModel:
             raise UnsupportedModelError("stable presets need 0 < alpha < 2")
         if dim < 1:
             raise UnsupportedModelError("stable presets need dim >= 1")
-        return _stable_like(float(dim), alpha, model_id=f"stable:{_id_float(alpha)},{dim}",
-                            exact_law=StableLaw(alpha, dim))
+        model = _stable_like(float(dim), alpha, model_id=f"stable:{_id_float(alpha)},{dim}",
+                             exact_law=StableLaw(alpha, dim))
+        if not model.mu_ball > 0:  # mu = mu_ball V would vanish
+            raise UnsupportedModelError(f"stable presets need DIM <= 452, where the unit ball's volume is a "
+                                        f"positive float, got DIM={_id_float(args[1])}")
+        return model
     ids = ",".join(map(_id_float, args))
     if head == "stablelike":
         _require_positive(head, DV=args[0], DW=args[1])

@@ -76,6 +76,22 @@ _GREEN_STEP = 2.0
 _GREEN_REACH = 1e9
 
 
+def _finite_integrand(p, model: KernelModel, t: np.ndarray, d: float) -> np.ndarray:
+    """p(model, t, d), where no value passes the float range; else a
+    PreconditionError naming d.  An overflow or invalid value is looked at
+    again with numpy's warnings muted: one that leaves a value non-finite is
+    raised, one that does not is evaluated as before, with its warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return p(model, t, d)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below, or shown again
+            finite = np.isfinite(p(model, t, d)).all()
+    if not finite:
+        raise PreconditionError(f"green function at d={d:g}: the integrand passes the float range")
+    return p(model, t, d)
+
+
 def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     """Time-integrated transition density at distance d.
 
@@ -85,7 +101,9 @@ def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     on-diagonal decay beyond it.  ENVELOPE mode takes p = envelope_density
     and returns a BoundPair, the integral times the declared comparability
     constants; QUADRATURE mode (exact-law models) takes p = density and
-    returns the value.  Requires a transient model and a finite t_big.
+    returns the value.  Requires a transient model, a finite t_big, phi(d)
+    e^-35 above 0 and a finite integrand; a tiny d loses the last two, as p's
+    on-diagonal factor overflows at the rule's smallest t.
     """
     if not d > 0:  # false for NaN too
         raise PreconditionError("distance must be positive")
@@ -98,10 +116,13 @@ def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     t_big = _GREEN_REACH * max(model.phi(2.0 * d), 1.0)
     if not t_big < math.inf:  # true for d = inf too
         raise PreconditionError(f"green function at d={d:g}: t_big = {_GREEN_REACH:g} phi(2d) is not finite")
-    knots = np.append(math.log(model.phi(d)) + _GREEN_KNOTS, math.log(t_big))
+    phi_d = model.phi(d)
+    if not phi_d * math.exp(_GREEN_KNOTS[0]) > 0:  # where the rule starts
+        raise PreconditionError(f"green function at d={d:g}: phi(d) e^{_GREEN_KNOTS[0]:g} underflows to 0")
+    knots = np.append(math.log(phi_d) + _GREEN_KNOTS, math.log(t_big))
     u, weight = _gauss_legendre(_piece_ends(knots, _GREEN_STEP), 16)
     t = np.exp(u)
-    body = float((weight * t) @ p(model, t, d))
+    body = float((weight * t) @ _finite_integrand(p, model, t, d))
     value = body + t_big * p(model, t_big, 0.0) / (model.d1 / model.d4 - 1.0)
     if mode == QUADRATURE:
         return value

@@ -617,3 +617,68 @@ def test_verdict_as_dict_survives_json(s):
     d = v.as_dict()
     assert json.loads(json.dumps(d, allow_nan=False)) == d
     assert d["class"] == v.label and len(d["block_sums"]) == K_MAX
+
+
+#: log f of the b-sweep families, one per condensation depth, as array expressions in t
+_SWEEP_FAMILIES = {
+    "log": lambda t, b: -np.log(t) - b * np.log(np.log(t)),
+    "loglog": lambda t, b: -np.log(t) - np.log(np.log(t)) - b * np.log(np.log(np.log(t))),
+    "logloglog": lambda t, b: (
+        -np.log(t) - np.log(np.log(t)) - np.log(np.log(np.log(t))) - b * np.log(np.log(np.log(np.log(t))))
+    ),
+}
+
+
+def _lstsq_calls(monkeypatch):
+    """A list that np.linalg.lstsq appends its design matrix's shape to on each call."""
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: calls.append(a.shape) or lstsq(a, b, **kw))
+    return calls
+
+
+class TestPrebuiltFit:
+    """The condensation fits at t0 = 16 with every block positive, read off
+    the projection built at import, against lstsq on the same columns."""
+
+    @pytest.mark.parametrize("family", sorted(_SWEEP_FAMILIES))
+    def test_agrees_with_lstsq_on_b_sweeps(self, family, monkeypatch):
+        t, weight = it._block_nodes(16.0)
+        calls, cases = _lstsq_calls(monkeypatch), []
+        for b in np.arange(0.5, 3.0 + 1e-9, 0.005):
+            s = it._block_sums(t, weight, np.exp(_SWEEP_FAMILIES[family](t, b)))
+            assert (s > 0).all()
+            cases.append((b, s, _classify_blocks(s, 16.0)))
+        assert calls == []  # no fit above went through lstsq
+        monkeypatch.setattr(it, "_T0", math.nan)  # now no t0 takes the projection
+        for b, s, got in cases:
+            want = _classify_blocks(s, 16.0)
+            assert (got.label, got.depth_used, got.reason) == (want.label, want.depth_used, want.reason), b
+            assert got.partial_sum == want.partial_sum
+            assert abs(got.tail_exponent_estimate - want.tail_exponent_estimate) <= 1e-10, b
+        assert len(calls) >= len(cases) and {c[0] for c in calls} == {232}
+
+    def test_projection_is_read_only(self):
+        assert it._FIT_R.shape == (4, 232) and it._FIT_C.shape == (4,)
+        assert it._FIT_C[0] == it._FIT_C[1] == 0.0  # depth 1 adds nothing to log s
+        for a in (it._FIT_R, it._FIT_C):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_lstsq_decides_at_another_t0(self, monkeypatch):
+        # the classify deck's lll1-borderline slot, from t0 = 32
+        calls = _lstsq_calls(monkeypatch)
+        f = {c[0]: c[1] for c in LABELED_SUITE}["lll1_borderline"]
+        v = classify_tail_integral(f, 32.0)
+        assert (v.label, v.depth_used) == (DIVERGENT, 2)
+        assert len(calls) == 2
+
+    def test_lstsq_decides_with_a_zero_block(self, monkeypatch):
+        # 1 / (t (log t)^2) with block 20 zeroed: the fit has 231 blocks
+        calls = _lstsq_calls(monkeypatch)
+        s = _BLOCK_U**-2.0
+        s[20] = 0.0
+        v = _classify_blocks(s, 16.0)
+        assert (v.label, v.depth_used) == (CONVERGENT, 1)
+        assert v.tail_exponent_estimate == pytest.approx(2.0, abs=0.01)
+        assert calls == [(231, 7)]

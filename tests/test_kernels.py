@@ -195,8 +195,19 @@ class TestUnitBall:
         assert kn.from_id(f"stable:1.5,{dim}").mu_ball == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_underflows_to_zero_in_huge_dimensions(self):
-        # the recurrence stops at the underflow, not after 5e299 steps
-        assert kn.from_id("stable:1.5,1e300").mu_ball == 0.0
+        # the recurrence stops at the underflow, not after 5e299 steps; from_id
+        # refuses such a law, so the model is built around it
+        law = kn.StableLaw(1.5, 10**300)
+        assert dataclasses.replace(kn.from_id("stable:1.5,3"), exact_law=law).mu_ball == 0.0
+
+    @pytest.mark.parametrize("dim, named", [("453", "453"), ("1100", "1100"), ("1e300", "1e+300")])
+    def test_from_id_refuses_a_dimension_past_the_underflow(self, dim, named):
+        with pytest.raises(UnsupportedModelError, match=re.escape(f"got DIM={named}")):
+            kn.from_id(f"stable:1.5,{dim}")
+
+    def test_last_dimension_from_id_builds(self):
+        # w_452 is subnormal, and positive
+        assert 0.0 < kn.from_id("stable:1.5,452").mu_ball < 1e-300
 
     def test_tail_constant_carries_the_ball(self):
         # c1 = C_hi mu_ball sup V(theta r)/V(r) / (1 - c0): the 4-d law and
@@ -801,14 +812,15 @@ class TestTailProbability:
 
     def test_tail_constant_at_the_edge_of_the_float_range(self):
         # 2^1023 = e^709.09 is a float; the unit ball's volume underflows to
-        # 0, so the formula reads max(1, 0) = 1
-        m = kn.from_id("stable:1.5,1023")
+        # 0, so the formula reads max(1, 0) = 1 (from_id refuses this law, so
+        # the model is built around it)
+        m = dataclasses.replace(kn.from_id("stablelike:1023,1.5"), exact_law=kn.StableLaw(1.5, 1023))
         assert kn.tail_constant(m) == max(1.0, m.c_hi * m.mu_ball * 2.0**1023 / (1.0 - 2.0**-1.5)) == 1.0
 
     def test_tail_constant_past_the_float_range_raises(self):
-        # 2^1100 overflows, and the unit ball's volume underflows to 0
-        with pytest.raises(UnsupportedModelError, match="stable:1.5,1100: the tail constant c1 is not finite"):
-            kn.tail_constant(kn.from_id("stable:1.5,1100"))
+        # V's doubling ratio 2^1100 overflows (stable:1.5,1100 is refused by from_id)
+        with pytest.raises(UnsupportedModelError, match="stablelike:1100,1.5: the tail constant c1 is not finite"):
+            kn.tail_constant(kn.from_id("stablelike:1100,1.5"))
 
     @pytest.mark.parametrize("dim", [40, 54, 60, 100])
     def test_envelope_tail_midpoint_past_the_float_range_raises(self, dim):

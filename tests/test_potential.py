@@ -102,3 +102,38 @@ def test_green_past_the_float_range_names_d(d, mode):
     # phi(2d) overflows, so t_big is inf and the rule's pieces would span inf - inf
     with pytest.raises(PreconditionError, match=re.escape(f"d={d:g}")):
         pt.green_function(kn.from_id("stable:1.5,3"), d, mode)
+
+
+@pytest.mark.parametrize("mode", [pt.ENVELOPE, pt.QUADRATURE])
+@pytest.mark.parametrize(
+    "spec, d, why",
+    [
+        ("stable:1.5,3", 1e-300, "underflows to 0"),  # phi(d) = 0
+        ("stable:1.5,3", 1e-210, "underflows to 0"),  # phi(d) e^-35 = 0
+        ("stable:1.5,3", 1e-200, "the integrand passes the float range"),
+        ("gaussian:3", 1e-100, "the integrand passes the float range"),
+    ],
+)
+def test_green_at_a_tiny_distance_names_d(spec, d, mode, why):
+    # raised without a warning on the way (pytest turns a RuntimeWarning into an error)
+    with pytest.raises(PreconditionError, match=re.escape(f"green function at d={d:g}: ") + ".*" + why):
+        pt.green_function(kn.from_id(spec), d, mode)
+
+
+@pytest.mark.parametrize("mode", [pt.ENVELOPE, pt.QUADRATURE])
+@pytest.mark.parametrize("spec, d", [("stable:1.5,3", 1e-60), ("gaussian:3", 1e-60)])
+def test_green_at_a_small_distance_keeps_its_scaling(spec, d, mode):
+    # G(d) ~ phi(d) / V(d) = d^(alpha - dim), so G(d) / G(1000 d) = 1000^(dim - alpha)
+    m = kn.from_id(spec)
+    g = [pt.green_function(m, x, mode) for x in (d, 1e3 * d)]
+    if mode == pt.ENVELOPE:
+        g = [pair.lower for pair in g]
+    assert g[0] / g[1] == pytest.approx(1e3 ** (m.d1 - m.d3), rel=1e-9)
+
+
+def test_green_warning_that_leaves_the_value_finite_is_kept():
+    # d^-(a+b) overflows in the envelope's discarded off-diagonal branch at
+    # large t, and the value stays finite: returned with numpy's warning
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        pair = pt.green_function(kn.from_id("stable:0.5,1"), 1e-200)
+    assert math.isfinite(pair.lower)
