@@ -8,6 +8,9 @@ forms are supported:
     sub-gaussian     p ~ t^(-a/b) exp(-c0 (d/t^(1/b))^(b/(b-1)))
     two-sided-jump   p ~ 1/V(phi^-1(t)) AND t/(V(d) phi(d))  (general V, phi)
 
+Each is built in logs (from ell_V and ell_phi) and exponentiated once.
+Without an exact law, tail_probability's estimate is None.
+
 The exact law, when a model has one, is one law object (GaussianLaw,
 CauchyLaw or StableLaw) with the same four methods: density(t, d),
 cdf(t, r), sf(t, r) and increments(dts, rng).  The public functions
@@ -17,10 +20,10 @@ simulate.sample_increments draws from it.
 
 What depends on a model alone is cached per instance on first use:
 KernelModel.long_run, the tail profile (h, rho) and tail constant c1, and
-StableLaw.table.  A copy by dataclasses.replace or with_comparability
-starts without them, and one by pickle or copy.deepcopy carries them; a
-derivation that raises is not cached.  Models are values: one id builds
-equal models, with equal hashes, as their V and phi are equal presets.
+StableLaw.table.  A copy by dataclasses.replace starts without them, and
+one by pickle or copy.deepcopy carries them; a derivation that raises is
+not cached.  Models are values: one id builds equal models, with equal
+hashes, as their V and phi are equal presets.
 
 scipy.special loads on the first special function a law calls (the
 chi-square tails of GaussianLaw, the gamma functions of StableLaw's
@@ -41,7 +44,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import PreconditionError, UnsupportedModelError
 from .integral_tests import CONVERGENT, DIVERGENT, Verdict
-from .integral_tests import _LEGENDRE, _classify_log, _gauss_legendre, _piece_ends
+from .integral_tests import _LEGENDRE, _classify_log, _gauss_legendre
 from .scaling import (
     INCREASING,
     ScalingFunction,
@@ -98,12 +101,12 @@ class KernelModel:
     """Immutable heat-kernel specification.
 
     ``c_lo``/``c_hi`` are the declared comparability constants bracketing
-    density/envelope; ``with_comparability`` returns a copy with others.
+    density/envelope; ``dataclasses.replace`` gives a copy with others.
     ``exact_law`` is the model's law object, or None for an envelope-only
     model; ``dim``, ``alpha`` and ``mu_ball`` = mu(B(x, 1)) / V(1), the unit
     ball's volume in dim dimensions (1 without a law), are read from it.
     ``long_run``, the tail profile (h, rho) and c1 are cached on first read;
-    a copy by ``with_comparability`` or ``dataclasses.replace`` starts empty.
+    a copy by ``dataclasses.replace`` starts empty.
     """
 
     model_id: str
@@ -188,9 +191,6 @@ class KernelModel:
         if not annuli < math.inf:  # true for NaN too
             raise UnsupportedModelError(f"{self.model_id}: the tail constant c1 is not finite")
         return max(1.0 / h(1.0), annuli)
-
-    def with_comparability(self, c_lo: float, c_hi: float) -> "KernelModel":
-        return replace(self, c_lo=c_lo, c_hi=c_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +294,39 @@ def from_id(spec: str) -> KernelModel:
 # ---------------------------------------------------------------------------
 
 
+def _log_envelope(model: KernelModel, log_t, log_d):
+    """log of envelope_density at log t and log d (they broadcast; log d =
+    -inf is the diagonal), each form built in logs, so that no factor
+    leaves the float range where the envelope does not."""
+    a, b = model.V.envelope.d_lo, model.phi.envelope.d_lo
+    if model.form == STABLE_LIKE:
+        return np.minimum(-(a / b) * log_t, log_t - (a + b) * log_d)
+    if model.form == SUB_GAUSSIAN:
+        with np.errstate(over="ignore"):  # far off the diagonal the envelope is e^-inf = 0
+            return -(a / b) * log_t - model.c0 * np.exp((b / (b - 1.0)) * (log_d - log_t / b))
+    # two-sided-jump; V phi only off the diagonal (powerlog's V(0) is undefined)
+    log_d = np.asarray(log_d, dtype=float)
+    off = log_d > -math.inf
+    log_v_phi = np.full(log_d.shape, -math.inf)
+    log_v_phi[off] = model.V.ell(log_d[off]) + model.phi.ell(log_d[off])
+    return np.minimum(-model.V.ell(log_inverse(model.phi, log_t)), log_t - log_v_phi)
+
+
 def envelope_density(model: KernelModel, t, d):
     """Comparison-class representative of p(t, x, y) at distance d.
 
     t and d take numbers or arrays (they broadcast); floats stay floats.
     Constants are folded to one; the true density sits inside
     [c_lo, c_hi] times this value.  d = 0 gives the on-diagonal branch.
+    It is the exp of the envelope's log, formed in logs by _log_envelope.
     """
     t, d = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
     if not (t > 0).all():  # false for NaN too
         raise PreconditionError("t must be positive")
     if not (d >= 0).all():
         raise PreconditionError("distance must be nonnegative")
-    a, b = model.V.envelope.d_lo, model.phi.envelope.d_lo
-    with np.errstate(divide="ignore"):  # the off-diagonal branch is inf at d = 0
-        if model.form == STABLE_LIKE:
-            out = np.minimum(t ** (-a / b), t * d ** -(a + b))
-        elif model.form == SUB_GAUSSIAN:
-            out = t ** (-a / b) * np.exp(-model.c0 * (d / t ** (1.0 / b)) ** (b / (b - 1.0)))
-        else:  # two-sided-jump; V phi only off the diagonal (powerlog's V(0) is undefined)
-            on_diag = 1.0 / model.V(inverse(model.phi, t))
-            off = d > 0
-            v_phi = np.zeros(d.shape)
-            v_phi[off] = model.V(d[off]) * model.phi(d[off])
-            out = np.minimum(on_diag, t / v_phi)
+    with np.errstate(divide="ignore"):  # log 0 = -inf on the diagonal
+        out = np.exp(_log_envelope(model, np.log(t), np.log(d)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -787,7 +796,7 @@ class _MixtureTable:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    estimate: float
+    estimate: Optional[float]
     upper_bound: float
     c1: float
 
@@ -809,10 +818,9 @@ def tail_constant(model: KernelModel) -> float:
 def tail_probability(model: KernelModel, t: float, r: float) -> TailEstimate:
     """Exceedance probability P(d(X_t, x) >= r) with its theoretical bound.
 
-    The estimate comes from the exact law when the model has one, otherwise
-    from the midpoint of the envelope annulus integral.  The bound holds for
-    t >= 1 (the large-time envelope regime).  (h, rho) and c1 are the
-    model's cached tail_profile and tail_constant.
+    The estimate comes from the exact law, and is None for r > 0 without
+    one.  The bound holds for t >= 1 (the large-time envelope regime).
+    (h, rho) and c1 are the model's cached tail_profile and tail_constant.
     """
     if not t >= 1.0:  # false for NaN too
         raise PreconditionError("the tail bound is asserted for t >= 1")
@@ -822,41 +830,8 @@ def tail_probability(model: KernelModel, t: float, r: float) -> TailEstimate:
     c1 = model._tail_c1
     if r == 0.0:
         return TailEstimate(estimate=1.0, upper_bound=math.inf, c1=c1)
-    bound = c1 * h(r / rho(t))
-    if model.has_density:
-        est = radial_sf(model, t, r)
-    else:
-        est = _envelope_tail_midpoint(model, t, r)
-    return TailEstimate(estimate=est, upper_bound=bound, c1=c1)
-
-
-#: the tail midpoint's rule in log s: pieces at most _TAIL_STEP wide, and
-#: knots halving towards log r, as far past the walk scale a sub-Gaussian
-#: envelope falls by up to about e^-(745 gamma) per unit of log s
-_TAIL_STEP = 0.5
-_TAIL_GRADING = _TAIL_STEP * 2.0 ** -np.arange(1.0, 17.0)
-
-
-def _envelope_tail_midpoint(model: KernelModel, t: float, r: float) -> float:
-    """Midpoint of the envelope bracket for the tail mass beyond r.
-
-    With d(mu)(s) ~ mu_ball dV(s) ~ mu_ball d2 V(s) d(log s), the envelope
-    is integrated in log s from log r to log(10 max(r, phi^-1(t))) + 40,
-    by 16-point pieces (see _TAIL_STEP) with a knot at phi^-1(t), where the
-    stable-like and jump envelopes have their kink.
-    """
-    scale = inverse(model.phi, t)
-    lo = math.log(r)
-    hi = math.log(10.0 * max(r, scale)) + 40.0
-    knots = np.unique(np.clip(np.append(lo + _TAIL_GRADING, [lo, math.log(scale), hi]), lo, hi))
-    u, weight = _gauss_legendre(_piece_ends(knots, _TAIL_STEP), 16)
-    s = np.exp(u)
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is raised below
-        val = float(weight @ (envelope_density(model, t, s) * model.V(s)))
-    mid = 0.5 * (model.c_lo + model.c_hi) * model.mu_ball * model.V.envelope.d_hi * val
-    if not mid < math.inf:  # true for NaN too
-        raise UnsupportedModelError(f"{model.model_id}: the envelope tail midpoint is not finite")
-    return min(max(mid, 0.0), 1.0)
+    est = radial_sf(model, t, r) if model.has_density else None
+    return TailEstimate(estimate=est, upper_bound=c1 * h(r / rho(t)), c1=c1)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ set by the volume profile V and the walk scale phi with constants 1 ("unit"
 mode): shapes, orderings and scalings hold, absolute levels do not.  The
 Green function integrates the two-sided envelope over time and scales it
 by the declared comparability constants ("derived" mode), or the exact
-density (quadrature mode), by one fixed Gauss-Legendre rule.
+density (quadrature mode), by one fixed Gauss-Legendre rule in log t.
+Every value is a log-sum-exp or a sum of ell_V(s) = log V(e^s) and ell_phi
+terms, exponentiated once: one that is not a positive float raises
+PreconditionError naming its arguments.
 
 Transient-case shapes (volume exponent strictly above the walk exponent):
 
@@ -28,8 +31,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedRegimeError
 from .integral_tests import _gauss_legendre, _piece_ends
-from .kernels import TRANSIENT, KernelModel, density, envelope_density
-from .scaling import inverse
+from .kernels import TRANSIENT, KernelModel, _log_envelope, density
+from .scaling import _S_HI, _S_LO, log_inverse
 
 UNIT = "unit"
 DERIVED = "derived"
@@ -70,60 +73,58 @@ QUADRATURE = "quadrature"
 
 #: the time integral's rule in log t: knots at log phi(d) plus these offsets
 #: (at 0 the envelope's min(.,.) has its kink), pieces at most _GREEN_STEP
-#: wide, up to t_big = _GREEN_REACH * max(phi(2d), 1)
+#: wide, up to log t_big = _LOG_GREEN_REACH + max(log phi(2d), 0)
 _GREEN_KNOTS = np.array([-35.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0])
 _GREEN_STEP = 2.0
-_GREEN_REACH = 1e9
+_LOG_GREEN_REACH = math.log(1e9)
 
 
-def _finite_integrand(p, model: KernelModel, t: np.ndarray, d: float) -> np.ndarray:
-    """p(model, t, d), where no value passes the float range; else a
-    PreconditionError naming d.  An overflow or invalid value is looked at
-    again with numpy's warnings muted: one that leaves a value non-finite is
-    raised, one that does not is evaluated as before, with its warning."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return p(model, t, d)
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below, or shown again
-            finite = np.isfinite(p(model, t, d)).all()
-    if not finite:
-        raise PreconditionError(f"green function at d={d:g}: the integrand passes the float range")
-    return p(model, t, d)
+def _exp(log_value: float, what: str, **args: float) -> float:
+    """exp(log_value), a positive float; else a PreconditionError naming what and its args."""
+    if not _S_LO <= log_value <= _S_HI:  # false for NaN too
+        named = ", ".join(f"{name}={x:g}" for name, x in args.items())
+        raise PreconditionError(f"{what} at {named}: e^{log_value:.6g} is not a positive float")
+    return math.exp(log_value)
 
 
 def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
     """Time-integrated transition density at distance d.
 
     Both modes integrate p(t, d) over t by one composite 16-point
-    Gauss-Legendre rule in log t (one array call), from phi(d) e^-35 to
-    t_big, and add the tail t_big p(t_big, 0) / (d1/d4 - 1) of the
-    on-diagonal decay beyond it.  ENVELOPE mode takes p = envelope_density
-    and returns a BoundPair, the integral times the declared comparability
-    constants; QUADRATURE mode (exact-law models) takes p = density and
-    returns the value.  Requires a transient model, a finite t_big, phi(d)
-    e^-35 above 0 and a finite integrand; a tiny d loses the last two, as p's
-    on-diagonal factor overflows at the rule's smallest t.
+    Gauss-Legendre rule in u = log t, from phi(d) e^-35 to t_big, and add
+    the tail t_big p(t_big, 0) / (d1/d4 - 1) of the on-diagonal decay beyond
+    it, all in logs: log G is the log-sum-exp of log weight + u + log p and
+    of the tail's log.  ENVELOPE mode takes the envelope's log p and returns
+    a BoundPair, G times the declared comparability constants; QUADRATURE
+    mode (exact-law models) takes log density(e^u, d) and returns G.
+    Requires a transient model and 0 < d < inf; raises PreconditionError
+    naming d where G is not a positive float, or where a node e^u or the
+    density leaves the float range (QUADRATURE mode).
     """
-    if not d > 0:  # false for NaN too
-        raise PreconditionError("distance must be positive")
+    if not 0 < d < math.inf:  # false for NaN too
+        raise PreconditionError(f"green function at d={d:g}: the distance must be positive and finite")
     _require_transient(model)
-    p = {ENVELOPE: envelope_density, QUADRATURE: density}.get(mode)
-    if p is None:
+    if mode not in (ENVELOPE, QUADRATURE):
         raise ValueError(f"unknown mode {mode!r}")
-    if p is density and not model.has_density:
+    if mode == QUADRATURE and not model.has_density:
         raise UnsupportedRegimeError("quadrature mode needs an exact law")
-    t_big = _GREEN_REACH * max(model.phi(2.0 * d), 1.0)
-    if not t_big < math.inf:  # true for d = inf too
-        raise PreconditionError(f"green function at d={d:g}: t_big = {_GREEN_REACH:g} phi(2d) is not finite")
-    phi_d = model.phi(d)
-    if not phi_d * math.exp(_GREEN_KNOTS[0]) > 0:  # where the rule starts
-        raise PreconditionError(f"green function at d={d:g}: phi(d) e^{_GREEN_KNOTS[0]:g} underflows to 0")
-    knots = np.append(math.log(phi_d) + _GREEN_KNOTS, math.log(t_big))
+    log_d = math.log(d)
+    log_t_big = _LOG_GREEN_REACH + max(model.phi.ell(log_d + math.log(2.0)), 0.0)
+    knots = np.append(model.phi.ell(log_d) + _GREEN_KNOTS, log_t_big)
     u, weight = _gauss_legendre(_piece_ends(knots, _GREEN_STEP), 16)
-    t = np.exp(u)
-    body = float((weight * t) @ _finite_integrand(p, model, t, d))
-    value = body + t_big * p(model, t_big, 0.0) / (model.d1 / model.d4 - 1.0)
+    if mode == ENVELOPE:
+        log_p, log_p_big = _log_envelope(model, u, log_d), _log_envelope(model, log_t_big, -math.inf)
+    else:
+        try:
+            with np.errstate(over="raise", under="raise"):
+                t, t_big = np.exp(u), np.exp(log_t_big)
+            with np.errstate(over="raise", invalid="raise", divide="ignore"):  # log 0 = -inf is a term 0
+                log_p, log_p_big = np.log(density(model, t, d)), np.log(density(model, t_big, 0.0))
+        except FloatingPointError:
+            raise PreconditionError(f"green function at d={d:g}: the integrand passes the float range") from None
+    terms = np.append(np.log(weight) + u + log_p, log_t_big + log_p_big - math.log(model.d1 / model.d4 - 1.0))
+    top = terms.max()
+    value = _exp(top + math.log(np.exp(terms - top).sum()), "green function", d=d)
     if mode == QUADRATURE:
         return value
     return BoundPair(model.c_lo * value, model.c_hi * value, "green-envelope", DERIVED)
@@ -132,6 +133,11 @@ def green_function(model: KernelModel, d: float, mode: str = ENVELOPE):
 # ---------------------------------------------------------------------------
 # capacity and hitting
 # ---------------------------------------------------------------------------
+
+
+def _log_cap_shape(model: KernelModel, log_r: float) -> float:
+    """log V(r)/phi(r) = ell_V(log r) - ell_phi(log r)."""
+    return model.V.ell(log_r) - model.phi.ell(log_r)
 
 
 def capacity_bound(model: KernelModel, r: float) -> BoundPair:
@@ -143,7 +149,7 @@ def capacity_bound(model: KernelModel, r: float) -> BoundPair:
     if not r > 0:  # false for NaN too
         raise PreconditionError("radius must be positive")
     _require_transient(model)
-    shape = model.V(r) / model.phi(r)
+    shape = _exp(_log_cap_shape(model, math.log(r)), "capacity", r=r)
     return BoundPair(shape, shape, "capacity", UNIT)
 
 
@@ -160,11 +166,10 @@ def hit_ball_from_distance(model: KernelModel, r: float, D: float) -> BoundPair:
     if not D >= r:
         raise PreconditionError("start distance must satisfy D >= r")
     _require_transient(model)
-    cap_shape = model.V(r) / model.phi(r)
-    far = D + r
+    log_cap = _log_cap_shape(model, math.log(r))
     near = max(D - r, model.phi.domain_floor)
-    lower = cap_shape * model.phi(far) / model.V(far)
-    upper = cap_shape * model.phi(near) / model.V(near)
+    lower = _exp(log_cap - _log_cap_shape(model, math.log(D + r)), "hit-ball", r=r, D=D)
+    upper = _exp(log_cap - _log_cap_shape(model, math.log(near)), "hit-ball", r=r, D=D)
     return BoundPair(lower, upper, "hit-ball", UNIT)
 
 
@@ -173,7 +178,8 @@ def q_bound(model: KernelModel, r: float, t: float, side: str) -> float:
 
     Valid for t >= phi(r) and start points within distance r of the center;
     also covers the closed-time variant (visits at some time >= t).  Values
-    are clamped to [0, 1].  With unit constants both sides are the shape.
+    are clamped to 1 from above.  With unit constants both sides are the
+    shape.
     """
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -184,8 +190,9 @@ def q_bound(model: KernelModel, r: float, t: float, side: str) -> float:
             f"q bound needs t >= phi(r) = {model.phi(r):g}, got t = {t:g}"
         )
     _require_transient(model)
-    shape = (model.V(r) / model.phi(r)) * t / model.V(inverse(model.phi, t))
-    return min(max(shape, 0.0), 1.0)
+    log_t = math.log(t)
+    log_shape = _log_cap_shape(model, math.log(r)) + log_t - model.V.ell(log_inverse(model.phi, log_t))
+    return min(_exp(log_shape, "q bound", r=r, t=t), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -99,25 +99,43 @@ def test_nan_arguments_raise_precondition_error(call):
 @pytest.mark.parametrize("mode", [pt.ENVELOPE, pt.QUADRATURE])
 @pytest.mark.parametrize("d", [1e300, math.inf])
 def test_green_past_the_float_range_names_d(d, mode):
-    # phi(2d) overflows, so t_big is inf and the rule's pieces would span inf - inf
+    # G(1e300) = 1.5 d^-1.5 c underflows; d = inf is refused before the rule is built
     with pytest.raises(PreconditionError, match=re.escape(f"d={d:g}")):
         pt.green_function(kn.from_id("stable:1.5,3"), d, mode)
 
 
-@pytest.mark.parametrize("mode", [pt.ENVELOPE, pt.QUADRATURE])
+#: G(d) past the float range, in logs too
+_PAST = "is not a positive float"
+#: the density leaves the float range at the rule's smallest t, or t itself does
+_DENSITY = "the integrand passes the float range"
+
+
 @pytest.mark.parametrize(
-    "spec, d, why",
+    "spec, d, mode, want",
     [
-        ("stable:1.5,3", 1e-300, "underflows to 0"),  # phi(d) = 0
-        ("stable:1.5,3", 1e-210, "underflows to 0"),  # phi(d) e^-35 = 0
-        ("stable:1.5,3", 1e-200, "the integrand passes the float range"),
-        ("gaussian:3", 1e-100, "the integrand passes the float range"),
+        ("stable:1.5,3", 1e-300, pt.ENVELOPE, _PAST),
+        ("stable:1.5,3", 1e-300, pt.QUADRATURE, _DENSITY),
+        ("stable:1.5,3", 1e-210, pt.ENVELOPE, _PAST),
+        ("stable:1.5,3", 1e-210, pt.QUADRATURE, _DENSITY),
+        ("stable:1.5,3", 1e-200, pt.QUADRATURE, _DENSITY),
+        ("gaussian:3", 1e-100, pt.QUADRATURE, _DENSITY),
+        # the envelope's logs stay in range where the density does not: the
+        # stable-like closed form c d^(b-a) (1/2 + b/(a-b)) and the Newton
+        # kernel 1/(4 pi d)
+        ("stable:1.5,3", 1e-200, pt.ENVELOPE, 0.01 * 1.5e300),
+        ("gaussian:3", 1e-100, pt.ENVELOPE, 1.0 / (4.0 * math.pi * 1e-100)),
+        # d^-(a+b) = 1e375 does not overflow into the on-diagonal branch
+        ("stable:0.5,1", 1e-250, pt.ENVELOPE, 0.01 * 1.5e125),
     ],
 )
-def test_green_at_a_tiny_distance_names_d(spec, d, mode, why):
-    # raised without a warning on the way (pytest turns a RuntimeWarning into an error)
-    with pytest.raises(PreconditionError, match=re.escape(f"green function at d={d:g}: ") + ".*" + why):
-        pt.green_function(kn.from_id(spec), d, mode)
+def test_green_at_a_tiny_distance_names_d(spec, d, mode, want):
+    # raised, or returned, without a warning on the way (pytest turns a
+    # RuntimeWarning into an error)
+    if isinstance(want, str):
+        with pytest.raises(PreconditionError, match=re.escape(f"green function at d={d:g}: ") + ".*" + want):
+            pt.green_function(kn.from_id(spec), d, mode)
+    else:
+        assert pt.green_function(kn.from_id(spec), d, mode).lower == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", [pt.ENVELOPE, pt.QUADRATURE])
@@ -129,11 +147,3 @@ def test_green_at_a_small_distance_keeps_its_scaling(spec, d, mode):
     if mode == pt.ENVELOPE:
         g = [pair.lower for pair in g]
     assert g[0] / g[1] == pytest.approx(1e3 ** (m.d1 - m.d3), rel=1e-9)
-
-
-def test_green_warning_that_leaves_the_value_finite_is_kept():
-    # d^-(a+b) overflows in the envelope's discarded off-diagonal branch at
-    # large t, and the value stays finite: returned with numpy's warning
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        pair = pt.green_function(kn.from_id("stable:0.5,1"), 1e-200)
-    assert math.isfinite(pair.lower)
