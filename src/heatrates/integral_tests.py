@@ -17,7 +17,10 @@ are positive, so for the default t0 = 16 with every block positive the
 exponents the three depths read are one read-only linear map of the log
 block sums, R log s + c, built at import from the columns' pseudo-inverse;
 any other t0, or a zero block, fits by ``np.linalg.lstsq`` on its own
-columns.
+columns.  The rest of what a t0 = 16 verdict reads is one frame prebuilt as
+well, read-only: the nodes t, weights and log t, the nodes as Python floats,
+and, for every block positive, the usable, monotone-tail and depth-0 ratio
+block indices; any other t0, or a zero block, computes them per call.
 
 The named tests at the bottom wrap the engine with the specific integrands
 of the classical rate-function criteria (Kolmogorov, Dvoretzky-Erdos,
@@ -26,7 +29,9 @@ of its integrand, log f, as one array expression in the log-log forms
 ell(s) = log f(e**s) of its scaling functions; every phi^-1 in it is one
 array ``log_inverse`` and every rate one ``log_rate``, so no power, ratio or
 inverse that may pass the float range is formed.  The engine calls log f
-once, on all 3840 block nodes, and exponentiates in one place: f is 0
+once, as log_f(t, log_t) on all 3840 block nodes and their logs (log_t is
+np.log(t), prebuilt at t0 = 16, so no integrand takes the log of the nodes
+itself), and exponentiates in one place: f is 0
 where log f <= -745 (exp is 0 or subnormal there) or -inf, and a NaN or
 +inf log f is an EvaluationError naming its block and t.
 """
@@ -128,19 +133,30 @@ class Verdict:
         }
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 #: the block rule of t0 = 1, on [k log 2, (k + 1) log 2] for k < K_MAX: nodes
 #: u = log t and weights in du, built once at import, read-only
-_BLOCK_U, _BLOCK_W = _gauss_legendre(LOG2 * np.arange(K_MAX + 1), 16)
-_BLOCK_U.flags.writeable = _BLOCK_W.flags.writeable = False
+_BLOCK_U, _BLOCK_W = _read_only(*_gauss_legendre(LOG2 * np.arange(K_MAX + 1), 16))
 
 
-def _block_nodes(t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t, in increasing order, and weights in dt of the dyadic blocks
-    from t0: the rule built at import, its nodes shifted by log t0 (its
-    weights in du do not move)."""
+def _shifted_rule(t0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, in increasing order, weights in dt and log t of the dyadic
+    blocks from t0: the rule built at import, its nodes shifted by log t0
+    (its weights in du do not move)."""
     _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
     t = np.exp(_BLOCK_U + math.log(t0))
-    return t, _BLOCK_W * t
+    return t, _BLOCK_W * t, np.log(t)
+
+
+def _block_nodes(t0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_shifted_rule(t0), read from the frame at t0 = _T0."""
+    return _NODES if t0 == _T0 else _shifted_rule(t0)
 
 
 def _block_sums(t: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,22 +179,23 @@ def classify_tail_integral(f: Callable[[float], float], t0: float = _T0) -> Verd
     f is called once per node, with a float, in increasing t; an error it
     raises is raised again with the block's number in front.
     """
-    t, weight = _block_nodes(t0)
+    t, weight, _ = _block_nodes(t0)
     vals = []
     try:
-        for x in t.tolist():
+        for x in _NODE_FLOATS if t0 == _T0 else t.tolist():
             vals.append(f(x))
     except (EvaluationError, PreconditionError) as exc:
         raise type(exc)(f"block {len(vals) // 16}: {exc}") from None
     return _classify_blocks(_block_sums(t, weight, np.array(vals, dtype=float)), t0)
 
 
-def _classify_log(log_f: Callable[[np.ndarray], np.ndarray], t0: float) -> Verdict:
+def _classify_log(log_f: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: float) -> Verdict:
     """classify_tail_integral for an integrand given by its log as an array
-    expression, called once on all block nodes (an error it raises names its
-    argument, not the block), and exponentiated by the module docstring's rule."""
-    t, weight = _block_nodes(t0)
-    x = log_f(t)
+    expression, called once as log_f(t, log t) on all block nodes (an error it
+    raises names its argument, not the block), and exponentiated by the module
+    docstring's rule."""
+    t, weight, log_t = _block_nodes(t0)
+    x = log_f(t, log_t)
     with np.errstate(over="ignore"):  # +inf is reported with its block
         v = np.exp(x)
     v[x <= -745.0] = 0.0
@@ -200,14 +217,33 @@ def _fit_levels(uk: np.ndarray, y) -> tuple:
     )
 
 
+def _block_index(nz: np.ndarray, t0: float):
+    """Of the positive blocks nz from t0: the usable blocks (u = log t >= 8)
+    and their u, the monotone-tail blocks, and the depth-0 ratio pairs (lo,
+    hi) with their 1/steps; None for fewer than 16 usable blocks."""
+    u = math.log(t0) + (nz + 0.5) * LOG2
+    usable = nz[u >= 8.0]
+    if usable.size < 16:
+        return None
+    last = usable[usable >= usable[-1] - max(8, usable.size // 3)]
+    tail = usable[usable >= usable[-1] // 2]
+    return usable, u[u >= 8.0], tail, last[:-1], last[1:], 1.0 / (last[1:] - last[:-1])
+
+
+#: the frame of t0 = _T0, built once at import, read-only: the shifted rule
+#: (t, weight, log t), its nodes as Python floats, and the block index when
+#: every block is positive
+_NODES = _read_only(*_shifted_rule(_T0))
+_NODE_FLOATS = tuple(_NODES[0].tolist())
+_BLOCK_INDEX = _read_only(*_block_index(np.arange(K_MAX), _T0))
+
+
 def _prebuilt_fit() -> tuple[np.ndarray, np.ndarray]:
     """R and c of the module docstring, from the fits' pseudo-inverses at t0 = _T0."""
-    u = math.log(_T0) + (np.arange(K_MAX) + 0.5) * LOG2
-    (_, cols1), (lu, cols2), (lu_llu, cols3) = _fit_levels(u[u >= 8.0], 0.0)
+    (_, cols1), (lu, cols2), (lu_llu, cols3) = _fit_levels(_BLOCK_INDEX[1], 0.0)
     p1, p2, p3 = (np.linalg.pinv(np.array(cols).T) for cols in (cols1, cols2, cols3))
     R, c = np.array([p1[1], p1[2], p2[2], p3[2]]), np.array([0.0, 0.0, p2[2] @ lu, p3[2] @ lu_llu])
-    R.flags.writeable = c.flags.writeable = False
-    return R, c
+    return _read_only(R, c)
 
 
 _FIT_R, _FIT_C = _prebuilt_fit()
@@ -223,17 +259,19 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
         return Verdict(CONVERGENT, partial, None, 0, sums, "tail numerically zero")
 
     # fit on blocks with u = log t large enough that shift corrections
-    # log(u + c) - log(u) are captured by the reciprocal absorber columns
-    nz = (s > 0).nonzero()[0]
-    u = math.log(t0) + (nz + 0.5) * LOG2
-    usable, uk = nz[u >= 8.0], u[u >= 8.0]
-    if usable.size < 16:
+    # log(u + c) - log(u) are captured by the reciprocal absorber columns; at
+    # t0 = _T0 with every block positive the indices, and the fits' columns,
+    # are the prebuilt ones
+    prebuilt = t0 == _T0 and bool((s > 0).all())
+    index = _BLOCK_INDEX if prebuilt else _block_index((s > 0).nonzero()[0], t0)
+    if index is None:
         return Verdict(
             INCONCLUSIVE, partial, None, 0, sums, "insufficient usable blocks"
         )
+    usable, uk, tail_k, lo, hi, inv_steps = index
 
     # empirical monotonicity of the block tail
-    tail = s[usable[usable >= usable[-1] // 2]]
+    tail = s[tail_k]
     d = tail[1:] - tail[:-1]
     tol = 1e-6 * np.maximum(tail[:-1], tail[1:])
     if not ((d <= tol).all() or (d >= -tol).all()):
@@ -242,20 +280,17 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
         )
 
     # depth 0: raw ratio test on the block series (geometric scale)
-    last = usable[usable >= usable[-1] - max(8, usable.size // 3)]
-    ratios = s[last[1:]] / s[last[:-1]]
-    steps = (last[1:] - last[:-1]).astype(float)
-    rates = np.sort(ratios ** (1.0 / steps)).tolist()  # their median, bit for bit np.median
+    rates = np.sort((s[hi] / s[lo]) ** inv_steps).tolist()  # their median, bit for bit np.median
     mid = len(rates) // 2
     l0 = rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
     if abs(l0 - 1.0) > RATIO_MARGIN:
         label = CONVERGENT if l0 < 1.0 else DIVERGENT
         return Verdict(label, partial, -math.log2(l0), 0, sums, f"block ratio {l0:.4g}")
 
-    # the fits' coefficients 1 (of u, read at depth 1) and 2: R log s + c at
-    # t0 = _T0 with every block positive, else lstsq per depth reached
+    # the fits' coefficients 1 (of u, read at depth 1) and 2: R log s + c on
+    # the prebuilt frame, else lstsq per depth reached
     y = np.log(s[usable])
-    if t0 == _T0 and nz.size == K_MAX:
+    if prebuilt:
         fit = _FIT_R @ y + _FIT_C
         fits = [(fit[0], p) for p in fit[1:]]
     else:  # the columns side by side, column-major as lstsq takes them
@@ -315,12 +350,12 @@ def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = _T0) -> Verdict:
     if g.monotonicity != INCREASING:
         raise PreconditionError("kolmogorov test requires increasing g")
 
-    def log_f(t: np.ndarray) -> np.ndarray:
+    def log_f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
         x = g(t)
         # the log is only kept where x > 0, and x * x past the float range
         # gives the -inf wanted, as it does for a Python float
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.where(x > 0, -0.5 * x * x + dim * np.log(x), -np.inf) - np.log(t)
+            return np.where(x > 0, -0.5 * x * x + dim * np.log(x), -np.inf) - log_t
 
     return _classify_log(log_f, t0)
 
@@ -334,7 +369,7 @@ def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = _T0) -> Verdi
         raise PreconditionError("dvoretzky-erdos test requires dim >= 3")
     if h.monotonicity != DECREASING:
         raise PreconditionError("dvoretzky-erdos test requires decreasing h")
-    return _classify_log(lambda t: (dim - 2) * h.log_value(t) - np.log(t), t0)
+    return _classify_log(lambda t, log_t: (dim - 2) * h.log_value(t) - log_t, t0)
 
 
 def upper_rate_test(
@@ -365,8 +400,8 @@ def upper_rate_test(
     # log of the argument of h: log phi(a t) + sign log 2 - log rho(b t)
     a, sign, b = (1.0, -1.0, 2.0 * (1.0 + eps)) if direction == ONE_PROB else (4.0, 1.0, 1.0)
 
-    def log_f(t: np.ndarray) -> np.ndarray:
-        return h.ell(log_rate(phi_candidate, a * t) + sign * LOG2 - rho.log_value(b * t)) - np.log(t)
+    def log_f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+        return h.ell(log_rate(phi_candidate, a * t) + sign * LOG2 - rho.log_value(b * t)) - log_t
 
     return _classify_log(log_f, t0)
 
@@ -401,10 +436,9 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = _T0) -> V
         "phi^-1(t) g(t) does not reach phi's domain",
     )
 
-    def log_f(t: np.ndarray) -> np.ndarray:
-        u = np.log(t)
-        s_phi = log_inverse(phi, u)
-        s = s_phi + g.ell(u)
+    def log_f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+        s_phi = log_inverse(phi, log_t)
+        s = s_phi + g.ell(log_t)
         return V.ell(s) - phi.ell(s) - V.ell(s_phi)
 
     return _classify_log(log_f, start)
@@ -420,4 +454,4 @@ def critical_lower_rate_test(g: ScalingFunction, t0: float = _T0) -> Verdict:
     if g.monotonicity != DECREASING:
         raise PreconditionError("g must be nonincreasing")
     start = _start(t0, lambda t: g.log_value(t) < -1e-12, "g does not drop below 1")
-    return _classify_log(lambda t: -np.log(t) - np.log(np.abs(g.log_value(t))), start)
+    return _classify_log(lambda t, log_t: -log_t - np.log(np.abs(g.log_value(t))), start)

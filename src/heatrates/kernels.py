@@ -25,12 +25,14 @@ one by pickle or copy.deepcopy carries them; a derivation that raises is
 not cached.  Models are values: one id builds equal models, with equal
 hashes, as their V and phi are equal presets.
 
-scipy.special loads on the first special function a law calls (the
-chi-square tails of GaussianLaw, the gamma functions of StableLaw's
-table), not at import.  Only the laws' density, cdf and sf and StableLaw's
-table call one: sampling paths and the whole classifier (the integral
-tests, classify_long_run, and powerlog's inverse through scaling's numpy
-Wright omega) never load it.
+scipy loads on the first special function a law calls (the chi-square
+tails of GaussianLaw, the gamma functions of StableLaw's table), not at
+import: the top-level package is bound lazily and every call site reads
+scipy.special through it, so not even scipy's own __init__ runs before
+then.  Only the laws' density, cdf and sf and StableLaw's table call one:
+sampling paths and the whole classifier (the integral tests,
+classify_long_run, and powerlog's inverse through scaling's numpy Wright
+omega) never load it.
 
 Convention fixed across the package: the isotropic alpha-stable law has
 characteristic function exp(-t |xi|^alpha).  Hence alpha = 2 is Gaussian
@@ -81,7 +83,7 @@ def _lazy_import(name: str):
     return module
 
 
-special = _lazy_import("scipy.special")  # loaded by the first special function called
+scipy = _lazy_import("scipy")  # loaded by the first special function called
 
 STABLE_LIKE = "stable-like"
 SUB_GAUSSIAN = "sub-gaussian"
@@ -391,10 +393,10 @@ class GaussianLaw:
         return (4.0 * math.pi * t) ** (-self.dim / 2.0) * np.exp(-d * d / (4.0 * t))
 
     def cdf(self, t, r):
-        return special.chdtr(self.dim, r * r / (2.0 * t))
+        return scipy.special.chdtr(self.dim, r * r / (2.0 * t))
 
     def sf(self, t, r):
-        return special.chdtrc(self.dim, r * r / (2.0 * t))
+        return scipy.special.chdtrc(self.dim, r * r / (2.0 * t))
 
     def increments(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.sqrt(2.0 * dts)[:, None] * rng.standard_normal((dts.shape[0], self.dim))
@@ -582,7 +584,7 @@ _LOG_END_SMALL = math.log(1e-6)
 def _eta_series_coef(gamma: float) -> np.ndarray:
     """c_k of the tail series eta(w) = sum_k c_k w^(-k gamma - 1), k = 1..21."""
     k = _ETA_SERIES_K
-    coef = (-1.0) ** (k + 1) * special.gamma(k * gamma + 1.0) / special.gamma(k + 1.0)
+    coef = (-1.0) ** (k + 1) * scipy.special.gamma(k * gamma + 1.0) / scipy.special.gamma(k + 1.0)
     return coef * np.sin(math.pi * k * gamma) / math.pi
 
 
@@ -661,9 +663,9 @@ def _gamma_q(dim: int, log_z: np.ndarray) -> np.ndarray:
     Q(s + 1, z) = Q(s, z) + z^s e^-z / Gamma(s + 1) from s = 1/2 or 1."""
     z = np.exp(log_z)
     s = 0.5 if dim % 2 else 1.0
-    q = special.erfc(np.sqrt(z)) if dim % 2 else np.exp(-z)
+    q = scipy.special.erfc(np.sqrt(z)) if dim % 2 else np.exp(-z)
     while s < 0.5 * dim:
-        q += np.exp(s * log_z - z - special.gammaln(s + 1.0))
+        q += np.exp(s * log_z - z - scipy.special.gammaln(s + 1.0))
         s += 1.0
     return q
 
@@ -688,8 +690,8 @@ class _EndSeries:
         big = log_z >= _LOG_END_SMALL
         if big.any():
             lz = log_z[big, None]
-            p_a = special.gammainc(self.a, np.exp(np.minimum(lz, 700.0)))
-            out[big] = (special.gamma(self.a) * p_a * np.exp(-self.p * lz)) @ self.coef
+            p_a = scipy.special.gammainc(self.a, np.exp(np.minimum(lz, 700.0)))
+            out[big] = (scipy.special.gamma(self.a) * p_a * np.exp(-self.p * lz)) @ self.coef
         return out
 
 
@@ -736,8 +738,8 @@ class _MixtureTable:
         shape = (n.size, knots.size - 1, _MIX_POINTS)
         self.dens_above = _suffix(np.exp(log_dens - n * x).reshape(shape).sum(axis=2))
         self.ball_above = _suffix(np.exp(log_mix - (s + n) * x).reshape(shape).sum(axis=2))
-        self.dens_terms = (-1.0) ** _TAIL_N / special.gamma(_TAIL_N + 1.0)
-        self.ball_terms = self.dens_terms / ((s + _TAIL_N) * special.gamma(s))
+        self.dens_terms = (-1.0) ** _TAIL_N / scipy.special.gamma(_TAIL_N + 1.0)
+        self.ball_terms = self.dens_terms / ((s + _TAIL_N) * scipy.special.gamma(s))
         per_window = mix.reshape(shape[1:]).sum(axis=1)
         self.mass_below = np.insert(np.cumsum(per_window), 0, 0.0)
         self.mass_above = _suffix(per_window)
@@ -747,7 +749,7 @@ class _MixtureTable:
         a = b + s
         self.end_mass = float(coef @ (np.exp(-b * _MIX_END) / b))
         self.end_dens = _EndSeries(a, a, coef * np.exp(-a * _MIX_END - s * math.log(4.0 * math.pi)))
-        self.end_ball = _EndSeries(a, b, coef * np.exp(-b * _MIX_END) / (b * special.gamma(s)))
+        self.end_ball = _EndSeries(a, b, coef * np.exp(-b * _MIX_END) / (b * scipy.special.gamma(s)))
 
     def density(self, log_q: np.ndarray) -> np.ndarray:
         return _blockwise(self._density, log_q)
@@ -783,9 +785,9 @@ class _MixtureTable:
         swept = self.end_ball(log_q - _MIX_END)
         z_end = np.exp(np.minimum(log_q - _MIX_END, 700.0))
         if upper:
-            beyond = special.gammaincc(self.s, z_end) * self.end_mass + swept
+            beyond = scipy.special.gammaincc(self.s, z_end) * self.end_mass + swept
             return body + self.mass_above[hi] - p_above + beyond
-        beyond = special.gammainc(self.s, z_end) * self.end_mass - swept
+        beyond = scipy.special.gammainc(self.s, z_end) * self.end_mass - swept
         return self.mass_below[hi] - body + p_above + beyond
 
 
@@ -841,10 +843,12 @@ class BallProbability:
 
 
 def ball_probability(model: KernelModel, t: float, r: float) -> BallProbability:
-    """P(d(X_t, x) <= r) and its envelope 1 AND V(r)/V(phi^-1(t))."""
+    """P(d(X_t, x) <= r) and its envelope 1 AND V(r)/V(phi^-1(t)), taken in
+    logs as exp(min(ell_V(log r) - ell_V(log phi^-1(t)), 0)), so neither V is
+    formed."""
     if not (t > 0 and r > 0):  # false for NaN too
         raise PreconditionError("t and r must be positive")
-    env = min(1.0, model.V(r) / model.V(inverse(model.phi, t)))
+    env = math.exp(min(model.V.ell(math.log(r)) - model.V.ell(log_inverse(model.phi, math.log(t))), 0.0))
     prob = radial_cdf(model, t, r) if model.has_density else None
     return BallProbability(probability=prob, envelope=env)
 
@@ -859,7 +863,7 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
     phi's log-inverse, so neither phi^-1(t) nor V(phi^-1(t)) is formed: the
     integrand underflows towards 0 where either would overflow.
     """
-    verdict = _classify_log(lambda t: -model.V.ell(log_inverse(model.phi, np.log(t))), 16.0)
+    verdict = _classify_log(lambda t, log_t: -model.V.ell(log_inverse(model.phi, log_t)), 16.0)
     if verdict.label == CONVERGENT:
         return TRANSIENT, verdict
     if verdict.label == DIVERGENT:

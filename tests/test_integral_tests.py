@@ -212,7 +212,7 @@ class TestBlockRule:
         # log t0 + (k log 2 + x) and (log t0 + k log 2) + x both round at the
         # larger of |u| and |log t0|: ulps are counted at that scale
         u, t_ref, weight_ref = _rule_built_for(t0)
-        t, weight = it._block_nodes(t0)
+        t, weight, _ = it._block_nodes(t0)
         ulp = np.spacing(np.maximum(np.abs(u), abs(math.log(t0))))
         assert np.all(np.abs(np.log(t) - u) <= 2.0 * ulp)
         np.testing.assert_allclose(t, t_ref, rtol=1e-13, atol=0.0)
@@ -223,6 +223,44 @@ class TestBlockRule:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+    def test_frame_is_its_formula_bit_for_bit(self):
+        t, weight, log_t = it._block_nodes(16.0)
+        assert it._block_nodes(16.0) is it._NODES
+        want = np.exp(it._BLOCK_U + math.log(16.0))
+        for got, formula in ((t, want), (weight, it._BLOCK_W * want), (log_t, np.log(want))):
+            assert got.tobytes() == formula.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert it._NODE_FLOATS == tuple(want.tolist())
+        assert it._block_nodes(32.0)[0] is not t  # another t0 builds its own rule
+
+    def test_frame_index_is_the_computed_one(self, monkeypatch):
+        want = it._block_index((np.ones(K_MAX) > 0).nonzero()[0], 16.0)
+        assert len(it._BLOCK_INDEX) == len(want) == 6
+        for got, computed in zip(it._BLOCK_INDEX, want):
+            assert got.dtype == computed.dtype and got.tobytes() == computed.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1
+        usable, _, tail, lo, hi, inv_steps = it._BLOCK_INDEX
+        assert (usable[0], usable.size, tail[0], lo[0], hi[-1]) == (8, 232, 119, 162, 239)
+        assert (inv_steps == 1.0).all()
+        monkeypatch.setattr(it, "_block_index", None)  # t0 = 16, every block positive: not called
+        assert classify_tail_integral(lambda t: t**-1.5).label == CONVERGENT
+
+    @pytest.mark.parametrize("t0", [16.0, 32.0])
+    def test_log_integrand_receives_the_log_of_its_nodes(self, t0):
+        seen = []
+
+        def log_f(t, log_t):
+            seen.append((t.copy(), log_t.copy()))
+            return -2.0 * log_t
+
+        assert it._classify_log(log_f, t0).label == CONVERGENT
+        [(t, log_t)] = seen
+        assert t[0] > t0 and log_t.tobytes() == np.log(t).tobytes()
 
 
 def _rule_built_for(t0):
@@ -510,7 +548,12 @@ def test_prebuilt_rule_keeps_the_verdicts(name, monkeypatch):
     else:
         run = _float_reference(name)[0]
     got = run()
-    monkeypatch.setattr(it, "_block_nodes", lambda t0: _rule_built_for(t0)[1:])
+
+    def fresh(t0):  # the rule built afresh, and the log of its nodes
+        _, t, weight = _rule_built_for(t0)
+        return t, weight, np.log(t)
+
+    monkeypatch.setattr(it, "_block_nodes", fresh)
     want = run()
     assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
     assert got.partial_sum == pytest.approx(want.partial_sum, rel=1e-13, abs=0.0)
@@ -642,7 +685,7 @@ class TestPrebuiltFit:
 
     @pytest.mark.parametrize("family", sorted(_SWEEP_FAMILIES))
     def test_agrees_with_lstsq_on_b_sweeps(self, family, monkeypatch):
-        t, weight = it._block_nodes(16.0)
+        t, weight, _ = it._block_nodes(16.0)
         calls, cases = _lstsq_calls(monkeypatch), []
         for b in np.arange(0.5, 3.0 + 1e-9, 0.005):
             s = it._block_sums(t, weight, np.exp(_SWEEP_FAMILIES[family](t, b)))
@@ -653,7 +696,7 @@ class TestPrebuiltFit:
         for b, s, got in cases:
             want = _classify_blocks(s, 16.0)
             assert (got.label, got.depth_used, got.reason) == (want.label, want.depth_used, want.reason), b
-            assert got.partial_sum == want.partial_sum
+            assert (got.partial_sum, got.block_sums) == (want.partial_sum, want.block_sums)
             assert abs(got.tail_exponent_estimate - want.tail_exponent_estimate) <= 1e-10, b
         assert len(calls) >= len(cases) and {c[0] for c in calls} == {232}
 

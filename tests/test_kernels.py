@@ -914,6 +914,17 @@ class TestBallProbability:
         probs_t = [kn.ball_probability(cauchy, float(t), 1.0).probability for t in ts]
         assert all(a >= b for a, b in zip(probs_t, probs_t[1:]))
 
+    @pytest.mark.parametrize(
+        "spec, t, r, want",
+        [
+            ("stablelike:3,1.5", 1e300, 1e150, 1e-150),  # V(r) and V(phi^-1(t)) pass the float range
+            ("stablelike:3,1.5", 1e250, 1e110, 1e-170),
+            ("stablelike:1,0.1", 1e40, 1e300, 1e-100),  # phi^-1(t) = 1e400 does
+        ],
+    )
+    def test_envelope_in_logs(self, spec, t, r, want):
+        assert kn.ball_probability(kn.from_id(spec), t, r).envelope == pytest.approx(want, rel=1e-12)
+
 
 class TestClassifyLongRun:
     def test_transient_supercritical(self):
