@@ -4,23 +4,23 @@ The decision engine computes dyadic block integrals
 
     s_k = integral of f over [2^k t0, 2^(k+1) t0]
 
-by one 16-point Gauss-Legendre rule per block in u = log t (built once, at
-import, read-only, for t0 = 1, and shifted by log t0), then resolves the
-convergence class by iterated Cauchy condensation: the raw block ratio
+by one 16-point Gauss-Legendre rule per block in u = log t, then resolves
+the convergence class by iterated Cauchy condensation: the raw block ratio
 settles the geometric scale; dividing out the critical factor at each
 further scale (1/t, then 1/log t, then 1/log log t) turns the next
 logarithmic scale into a condensed series whose implied term ratio is read
 off a least-squares exponent fit.  A ratio within the margin band at one
 depth descends to the next; within the margin at the deepest condensation
 the engine abstains.  A fit's columns depend only on t0 and on which blocks
-are positive, so for the default t0 = 16 with every block positive the
-exponents the three depths read are one read-only linear map of the log
-block sums, R log s + c, built at import from the columns' pseudo-inverse;
-any other t0, or a zero block, fits by ``np.linalg.lstsq`` on its own
-columns.  The rest of what a t0 = 16 verdict reads is one frame prebuilt as
-well, read-only: the nodes t, weights and log t, the nodes as Python floats,
-and, for every block positive, the usable, monotone-tail and depth-0 ratio
-block indices; any other t0, or a zero block, computes them per call.
+are positive, so each depth's fit is one linear map of the log block sums,
+rows @ log s + c, from the columns' pseudo-inverse.  For the default t0 =
+16 with every block positive the three depths' maps are built at import,
+read-only; any other t0, or a zero block, builds them per call, one depth
+at a time, for the depths the verdict reaches.  The rest of what a t0 = 16
+verdict reads is one frame prebuilt as well, read-only: the nodes t,
+weights and log t, the nodes as Python floats, and, for every block
+positive, the usable, monotone-tail and depth-0 ratio block indices; any
+other t0, or a zero block, computes them per call by the same code.
 
 The named tests at the bottom wrap the engine with the specific integrands
 of the classical rate-function criteria (Kolmogorov, Dvoretzky-Erdos,
@@ -78,7 +78,7 @@ _T0 = 16.0
 
 
 # -- composite Gauss-Legendre rules (the classifier's blocks, the stable law's
-# table, the tail midpoint, Green) ---------------------------------------------
+# table, Green) ----------------------------------------------------------------
 
 #: nodes and weights on [-1, 1], by number of points
 _LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (16, 24)}
@@ -140,23 +140,19 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-#: the block rule of t0 = 1, on [k log 2, (k + 1) log 2] for k < K_MAX: nodes
-#: u = log t and weights in du, built once at import, read-only
-_BLOCK_U, _BLOCK_W = _read_only(*_gauss_legendre(LOG2 * np.arange(K_MAX + 1), 16))
-
-
-def _shifted_rule(t0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_rule(t0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes t, in increasing order, weights in dt and log t of the dyadic
-    blocks from t0: the rule built at import, its nodes shifted by log t0
-    (its weights in du do not move)."""
+    blocks from t0: the rule on [k log 2, (k + 1) log 2] for k < K_MAX in u
+    = log t, its nodes shifted by log t0 (its weights in du do not move)."""
     _positive_finite("t0 * 2**K_MAX", t0 * 2.0**K_MAX)
-    t = np.exp(_BLOCK_U + math.log(t0))
-    return t, _BLOCK_W * t, np.log(t)
+    u, w = _gauss_legendre(LOG2 * np.arange(K_MAX + 1), 16)
+    t = np.exp(u + math.log(t0))
+    return t, w * t, np.log(t)
 
 
 def _block_nodes(t0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_shifted_rule(t0), read from the frame at t0 = _T0."""
-    return _NODES if t0 == _T0 else _shifted_rule(t0)
+    """_block_rule(t0), read from the frame at t0 = _T0."""
+    return _NODES if t0 == _T0 else _block_rule(t0)
 
 
 def _block_sums(t: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,19 +198,24 @@ def _classify_log(log_f: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: flo
     return _classify_blocks(_block_sums(t, weight, v), t0)
 
 
-def _fit_levels(uk: np.ndarray, y) -> tuple:
-    """(target, columns) of the fits at depths k = 1, 2, 3 on u = uk and log s = y:
-    each divides out the critical factor below its scale and reads the exponent of
-    the k-fold log of t off coefficient 2; the 1/u columns absorb shift corrections."""
+def _fits(uk: np.ndarray):
+    """(rows, c) of the fits at depths k = 1, 2, 3 on the usable blocks' u =
+    uk, one depth at a time: rows @ log s + c are the depth's coefficients 1
+    and 2.  Each fit divides out the critical factor below its scale, a shift
+    of log s, and reads the exponent of the k-fold log of t off coefficient
+    2, depth 1 that of t off coefficient 1 (of u) too; the 1/u columns absorb
+    shift corrections."""
     lu = np.log(uk)
     llu = np.log(lu)
     lllu = np.log(llu)
     one, inv_u = np.ones_like(uk), 1.0 / uk
-    return (
-        (y, [one, uk, lu, llu, lllu, inv_u, 1.0 / uk**2]),
-        (y + lu, [one, lu, llu, lllu, inv_u, 1.0 / (uk * lu)]),
-        (y + lu + llu, [one, llu, lllu, 1.0 / lu, inv_u]),
-    )
+    for shift, cols in (
+        (np.zeros_like(uk), [one, uk, lu, llu, lllu, inv_u, 1.0 / uk**2]),
+        (lu, [one, lu, llu, lllu, inv_u, 1.0 / (uk * lu)]),
+        (lu + llu, [one, llu, lllu, 1.0 / lu, inv_u]),
+    ):
+        rows = np.linalg.pinv(np.array(cols).T)[1:3]
+        yield rows, rows @ shift
 
 
 def _block_index(nz: np.ndarray, t0: float):
@@ -230,23 +231,13 @@ def _block_index(nz: np.ndarray, t0: float):
     return usable, u[u >= 8.0], tail, last[:-1], last[1:], 1.0 / (last[1:] - last[:-1])
 
 
-#: the frame of t0 = _T0, built once at import, read-only: the shifted rule
-#: (t, weight, log t), its nodes as Python floats, and the block index when
-#: every block is positive
-_NODES = _read_only(*_shifted_rule(_T0))
+#: the frame of t0 = _T0, built once at import, read-only: the block rule
+#: (t, weight, log t), its nodes as Python floats, and, when every block is
+#: positive, the block index and each depth's fit
+_NODES = _read_only(*_block_rule(_T0))
 _NODE_FLOATS = tuple(_NODES[0].tolist())
 _BLOCK_INDEX = _read_only(*_block_index(np.arange(K_MAX), _T0))
-
-
-def _prebuilt_fit() -> tuple[np.ndarray, np.ndarray]:
-    """R and c of the module docstring, from the fits' pseudo-inverses at t0 = _T0."""
-    (_, cols1), (lu, cols2), (lu_llu, cols3) = _fit_levels(_BLOCK_INDEX[1], 0.0)
-    p1, p2, p3 = (np.linalg.pinv(np.array(cols).T) for cols in (cols1, cols2, cols3))
-    R, c = np.array([p1[1], p1[2], p2[2], p3[2]]), np.array([0.0, 0.0, p2[2] @ lu, p3[2] @ lu_llu])
-    return _read_only(R, c)
-
-
-_FIT_R, _FIT_C = _prebuilt_fit()
+_FITS = tuple(_read_only(*fit) for fit in _fits(_BLOCK_INDEX[1]))
 
 
 def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
@@ -260,8 +251,8 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
 
     # fit on blocks with u = log t large enough that shift corrections
     # log(u + c) - log(u) are captured by the reciprocal absorber columns; at
-    # t0 = _T0 with every block positive the indices, and the fits' columns,
-    # are the prebuilt ones
+    # t0 = _T0 with every block positive the indices, and the fits, are the
+    # prebuilt ones
     prebuilt = t0 == _T0 and bool((s > 0).all())
     index = _BLOCK_INDEX if prebuilt else _block_index((s > 0).nonzero()[0], t0)
     if index is None:
@@ -287,39 +278,34 @@ def _classify_blocks(s: np.ndarray, t0: float) -> Verdict:
         label = CONVERGENT if l0 < 1.0 else DIVERGENT
         return Verdict(label, partial, -math.log2(l0), 0, sums, f"block ratio {l0:.4g}")
 
-    # the fits' coefficients 1 (of u, read at depth 1) and 2: R log s + c on
-    # the prebuilt frame, else lstsq per depth reached
+    # the fits' coefficients 1 (of u, read at depth 1) and 2, as floats, prebuilt
+    # at t0 = _T0 with every block positive, else built per depth reached
     y = np.log(s[usable])
-    if prebuilt:
-        fit = _FIT_R @ y + _FIT_C
-        fits = [(fit[0], p) for p in fit[1:]]
-    else:  # the columns side by side, column-major as lstsq takes them
-        fits = (np.linalg.lstsq(np.array(cols).T, target, rcond=None)[0][1:3]
-                for target, cols in _fit_levels(uk, y))
-    for depth, (coef_u, coef_log) in enumerate(fits, 1):
+    for depth, (rows, c) in enumerate(_FITS if prebuilt else _fits(uk), 1):
+        coef_u, coef_log = (rows @ y + c).tolist()
         if depth == 1:  # the joint fit also carries the exponent of t
             delta = -coef_u
             l0_fit = 2.0**-delta
             if abs(l0_fit - 1.0) > GEOMETRIC_DECISIVE:
                 label = CONVERGENT if delta > 0 else DIVERGENT
-                return Verdict(label, partial, float(delta), 0, sums, f"fitted geometric rate {l0_fit:.5g}")
+                return Verdict(label, partial, delta, 0, sums, f"fitted geometric rate {l0_fit:.5g}")
             if abs(l0_fit - 1.0) > DESCEND_BAND_GEOMETRIC:
                 return Verdict(
-                    INCONCLUSIVE, partial, float(delta), 0, sums,
+                    INCONCLUSIVE, partial, delta, 0, sums,
                     f"geometric rate {l0_fit:.5g} inside margin but not at boundary",
                 )
         p_hat = -coef_log
         ratio = 2.0 ** (1.0 - p_hat)
         if abs(ratio - 1.0) > RATIO_MARGIN:
             label = CONVERGENT if ratio < 1.0 else DIVERGENT
-            return Verdict(label, partial, float(p_hat), depth, sums, f"condensed ratio {ratio:.4g}")
+            return Verdict(label, partial, p_hat, depth, sums, f"condensed ratio {ratio:.4g}")
         if depth < 3 and abs(ratio - 1.0) > DESCEND_BAND:
             return Verdict(
-                INCONCLUSIVE, partial, float(p_hat), depth, sums,
+                INCONCLUSIVE, partial, p_hat, depth, sums,
                 f"condensed ratio {ratio:.5g} inside margin but not at boundary",
             )
     return Verdict(
-        INCONCLUSIVE, partial, float(p_hat), depth, sums,
+        INCONCLUSIVE, partial, p_hat, depth, sums,
         f"condensed ratio {ratio:.5g} within margin at depth {depth}",
     )
 

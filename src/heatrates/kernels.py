@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import PreconditionError, UnsupportedModelError
 from .integral_tests import CONVERGENT, DIVERGENT, Verdict
-from .integral_tests import _LEGENDRE, _classify_log, _gauss_legendre
+from .integral_tests import _LEGENDRE, _T0, _classify_log, _gauss_legendre
 from .scaling import (
     INCREASING,
     ScalingFunction,
@@ -863,7 +863,7 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
     phi's log-inverse, so neither phi^-1(t) nor V(phi^-1(t)) is formed: the
     integrand underflows towards 0 where either would overflow.
     """
-    verdict = _classify_log(lambda t, log_t: -model.V.ell(log_inverse(model.phi, log_t)), 16.0)
+    verdict = _classify_log(lambda t, log_t: -model.V.ell(log_inverse(model.phi, log_t)), _T0)
     if verdict.label == CONVERGENT:
         return TRANSIENT, verdict
     if verdict.label == DIVERGENT:
@@ -871,9 +871,13 @@ def classify_long_run(model: KernelModel) -> tuple[str, Verdict]:
     return INCONCLUSIVE_CLASS, verdict
 
 
-def comparability_sweep(model: KernelModel, t_grid=None, n_dist: int = 24) -> tuple[float, float]:
-    """Measure density/envelope bounds over a (t, d) grid: n_dist distances
-    up to 10 phi^-1(t), and 0, at each t.
+#: the times of comparability_sweep's grid
+_SWEEP_T = tuple(np.geomspace(1.0, 1e3, 7).tolist())
+
+
+def comparability_sweep(model: KernelModel, n_dist: int = 24) -> tuple[float, float]:
+    """Measure density/envelope bounds over a (t, d) grid: at each t of
+    _SWEEP_T, n_dist distances up to 10 phi^-1(t), and 0.
 
     Returns (min_ratio, max_ratio), the range seen on that grid.  It is not
     the sharp (C_lo, C_hi): for a stable law the ratio is one profile in
@@ -882,10 +886,8 @@ def comparability_sweep(model: KernelModel, t_grid=None, n_dist: int = 24) -> tu
     """
     if not model.has_density:
         raise UnsupportedModelError("comparability sweep needs an exact law")
-    if t_grid is None:
-        t_grid = np.geomspace(1.0, 1e3, 7)
     lo, hi = math.inf, -math.inf
-    for t in map(float, t_grid):
+    for t in _SWEEP_T:
         reach = 10.0 * inverse(model.phi, t)
         dists = np.concatenate([[0.0], np.geomspace(1e-3 * reach, reach, n_dist)])
         ratio = density(model, t, dists) / envelope_density(model, t, dists)

@@ -698,14 +698,17 @@ def _omega_series(x):
 def _omega(x):
     """Wright's omega, the real w with w + log w = x, elementwise: a numpy
     port of the real branch of Algorithm 917 (Lawrence, Corless & Jeffrey,
-    ACM TOMS 38, 2012), as scipy.special.wrightomega evaluates it.
+    ACM TOMS 38, 2012), as scipy.special.wrightomega evaluates it, with one
+    last step below -2.
 
     The start is e**x below -2, exp(2 (x - 1) / 3) on [-2, 1) and the
     series of ``_omega_series`` from 1 on; one Fritsch-Shafer-Crowley step
-    follows, and a second where the condition test asks for it.  Below -50
-    omega is e**x and above 1e20 it is x, to double precision, and those
-    are returned: 0 at -inf, inf at inf, NaN at NaN.  A float or 0-d x gives
-    a numpy float, an array an array of its shape.
+    follows, and a second where the condition test asks for it.  On [-50,
+    -2) a last step w = e**x e**-w follows: it brings w from up to 32 ulps
+    of omega to 2.  Below -50 omega is e**x and above 1e20 it is x, to
+    double precision, and those are returned: 0 at -inf, inf at inf, NaN at
+    NaN.  A float or 0-d x gives a numpy float, an array an array of its
+    shape.
     """
     x = np.asarray(x, dtype=float)[()]  # a numpy float for a float or 0-d x
     if _all((1.0 <= x) & (x <= 1e20)):  # false for NaN: the common case
@@ -719,6 +722,11 @@ def _omega(x):
         _omega_series(np.maximum(xc, 1.0)),
     )[()]
     w = _omega_steps(xc, start)
+    # below -2 the steps' residual x - w - log w is rounded at ulp(x), up to
+    # 32 ulps of w; the step w = e**x e**-w multiplies w's error by w < e**-2
+    # and adds only the rounding of two exps and a product
+    if not _all(xc >= -2.0):
+        w = np.where(xc < -2.0, np.exp(np.minimum(xc, -2.0)) * np.exp(-w), w)
     return np.where(x < -50.0, np.exp(np.minimum(x, -50.0)), np.where(x > 1e20, x, w))[()]
 
 

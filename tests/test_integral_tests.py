@@ -218,23 +218,26 @@ class TestBlockRule:
         np.testing.assert_allclose(t, t_ref, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(weight, weight_ref, rtol=1e-13, atol=0.0)
 
-    def test_prebuilt_rule_is_read_only(self):
-        for a in (it._BLOCK_U, it._BLOCK_W):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 1.0
-
     def test_frame_is_its_formula_bit_for_bit(self):
+        # the rule on [k log 2, (k + 1) log 2], its nodes shifted by log 16,
+        # built at import by the code that builds every other t0's rule
         t, weight, log_t = it._block_nodes(16.0)
         assert it._block_nodes(16.0) is it._NODES
-        want = np.exp(it._BLOCK_U + math.log(16.0))
-        for got, formula in ((t, want), (weight, it._BLOCK_W * want), (log_t, np.log(want))):
-            assert got.tobytes() == formula.tobytes()
-            assert not got.flags.writeable
-            with pytest.raises(ValueError):
-                got[0] = 1.0
+        u, w = it._gauss_legendre(LOG2 * np.arange(K_MAX + 1), 16)
+        want = np.exp(u + math.log(16.0))
+        built = it._block_rule(16.0)
+        for got, formula, by_rule in zip((t, weight, log_t), (want, w * want, np.log(want)), built):
+            assert got.tobytes() == formula.tobytes() == by_rule.tobytes()
         assert it._NODE_FLOATS == tuple(want.tolist())
         assert it._block_nodes(32.0)[0] is not t  # another t0 builds its own rule
+
+    def test_prebuilt_rule_is_read_only(self):
+        # and the rest of the frame built at import: the block index and fits
+        fits = [a for fit in it._FITS for a in fit]
+        for a in (*it._NODES, *it._BLOCK_INDEX, *fits):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     def test_frame_index_is_the_computed_one(self, monkeypatch):
         want = it._block_index((np.ones(K_MAX) > 0).nonzero()[0], 16.0)
@@ -450,6 +453,23 @@ class TestCriticalLowerRate:
     def test_nonfinite_or_nonpositive_t0_raises(self, t0):
         with pytest.raises(PreconditionError, match="t0"):
             critical_lower_rate_test(sc.power(-1.0), t0)
+
+    def test_g_never_below_one_raises(self):
+        with pytest.raises(PreconditionError, match="^g does not drop below 1 on any reachable scale$"):
+            critical_lower_rate_test(sc.constant(1.0))
+
+    def test_starts_where_g_drops_below_one(self, monkeypatch):
+        # g = 20/r is 1.25 at 16 and 0.625 at 32: the integral of dt / (t
+        # log(t/20)) starts at 32, on a rule built for it, and its partial
+        # sum is log log(t/20) between the ends (its label is not asserted:
+        # the fits read c/r for larger c as convergent, see ROADMAP item 2)
+        built, rule = [], it._block_rule
+        monkeypatch.setattr(it, "_block_rule", lambda t0: built.append(t0) or rule(t0))
+        g = sc.ScalingFunction(lambda r: 20.0 / r, sc.DECREASING, sc.Envelope(1.0, -1.0, 1.0, -1.0))
+        v = critical_lower_rate_test(g)
+        assert built == [32.0]
+        want = math.log(math.log(32.0 * 2.0**K_MAX / 20.0)) - math.log(math.log(32.0 / 20.0))
+        assert v.partial_sum == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def _float_reference(name):
@@ -672,56 +692,122 @@ _SWEEP_FAMILIES = {
 }
 
 
-def _lstsq_calls(monkeypatch):
-    """A list that np.linalg.lstsq appends its design matrix's shape to on each call."""
-    calls, lstsq = [], np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: calls.append(a.shape) or lstsq(a, b, **kw))
+#: the reference fit, kept before a test makes np.linalg.lstsq raise
+_LSTSQ = np.linalg.lstsq
+
+
+def _reference_fits(s, t0):
+    """(rows, c) that give coefficients 1 and 2 of the fits at depths 1, 2, 3
+    on the block sums s from t0 as c alone: c by lstsq on the columns written
+    out (log s, less the critical factor below each depth, against 1, the
+    logs of t down to the fourth and the 1/u absorbers, on the positive
+    blocks with u = log t >= 8), rows zero."""
+    nz = (s > 0).nonzero()[0]
+    u = math.log(t0) + (nz + 0.5) * LOG2
+    uk, y = u[u >= 8.0], np.log(s[nz[u >= 8.0]])
+    lu = np.log(uk)
+    llu, one = np.log(lu), np.ones_like(uk)
+    lllu = np.log(llu)
+    return [
+        (np.zeros((2, uk.size)), _LSTSQ(np.array(cols).T, target, rcond=None)[0][1:3])
+        for target, cols in (
+            (y, [one, uk, lu, llu, lllu, 1.0 / uk, 1.0 / uk**2]),
+            (y + lu, [one, lu, llu, lllu, 1.0 / uk, 1.0 / (uk * lu)]),
+            (y + lu + llu, [one, llu, lllu, 1.0 / lu, 1.0 / uk]),
+        )
+    ]
+
+
+def _reference_verdict(s, t0, monkeypatch):
+    """_classify_blocks(s, t0) with every depth's coefficients from lstsq."""
+    fits = _reference_fits(s, t0)
+    with monkeypatch.context() as m:
+        m.setattr(it, "_FITS", fits)
+        m.setattr(it, "_fits", lambda uk: iter(fits))
+        return _classify_blocks(s, t0)
+
+
+def _pinv_calls(monkeypatch):
+    """A list that np.linalg.pinv appends its matrix's shape to on each call;
+    np.linalg.lstsq raises."""
+    calls, pinv = [], np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: calls.append(a.shape) or pinv(a, **kw))
+
+    def lstsq(*args, **kw):
+        raise AssertionError("the classifier calls lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     return calls
 
 
+def _fits_reached(v):
+    """How many depths' fits the verdict v read: none when the raw block
+    ratio, or a check before it, decided."""
+    return max(v.depth_used, 1) if v.depth_used or "geometric" in v.reason else 0
+
+
 class TestPrebuiltFit:
-    """The condensation fits at t0 = 16 with every block positive, read off
-    the projection built at import, against lstsq on the same columns."""
+    """The condensation fits, prebuilt at t0 = 16 with every block positive
+    and built per depth reached otherwise, against lstsq on the same
+    columns."""
 
     @pytest.mark.parametrize("family", sorted(_SWEEP_FAMILIES))
     def test_agrees_with_lstsq_on_b_sweeps(self, family, monkeypatch):
-        t, weight, _ = it._block_nodes(16.0)
-        calls, cases = _lstsq_calls(monkeypatch), []
-        for b in np.arange(0.5, 3.0 + 1e-9, 0.005):
-            s = it._block_sums(t, weight, np.exp(_SWEEP_FAMILIES[family](t, b)))
-            assert (s > 0).all()
-            cases.append((b, s, _classify_blocks(s, 16.0)))
-        assert calls == []  # no fit above went through lstsq
-        monkeypatch.setattr(it, "_T0", math.nan)  # now no t0 takes the projection
-        for b, s, got in cases:
-            want = _classify_blocks(s, 16.0)
-            assert (got.label, got.depth_used, got.reason) == (want.label, want.depth_used, want.reason), b
-            assert (got.partial_sum, got.block_sums) == (want.partial_sum, want.block_sums)
-            assert abs(got.tail_exponent_estimate - want.tail_exponent_estimate) <= 1e-10, b
-        assert len(calls) >= len(cases) and {c[0] for c in calls} == {232}
+        calls = _pinv_calls(monkeypatch)
+        for t0, zero in ((16.0, None), (32.0, None), (16.0, 20)):  # prebuilt, another t0, a zero block
+            t, weight, _ = it._block_nodes(t0)
+            calls.clear()
+            cases = []
+            for b in np.arange(0.5, 3.0 + 1e-9, 0.005):
+                s = it._block_sums(t, weight, np.exp(_SWEEP_FAMILIES[family](t, b)))
+                if zero is not None:
+                    s[zero] = 0.0
+                cases.append((b, s, _classify_blocks(s, t0)))
+            # the prebuilt fits build nothing; any other frame builds one fit
+            # per depth its verdict reaches, on its usable blocks
+            prebuilt = t0 == 16.0 and zero is None
+            assert len(calls) == (0 if prebuilt else sum(_fits_reached(v) for *_, v in cases))
+            assert {c[0] for c in calls} <= {232 - (zero is not None) + (t0 == 32.0)}
+            for b, s, got in cases:
+                want = _reference_verdict(s, t0, monkeypatch)
+                assert (got.label, got.depth_used, got.reason) == (want.label, want.depth_used, want.reason), b
+                assert (got.partial_sum, got.block_sums) == (want.partial_sum, want.block_sums)
+                assert abs(got.tail_exponent_estimate - want.tail_exponent_estimate) <= 1e-10, b
 
     def test_projection_is_read_only(self):
-        assert it._FIT_R.shape == (4, 232) and it._FIT_C.shape == (4,)
-        assert it._FIT_C[0] == it._FIT_C[1] == 0.0  # depth 1 adds nothing to log s
-        for a in (it._FIT_R, it._FIT_C):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 1.0
+        # each depth's rows and offset, built at import by the code that
+        # builds every other frame's fits
+        assert len(it._FITS) == 3
+        for (rows, c), (want_rows, want_c) in zip(it._FITS, it._fits(it._BLOCK_INDEX[1])):
+            assert rows.shape == (2, 232) and c.shape == (2,)
+            assert rows.tobytes() == want_rows.tobytes() and c.tobytes() == want_c.tobytes()
+            for a in (rows, c):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+        assert (it._FITS[0][1] == 0.0).all()  # depth 1 divides nothing out of log s
 
-    def test_lstsq_decides_at_another_t0(self, monkeypatch):
-        # the classify deck's lll1-borderline slot, from t0 = 32
-        calls = _lstsq_calls(monkeypatch)
+    def test_fits_at_another_t0(self, monkeypatch):
+        # the classify deck's lll1-borderline slot, from t0 = 32: two depths,
+        # two fits
+        calls = _pinv_calls(monkeypatch)
         f = {c[0]: c[1] for c in LABELED_SUITE}["lll1_borderline"]
         v = classify_tail_integral(f, 32.0)
         assert (v.label, v.depth_used) == (DIVERGENT, 2)
-        assert len(calls) == 2
+        assert calls == [(233, 7), (233, 6)]
+        want = _reference_verdict(np.array(v.block_sums), 32.0, monkeypatch)
+        assert (v.label, v.depth_used, v.reason) == (want.label, want.depth_used, want.reason)
+        assert abs(v.tail_exponent_estimate - want.tail_exponent_estimate) <= 1e-10
 
-    def test_lstsq_decides_with_a_zero_block(self, monkeypatch):
+    def test_fits_with_a_zero_block(self, monkeypatch):
         # 1 / (t (log t)^2) with block 20 zeroed: the fit has 231 blocks
-        calls = _lstsq_calls(monkeypatch)
+        calls = _pinv_calls(monkeypatch)
         s = _BLOCK_U**-2.0
         s[20] = 0.0
         v = _classify_blocks(s, 16.0)
         assert (v.label, v.depth_used) == (CONVERGENT, 1)
         assert v.tail_exponent_estimate == pytest.approx(2.0, abs=0.01)
         assert calls == [(231, 7)]
+        want = _reference_verdict(s, 16.0, monkeypatch)
+        assert (v.label, v.depth_used, v.reason) == (want.label, want.depth_used, want.reason)
+        assert abs(v.tail_exponent_estimate - want.tail_exponent_estimate) <= 1e-10

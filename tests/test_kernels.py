@@ -36,7 +36,7 @@ def gaussian3():
 @pytest.fixture(scope="module")
 def stable153():
     m = kn.from_id("stable:1.5,3")
-    lo, hi = kn.comparability_sweep(m, t_grid=np.geomspace(1.0, 100.0, 4), n_dist=12)
+    lo, hi = kn.comparability_sweep(m, n_dist=12)
     return dataclasses.replace(m, c_lo=0.9 * lo, c_hi=1.1 * hi)
 
 
@@ -980,6 +980,24 @@ class TestClassifyLongRun:
         )
         assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
         np.testing.assert_allclose(got.block_sums, want.block_sums, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("spec", ["cauchy1d", "stable:1.5,3"])
+    def test_reads_the_prebuilt_frame(self, spec, monkeypatch):
+        # the long-run integral starts at the classifier's prebuilt t0, so no
+        # verdict builds a rule, block index or fit of its own: cauchy1d
+        # decides at depth 1, on the prebuilt fits, stable:1.5,3 at depth 0
+        from heatrates import integral_tests as it
+
+        want = kn.classify_long_run(kn.from_id(spec))
+
+        def built(*args):
+            raise AssertionError("a per-call rule or fit was built")
+
+        for name in ("_block_rule", "_block_index", "_fits"):
+            monkeypatch.setattr(it, name, built)
+        monkeypatch.setattr(np.linalg, "pinv", built)
+        assert kn.classify_long_run(kn.from_id(spec)) == want
+        assert want[1].depth_used == (1 if spec == "cauchy1d" else 0)
 
     def test_inverse_cost_per_integrand_evaluation(self):
         # phi = powerlog without its exact inverse, so the integrand

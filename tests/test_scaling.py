@@ -1001,10 +1001,10 @@ _EPS = np.finfo(float).eps
 
 
 def _omega_tol(x):
-    # 8 ulps; on [-50, -2) both implementations take the residual x - w -
-    # log w with log w near x, rounded to ulp(x), twice: where numpy's exp
-    # and the C library's start one ulp apart, that rounding may differ, by
-    # up to 4 ulp(x) / eps ulps of w (15 ulps at x = -6.249117, 1 below -10)
+    # 8 ulps; on [-50, -2) scipy takes the residual x - w - log w with log w
+    # near x, rounded to ulp(x), twice, and is up to 4 ulp(x) / eps ulps of w
+    # off (32 near x = -33.3); the port's last step w = e**x e**-w is within
+    # 2 ulps of omega there (test_matches_lambert_w_below_minus_two)
     x = np.asarray(x, dtype=float)
     return np.where((-50.0 <= x) & (x < -2.0), 8.0 + 4.0 * np.spacing(np.abs(x)) / _EPS, 8.0)
 
@@ -1017,9 +1017,30 @@ def _ulps(got, want):
     return np.where(same, 0.0, gap)
 
 
+#: (x, omega(x)) on [-50, -2): mpmath's lambertw(exp(x)) at 40 digits,
+#: rounded to a float; Algorithm 917 alone is up to 32 ulps off near -33.3
+_OMEGA_BELOW_MINUS_TWO = [
+    (-49.5, "0x1.806f55208ce4fp-72"), (-40.25, "0x1.e84430d66e9fbp-59"),
+    (-33.356, "0x1.d64f07188f1ebp-49"), (-33.344, "0x1.dbfc8501e7729p-49"),
+    (-33.332, "0x1.e1bb8ef1b24c5p-49"), (-33.32, "0x1.e78c5b2291188p-49"),
+    (-33.308, "0x1.ed6f2076bd9d9p-49"), (-33.296, "0x1.f364167a0ff0ap-49"),
+    (-33.284, "0x1.f96b75640aa9dp-49"), (-33.272, "0x1.ff857619ed6d9p-49"),
+    (-30.0, "0x1.a56e0c2ac7cbfp-44"), (-20.5, "0x1.57a3afe79aea9p-30"),
+    (-12.0, "0x1.9c541dac6391bp-18"), (-6.249117, "0x1.f98737c6ff141p-10"),
+    (-3.5, "0x1.e074c18d19f9ap-6"), (-2.125, "0x1.b76e97063e79fp-4"),
+]
+
+
 class TestWrightOmega:
-    """scaling._omega, the real branch of Algorithm 917 in numpy, against
-    scipy.special.wrightomega, the same algorithm in C."""
+    """scaling._omega, the real branch of Algorithm 917 in numpy with one
+    last step below -2, against scipy.special.wrightomega, the algorithm
+    in C, and against pinned values of omega."""
+
+    def test_matches_lambert_w_below_minus_two(self):
+        x = np.array([v for v, _ in _OMEGA_BELOW_MINUS_TWO])
+        want = np.array([float.fromhex(h) for _, h in _OMEGA_BELOW_MINUS_TWO])
+        assert np.all(_ulps(sc._omega(x), want) <= 4.0)
+        assert all(_ulps(sc._omega(v), w) <= 4.0 for v, w in zip(x.tolist(), want.tolist()))
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(x=st.one_of(st.floats(-745.0, 1e300), st.floats(-60.0, 60.0)))
