@@ -24,14 +24,14 @@ other t0, or a zero block, computes them per call by the same code.
 
 The named tests at the bottom wrap the engine with the specific integrands
 of the classical rate-function criteria (Kolmogorov, Dvoretzky-Erdos,
-Spitzer-type) and their heat-kernel generalizations.  Each writes the log
-of its integrand, log f, as one array expression in the log-log forms
-ell(s) = log f(e**s) of its scaling functions; every phi^-1 in it is one
-array ``log_inverse`` and every rate one ``log_rate``, so no power, ratio or
-inverse that may pass the float range is formed.  The engine calls log f
-once, as log_f(t, log_t) on all 3840 block nodes and their logs (log_t is
-np.log(t), prebuilt at t0 = 16, so no integrand takes the log of the nodes
-itself), and exponentiates in one place: f is 0
+Spitzer-type) and their heat-kernel generalizations, each from t0 = 16.
+Each writes the log of its integrand, log f, as one array expression in
+the log-log forms ell(s) = log f(e**s) of its scaling functions; every
+phi^-1 in it is one array ``log_inverse`` and every rate one ``log_rate``,
+so no power, ratio or inverse that may pass the float range is formed.
+The engine calls log f once, as log_f(t, log_t) on all 3840 block nodes
+and their logs (log_t is np.log(t), prebuilt at t0 = 16, so no integrand
+takes the log of the nodes itself), and exponentiates in one place: f is 0
 where log f <= -745 (exp is 0 or subnormal there) or -inf, and a NaN or
 +inf log f is an EvaluationError naming its block and t.
 """
@@ -73,7 +73,7 @@ DESCEND_BAND = 0.02
 #: Fitted-geometric decision threshold (the fit separates scales, so it is
 #: sharper than the raw-ratio margin).
 GEOMETRIC_DECISIVE = 0.005
-#: the start of a named test's integral when none is given
+#: the start of every named test's integral, or of its search for one
 _T0 = 16.0
 
 
@@ -318,20 +318,19 @@ ONE_PROB = "one-prob"
 ZERO_PROB = "zero-prob"
 
 
-def _start(t0: float, reached: Callable[[float], bool], what: str) -> float:
-    """The first t0 2**k, k < 200, where reached holds: the integral starts
+def _start(reached: Callable[[float], bool], what: str) -> float:
+    """The first _T0 2**k, k < 200, where reached holds: the integral starts
     there, and the part before it is finite and decides nothing."""
-    _positive_finite("t0", t0)
     for k in range(200):
-        if reached(t0 * 2.0**k):
-            return t0 * 2.0**k
+        if reached(_T0 * 2.0**k):
+            return _T0 * 2.0**k
     raise PreconditionError(f"{what} on any reachable scale")
 
 
-def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = _T0) -> Verdict:
+def kolmogorov_test(g: ScalingFunction, dim: int) -> Verdict:
     """Forefront test for Brownian-scale growth functions g increasing to inf.
 
-    Classifies int_1^inf t^-1 g(t)^dim exp(-g(t)^2/2) dt.
+    Classifies int_16^inf t^-1 g(t)^dim exp(-g(t)^2/2) dt.
     """
     if g.monotonicity != INCREASING:
         raise PreconditionError("kolmogorov test requires increasing g")
@@ -343,19 +342,19 @@ def kolmogorov_test(g: ScalingFunction, dim: int, t0: float = _T0) -> Verdict:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return np.where(x > 0, -0.5 * x * x + dim * np.log(x), -np.inf) - log_t
 
-    return _classify_log(log_f, t0)
+    return _classify_log(log_f, _T0)
 
 
-def dvoretzky_erdos_test(h: ScalingFunction, dim: int, t0: float = _T0) -> Verdict:
+def dvoretzky_erdos_test(h: ScalingFunction, dim: int) -> Verdict:
     """Rear-front test for transient Brownian motion, dim >= 3.
 
-    Classifies int_1^inf t^-1 h(t)^(dim-2) dt for h decreasing to 0.
+    Classifies int_16^inf t^-1 h(t)^(dim-2) dt for h decreasing to 0.
     """
     if dim < 3:
         raise PreconditionError("dvoretzky-erdos test requires dim >= 3")
     if h.monotonicity != DECREASING:
         raise PreconditionError("dvoretzky-erdos test requires decreasing h")
-    return _classify_log(lambda t, log_t: (dim - 2) * h.log_value(t) - log_t, t0)
+    return _classify_log(lambda t, log_t: (dim - 2) * h.log_value(t) - log_t, _T0)
 
 
 def upper_rate_test(
@@ -364,13 +363,12 @@ def upper_rate_test(
     phi_candidate: RateCandidate,
     eps: float = 1.0,
     direction: str = ONE_PROB,
-    t0: float = _T0,
 ) -> Verdict:
     """Integral test behind the upper-rate zero-one law.
 
-    ONE_PROB classifies int t^-1 h(phi(t) / (2 rho(2(1+eps)t))) dt; a
+    ONE_PROB classifies int_16^inf t^-1 h(phi(t) / (2 rho(2(1+eps)t))) dt; a
     convergent verdict certifies the hypothesis that makes phi an upper
-    rate function.  ZERO_PROB classifies int t^-1 h(2 phi(4t) / rho(t)) dt;
+    rate function.  ZERO_PROB classifies int_16^inf t^-1 h(2 phi(4t) / rho(t)) dt;
     a divergent verdict certifies the zero-probability hypothesis.  The
     argument of h is taken in logs, log phi from ``log_rate``, so neither
     phi nor the argument is formed.
@@ -389,10 +387,10 @@ def upper_rate_test(
     def log_f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
         return h.ell(log_rate(phi_candidate, a * t) + sign * LOG2 - rho.log_value(b * t)) - log_t
 
-    return _classify_log(log_f, t0)
+    return _classify_log(log_f, _T0)
 
 
-def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = _T0) -> Verdict:
+def subcritical_lower_rate_test(model, g: ScalingFunction) -> Verdict:
     """Lower-rate test when volume grows strictly faster than the walk scale.
 
     With varphi(t) = phi^{-1}(t) g(t), classifies
@@ -404,7 +402,7 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = _T0) -> V
     functions with volume exponent d1 strictly above walk exponent d4.
     The integrand is taken in logs: with s_phi = log phi^-1(t) and s =
     s_phi + log g(t), log f = ell_V(s) - ell_phi(s) - ell_V(s_phi).  The
-    integral starts at the first t0 2^k where varphi(t) reaches phi's
+    integral starts at the first 16 2^k where varphi(t) reaches phi's
     domain floor.
     """
     V, phi = model.V, model.phi
@@ -418,7 +416,7 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = _T0) -> V
 
     log_floor = math.log(phi.domain_floor)
     start = _start(
-        t0, lambda t: log_inverse(phi, math.log(t)) + g.log_value(t) >= log_floor,
+        lambda t: log_inverse(phi, math.log(t)) + g.log_value(t) >= log_floor,
         "phi^-1(t) g(t) does not reach phi's domain",
     )
 
@@ -430,14 +428,14 @@ def subcritical_lower_rate_test(model, g: ScalingFunction, t0: float = _T0) -> V
     return _classify_log(log_f, start)
 
 
-def critical_lower_rate_test(g: ScalingFunction, t0: float = _T0) -> Verdict:
+def critical_lower_rate_test(g: ScalingFunction) -> Verdict:
     """Spitzer-type closest-approach test in the critical (recurrent) case.
 
-    Classifies int_1^inf dt / (t |log g(t)|) for g decreasing to 0, as log f
-    = -log t - log |log g(t)|.  Evaluated through log g directly, so g may
-    underflow to zero without corrupting the integrand.
+    Classifies int dt / (t |log g(t)|) for g decreasing to 0, from the
+    first 16 2^k where g(t) < 1, as log f = -log t - log |log g(t)|.
+    Evaluated through log g directly, so g may underflow to zero.
     """
     if g.monotonicity != DECREASING:
         raise PreconditionError("g must be nonincreasing")
-    start = _start(t0, lambda t: g.log_value(t) < -1e-12, "g does not drop below 1")
+    start = _start(lambda t: g.log_value(t) < -1e-12, "g does not drop below 1")
     return _classify_log(lambda t, log_t: -log_t - np.log(np.abs(g.log_value(t))), start)

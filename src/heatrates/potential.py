@@ -157,17 +157,18 @@ def hit_ball_from_distance(model: KernelModel, r: float, D: float) -> BoundPair:
     """Probability of ever entering B(x0, r) from a start at distance D >= r.
 
     lower ~ (V(r)/phi(r)) * phi(D+r)/V(D+r),
-    upper ~ (V(r)/phi(r)) * phi(D-r)/V(D-r); at D = r the upper argument is
-    clamped to the walk scale's domain floor (the lower side already uses
-    the 2r argument).
+    upper ~ (V(r)/phi(r)) * phi(D-r)/V(D-r); r must be at least the walk
+    scale's domain floor, and a D - r below it (D = r, say) is raised to it
+    for the upper argument (the lower side already uses D + r >= 2r).
     """
-    if not r > 0:  # false for NaN too
-        raise PreconditionError("radius must be positive")
+    floor = model.phi.domain_floor
+    if not r >= floor:  # false for NaN too
+        raise PreconditionError(f"hit-ball needs r >= phi's domain floor {floor:g}, got r = {r:g}")
     if not D >= r:
         raise PreconditionError("start distance must satisfy D >= r")
     _require_transient(model)
     log_cap = _log_cap_shape(model, math.log(r))
-    near = max(D - r, model.phi.domain_floor)
+    near = max(D - r, floor)
     lower = _exp(log_cap - _log_cap_shape(model, math.log(D + r)), "hit-ball", r=r, D=D)
     upper = _exp(log_cap - _log_cap_shape(model, math.log(near)), "hit-ball", r=r, D=D)
     return BoundPair(lower, upper, "hit-ball", UNIT)

@@ -65,8 +65,9 @@ class Envelope:
         # a NaN would pass every comparison below, and every grid check
         if not all(map(math.isfinite, (self.c_lo, self.d_lo, self.c_hi, self.d_hi))):
             raise ValueError("envelope constants and exponents must be finite")
-        if self.c_lo <= 0 or self.c_hi <= 0:
-            raise ValueError("envelope constants must be positive")
+        # f(R)/f(r) tends to 1 as R does to r, which no c_lo > 1 or c_hi < 1 brackets
+        if not 0 < self.c_lo <= 1 <= self.c_hi:
+            raise ValueError("envelope constants must satisfy 0 < c_lo <= 1 <= c_hi")
         if self.d_lo > self.d_hi:
             raise ValueError("envelope exponents must satisfy d_lo <= d_hi")
 

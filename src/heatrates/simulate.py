@@ -121,19 +121,18 @@ class UniformGrid(_Scheme):
 
 @dataclass(frozen=True)
 class DyadicBlocks(_Scheme):
-    """per_block equal steps inside each [base^n, base^(n+1)] block.
+    """per_block equal steps inside each dyadic block [2^n, 2^(n+1)].
 
     The warm-up interval [0, 1] gets per_block equal steps as well, so a
-    horizon of base^N yields roughly (N+1) * per_block grid points laid out
-    to match the dyadic-window structure of the block-event arguments.
+    horizon of 2^N, N >= 0, yields (N+1) * per_block + 1 grid points laid
+    out to match the dyadic-window structure of the block-event arguments.
     """
 
-    base: float = 2.0
     per_block: int = 256
 
     def __post_init__(self):
-        if not (self.base > 1 and self.per_block >= 1):  # false for NaN too
-            raise PreconditionError("base must exceed 1 and per_block be >= 1")
+        if not self.per_block >= 1:
+            raise PreconditionError("per_block must be >= 1")
 
     def times(self, horizon: float) -> np.ndarray:
         """The per-block linspace grids, joined and deduplicated.
@@ -146,15 +145,15 @@ class DyadicBlocks(_Scheme):
         if not 0 < horizon < math.inf:
             raise PreconditionError("horizon must be positive and finite")
         n = self.per_block
-        # the warm-up block and one per power of base below the horizon (to
+        # the warm-up block and one per power of 2 below the horizon (to
         # within one), n + 1 points each
-        blocks = 1 + max(0, math.ceil(math.log(horizon) / math.log(self.base)))
+        blocks = 1 + max(0, math.ceil(math.log2(horizon)))
         _check_size(self.label, blocks * (n + 1.0), horizon)
         los, his = [0.0], [min(1.0, horizon)]
         lo = 1.0
         while lo < horizon:
             los.append(lo)
-            lo *= self.base
+            lo *= 2.0
             his.append(min(lo, horizon))
         lo, hi = np.array(los), np.array(his)
         step = (hi - lo) / n
@@ -169,7 +168,7 @@ class DyadicBlocks(_Scheme):
 
     @cached_property
     def label(self) -> str:
-        return f"dyadic:{self.per_block}:{_id_float(self.base)}"
+        return f"dyadic:{self.per_block}"
 
 
 def _check_times(times: np.ndarray) -> None:
@@ -192,19 +191,18 @@ def _real(x, name: str) -> float:
 
 def scheme_from_id(spec: str):
     """Parse scheme ids as labels write them: "uniform:DT" or
-    "dyadic:PER_BLOCK[:BASE]" (PER_BLOCK 256 where empty, BASE 2 where left
-    out).  ValueError names a malformed id, or one its scheme rejects."""
+    "dyadic:PER_BLOCK" (blocks [2^n, 2^(n+1)]).  ValueError names a
+    malformed id, or one its scheme rejects."""
     head, _, tail = spec.partition(":")
     head, parts = head.strip().lower(), tail.split(":")
     try:
         if head == "uniform" and len(parts) == 1:
             return UniformGrid(dt=float(tail))
-        if head == "dyadic" and len(parts) <= 2:
-            per_block = int(parts[0]) if parts[0] else 256
-            return DyadicBlocks(base=float(parts[1]) if len(parts) > 1 else 2.0, per_block=per_block)
+        if head == "dyadic" and len(parts) == 1:
+            return DyadicBlocks(per_block=int(tail))
     except (ValueError, PreconditionError) as exc:
         raise ValueError(f"bad numeric arguments in scheme id {spec!r}") from exc
-    raise ValueError(f"not a scheme id: {spec!r} (uniform:DT or dyadic:PER_BLOCK[:BASE])")
+    raise ValueError(f"not a scheme id: {spec!r} (uniform:DT or dyadic:PER_BLOCK)")
 
 
 @dataclass(frozen=True)

@@ -290,10 +290,6 @@ class TestKolmogorov:
         with pytest.raises(PreconditionError):
             kolmogorov_test(sc.power(-1.0), 1)
 
-    def test_nan_t0_raises_up_front(self):
-        with pytest.raises(PreconditionError, match="t0"):
-            kolmogorov_test(sc.power(0.25), 3, t0=math.nan)
-
 
 class TestDvoretzkyErdos:
     def test_log_threshold(self):
@@ -306,10 +302,6 @@ class TestDvoretzkyErdos:
     def test_dimension_requirement(self):
         with pytest.raises(PreconditionError):
             dvoretzky_erdos_test(sc.power(-0.1), 2)
-
-    def test_infinite_t0_raises(self):
-        with pytest.raises(PreconditionError, match="t0"):
-            dvoretzky_erdos_test(sc.powerlog(0.0, -1.0), 3, t0=math.inf)
 
     def test_nan_log_integrand_raises_with_block(self):
         # a NaN value of h is an error named by its block, as in
@@ -426,11 +418,6 @@ class TestSubcriticalLowerRate:
         m = kn.from_id("jump:power:3;powerlog:1.5,0.9")
         assert subcritical_lower_rate_test(m, sc.from_id("powerlog:0,-1.67")).label == CONVERGENT
 
-    @pytest.mark.parametrize("t0", [0.0, math.nan, math.inf])
-    def test_nonfinite_or_nonpositive_t0_raises(self, t0):
-        with pytest.raises(PreconditionError, match="t0"):
-            subcritical_lower_rate_test(self._Model(), sc.powerlog(0.0, -1.0), t0)
-
     def test_radius_never_reaching_phis_domain_raises(self):
         class M:
             V = sc.power(3.0)
@@ -448,11 +435,6 @@ class TestCriticalLowerRate:
 
     def test_power_g(self):
         assert critical_lower_rate_test(sc.power(-1.0)).label == DIVERGENT
-
-    @pytest.mark.parametrize("t0", [0.0, math.nan, math.inf])
-    def test_nonfinite_or_nonpositive_t0_raises(self, t0):
-        with pytest.raises(PreconditionError, match="t0"):
-            critical_lower_rate_test(sc.power(-1.0), t0)
 
     def test_g_never_below_one_raises(self):
         with pytest.raises(PreconditionError, match="^g does not drop below 1 on any reachable scale$"):
@@ -473,7 +455,7 @@ class TestCriticalLowerRate:
 
 
 def _float_reference(name):
-    """Each named test's integrand as one float call per node, and its t0."""
+    """Each named test's run, and its integrand as one float call per node."""
     from heatrates import kernels as kn
 
     beta = 1.5
@@ -495,7 +477,7 @@ def _float_reference(name):
             x = g(t)
             return cut(-0.5 * x * x + dim * math.log(x) - math.log(t))
 
-        return (lambda: kolmogorov_test(g, dim)), f, 16.0
+        return (lambda: kolmogorov_test(g, dim)), f
 
     def upper(cand, direction):
         if direction == ONE_PROB:
@@ -503,7 +485,7 @@ def _float_reference(name):
         else:
             arg = lambda t: 2.0 * np.exp(sc.log_rate(cand, 4.0 * t)) / rho(t)
         f = lambda t: cut(h.log_value(arg(t)) - math.log(t))
-        return (lambda: upper_rate_test(h, rho, cand, 1.0, direction)), f, 16.0
+        return (lambda: upper_rate_test(h, rho, cand, 1.0, direction)), f
 
     def subcritical(t):
         phi_inv_t = sc.inverse(model.phi, t)
@@ -518,17 +500,15 @@ def _float_reference(name):
         "dvoretzky-erdos": (
             lambda: dvoretzky_erdos_test(de, 3),
             lambda t: cut(de.log_value(t) - math.log(t)),
-            16.0,
         ),
         "upper-subcritical": upper(sub, ONE_PROB),
         "upper-critical-zero": upper(crit, ZERO_PROB),
         "subcritical-lower": (
-            lambda: subcritical_lower_rate_test(model, g_sub), subcritical, 16.0,
+            lambda: subcritical_lower_rate_test(model, g_sub), subcritical,
         ),
         "critical-lower": (
             lambda: critical_lower_rate_test(g_crit),
             lambda t: 1.0 / (t * abs(g_crit.log_value(t))),
-            16.0,
         ),
     }
     return cases[name]
@@ -545,8 +525,8 @@ class TestNamedTestsOnArrays:
     def test_matches_float_integrand(self, name):
         # one array evaluation of the integrand gives the verdict, and the
         # blocks, of one float call per node
-        run, f, t0 = _float_reference(name)
-        got, want = run(), classify_tail_integral(f, t0)
+        run, f = _float_reference(name)
+        got, want = run(), classify_tail_integral(f)
         assert (got.label, got.reason, got.depth_used) == (want.label, want.reason, want.depth_used)
         np.testing.assert_allclose(got.block_sums, want.block_sums, rtol=1e-13, atol=0.0)
 

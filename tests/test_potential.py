@@ -20,6 +20,15 @@ def test_hit_ball_pair_in_order(spec):
             assert 0.0 <= pair.lower <= pair.upper
 
 
+@pytest.mark.parametrize(
+    "spec, r, D", [("stable:1.5,3", 1e-120, 3e-120), ("stable:1.5,3", 1e-7, 3e-7), ("stable:0.5,1", 1e-120, 1e-120)]
+)
+def test_hit_ball_radius_below_phis_floor_raises(spec, r, D):
+    # raising D - r to the floor would put the upper member below the lower
+    with pytest.raises(PreconditionError, match=re.escape(f"r >= phi's domain floor 1e-06, got r = {r:g}")):
+        pt.hit_ball_from_distance(kn.from_id(spec), r, D)
+
+
 def test_classification_is_per_model_not_per_id():
     # same id, different long-run behaviour: each model keeps its own verdict
     def model(dv):

@@ -217,10 +217,16 @@ class TestBroadcastEnvelope:
     )
     def test_check_matches_all_pairs(self, fn, d_lo, d_hi, c_lo, c_hi):
         # envelopes around the fitted exponents: some hold, some break at
-        # one end of the grid or at a kink, in either bound
+        # one end of the grid or at a kink, in either bound; a c_lo above 1
+        # or a c_hi below 1 brackets no f(R)/f(r) with R close to r
         ev, sign = fn
         fit = sc.fit_envelope(ev, 1e-6)
-        env = sc.Envelope(c_lo, fit.d_lo + min(d_lo, d_hi), c_hi, fit.d_hi + max(d_lo, d_hi))
+        args = (c_lo, fit.d_lo + min(d_lo, d_hi), c_hi, fit.d_hi + max(d_lo, d_hi))
+        if c_lo > 1 or c_hi < 1:
+            with pytest.raises(ValueError, match="c_lo <= 1 <= c_hi"):
+                sc.Envelope(*args)
+            return
+        env = sc.Envelope(*args)
         expected, margin = _all_pairs_check(ev, env, "probe")
         if margin > 1e-12:
             mono = sc.INCREASING if sign > 0 else sc.DECREASING
@@ -236,9 +242,15 @@ class TestBroadcastEnvelope:
          ("d_lo", 1.0, -1e-3), ("d_lo", 1.0, 1e-3), ("d_hi", 1.0, -1e-3), ("d_hi", 1.0, 1e-3)],
     )
     def test_presets_with_moved_envelopes(self, spec, field, scale, shift):
-        # a preset's own envelope with one constant or exponent moved
+        # a preset's own envelope with one constant or exponent moved; a
+        # c_lo moved above 1 or a c_hi below 1 is refused outright
         f = sc.from_id(spec)
-        env = dataclasses.replace(f.envelope, **{field: getattr(f.envelope, field) * scale + shift})
+        moved = {field: getattr(f.envelope, field) * scale + shift}
+        if moved.get("c_lo", 1.0) > 1 or moved.get("c_hi", 1.0) < 1:
+            with pytest.raises(ValueError, match="c_lo <= 1 <= c_hi"):
+                dataclasses.replace(f.envelope, **moved)
+            return
+        env = dataclasses.replace(f.envelope, **moved)
         expected, margin = _all_pairs_check(f.evaluator, env, "probe", f.domain_floor)
         assert margin > 1e-12
         got = _construction_message(f.evaluator, env, "probe", f.domain_floor, f.monotonicity)
@@ -248,13 +260,17 @@ class TestBroadcastEnvelope:
     @pytest.mark.parametrize("side", ["lo", "hi"])
     @pytest.mark.parametrize("nudge, holds", [(-1e-11, True), (1e-11, False)])
     def test_slack_is_grid_rtol(self, side, nudge, holds):
-        # r**2 against its own exponents, with a constant 1e-11 inside (the
-        # envelope holds) or outside (it breaks) the one the GRID_RTOL slack allows
+        # r**2 against exponents half a unit above (lo) or below (hi) its
+        # own, whose tightest constant, at the grid's widest pair, is span**-0.5
+        # or span**0.5; with that constant 1e-11 inside (the envelope holds) or
+        # outside (it breaks) the one the GRID_RTOL slack allows
         ev = lambda r: r**2
+        g = sc.log_grid(1e-6, 1e-6 * 10.0**sc.GRID_DECADES)
+        span = g[-1] / g[0]
         if side == "lo":
-            env = sc.Envelope(1.0 / (1 - sc.GRID_RTOL) * (1 + nudge), 2.0, 1.0, 2.0)
+            env = sc.Envelope(span**-0.5 / (1 - sc.GRID_RTOL) * (1 + nudge), 2.5, 1.0, 2.5)
         else:
-            env = sc.Envelope(1.0, 2.0, 1.0 / (1 + sc.GRID_RTOL) * (1 - nudge), 2.0)
+            env = sc.Envelope(1.0, 1.5, span**0.5 / (1 + sc.GRID_RTOL) * (1 - nudge), 1.5)
         expected, margin = _all_pairs_check(ev, env, "probe")
         assert margin > 1e-12 and (expected is None) == holds
         assert _construction_message(ev, env, "probe") == expected

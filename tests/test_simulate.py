@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -44,7 +44,7 @@ class TestGrids:
         assert np.allclose(np.diff(ts), 0.25)
 
     def test_dyadic_blocks(self):
-        g = sim.DyadicBlocks(base=2.0, per_block=4)
+        g = sim.DyadicBlocks(per_block=4)
         ts = g.times(8.0)
         # blocks [0,1], [1,2], [2,4], [4,8] with 4 steps each
         assert ts[0] == 0.0 and ts[-1] == 8.0
@@ -58,12 +58,11 @@ class TestGrids:
         pieces = [np.linspace(0.0, min(1.0, horizon), g.per_block + 1)]
         lo = 1.0
         while lo < horizon:
-            hi = min(lo * g.base, horizon)
+            hi = min(lo * 2.0, horizon)
             pieces.append(np.linspace(lo, hi, g.per_block + 1)[1:])
-            lo *= g.base
+            lo *= 2.0
         return np.unique(np.concatenate(pieces))
 
-    @pytest.mark.parametrize("base", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("per_block", [1, 7, 64])
     @pytest.mark.parametrize(
         "horizon",
@@ -72,8 +71,8 @@ class TestGrids:
          # step underflows (linspace's denormal rule)
          1 + 2.3e-16, 2 + 1e-14, 5e-324, 1e-322],
     )
-    def test_dyadic_matches_linspace_unique(self, base, per_block, horizon):
-        g = sim.DyadicBlocks(base=base, per_block=per_block)
+    def test_dyadic_matches_linspace_unique(self, per_block, horizon):
+        g = sim.DyadicBlocks(per_block=per_block)
         ts = g.times(horizon)
         ref = self._linspace_unique(g, horizon)
         assert ts.shape == ref.shape and np.array_equal(ts, ref)
@@ -99,10 +98,6 @@ class TestGrids:
     def test_non_finite_dt(self, dt):
         with pytest.raises(PreconditionError):
             sim.UniformGrid(dt).times(1.0)
-
-    def test_nan_base(self):
-        with pytest.raises(PreconditionError):
-            sim.DyadicBlocks(base=math.nan).times(4.0)
 
     @pytest.mark.parametrize(
         "scheme, horizon, count",
@@ -130,10 +125,7 @@ class TestGrids:
 
     def test_scheme_ids(self):
         assert isinstance(sim.scheme_from_id("uniform:0.5"), sim.UniformGrid)
-        d = sim.scheme_from_id("dyadic:128")
-        assert d.per_block == 128 and d.base == 2.0
-        d3 = sim.scheme_from_id("dyadic:64:3")
-        assert d3.base == 3.0
+        assert sim.scheme_from_id("dyadic:128") == sim.DyadicBlocks(per_block=128)
 
 
 class TestGridCache:
@@ -268,7 +260,7 @@ class TestGridCache:
         with pytest.raises(PreconditionError):
             sim.DyadicBlocks(per_block=64).grid(bad)
 
-    @pytest.mark.parametrize("spec, label", [("dyadic:64", "dyadic:64:2"), ("uniform:0.25",) * 2])
+    @pytest.mark.parametrize("spec, label", [("dyadic:64",) * 2, ("dyadic:256",) * 2, ("uniform:0.25",) * 2])
     def test_label_is_kept_and_not_part_of_equality(self, spec, label):
         used, unused = sim.scheme_from_id(spec), sim.scheme_from_id(spec)
         assert used.label == label and used.label is used.label
@@ -278,24 +270,24 @@ class TestGridCache:
 
 class TestSchemeIds:
     def test_dyadic_label_is_its_id(self):
-        # written in the order the id grammar reads: PER_BLOCK, then BASE
-        scheme = sim.DyadicBlocks(base=3.0, per_block=64)
-        assert scheme.label == "dyadic:64:3"
+        scheme = sim.DyadicBlocks(per_block=64)
+        assert scheme.label == "dyadic:64"
         assert sim.scheme_from_id(scheme.label) == scheme
 
     @pytest.mark.parametrize("spec", [
         "dyadic:64:3:1", "dyadic:2.5", "dyadic:64:x", "uniform:x", "uniform", "uniform:0.25:1", "brownian:1",
-        "uniform:-1", "dyadic:0", "dyadic:64:nan",
+        "uniform:-1", "dyadic:0", "dyadic:64:nan", "dyadic:64:2", "dyadic:",
     ])
     def test_malformed_ids_raise_naming_the_id(self, spec):
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             sim.scheme_from_id(spec)
 
     @settings(max_examples=50, deadline=None, database=None, derandomize=True)
-    @given(base=st.floats(min_value=1.0, exclude_min=True), per_block=st.integers(1, 10**6),
-           dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-    def test_labels_rebuild_their_schemes(self, base, per_block, dt):
-        for scheme in (sim.DyadicBlocks(base=base, per_block=per_block), sim.UniformGrid(dt=dt)):
+    @given(per_block=st.integers(1, 10**6), dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(per_block=64, dt=0.25)  # the benchmark's schemes
+    @example(per_block=256, dt=0.25)
+    def test_labels_rebuild_their_schemes(self, per_block, dt):
+        for scheme in (sim.DyadicBlocks(per_block=per_block), sim.UniformGrid(dt=dt)):
             again = sim.scheme_from_id(scheme.label)
             assert again == scheme and again.label == scheme.label
 
@@ -356,15 +348,15 @@ class TestDeterminism:
         assert np.array_equal(b.standard_normal(100), first)
 
     # SHA-256 of the little-endian positions, recorded before the grid,
-    # cumsum and sampler rewrites; any change to a draw or to the float
-    # operations on it shows up here
+    # cumsum and sampler rewrites (the stable:1.5,1 row after them); any
+    # change to a draw or to the float operations on it shows up here
     GOLDEN = [
         ("gaussian:3", "dyadic:64", 64.0, 20150826, 7, [3.0, 0.0, 0.0], 449,
          "ff5cb0773166a2b2d8c9a5bc1a3cfdb25ec164d31e45b9cf854a1cd1109b8a81"),
         ("stable:1.5,3", "dyadic:64", 64.0, 20150826, 7, [3.0, 0.0, 0.0], 449,
          "c417f3adf5e165d2e4cfb2e0275b98603d969e086916ae75ed89df2be4ea4d2e"),
-        ("stable:1.5,1", "dyadic:32:3", 100.0, 4101, 0, None, 193,
-         "5fdf1eda003306dc7cd675fd4b14555c4770d72a41554557791d5e3bd4120079"),
+        ("stable:1.5,1", "dyadic:32", 100.0, 4101, 0, None, 257,
+         "2d5b8414a6aafa8623df2dd99a871862933ea735ee31212f7252e179e550ee40"),
         ("cauchy1d", "uniform:0.25", 16.0, 2**63 + 5, 2**40, [4.0], 65,
          "048c6467f8134a1cc4de9d85711b729c9109b881d08bd4d381e8ff0558947d80"),
     ]
