@@ -53,16 +53,19 @@ class TestGrids:
         assert len(ts) == 4 * 4 + 1
 
     @staticmethod
-    def _linspace_unique(g, horizon):
-        """The grid as per-block np.linspace calls joined by np.unique."""
+    def _linspace_unique(g, horizon, base):
+        """The grid as per-block np.linspace calls joined by np.unique, the
+        block ends being the powers of ``base``."""
         pieces = [np.linspace(0.0, min(1.0, horizon), g.per_block + 1)]
         lo = 1.0
         while lo < horizon:
-            hi = min(lo * 2.0, horizon)
+            hi = min(lo * base, horizon)
             pieces.append(np.linspace(lo, hi, g.per_block + 1)[1:])
-            lo *= 2.0
+            lo *= base
         return np.unique(np.concatenate(pieces))
 
+    # the blocks are [2^n, 2^(n+1)]; base names the ratio the reference uses
+    @pytest.mark.parametrize("base", [2.0])
     @pytest.mark.parametrize("per_block", [1, 7, 64])
     @pytest.mark.parametrize(
         "horizon",
@@ -71,10 +74,10 @@ class TestGrids:
          # step underflows (linspace's denormal rule)
          1 + 2.3e-16, 2 + 1e-14, 5e-324, 1e-322],
     )
-    def test_dyadic_matches_linspace_unique(self, per_block, horizon):
+    def test_dyadic_matches_linspace_unique(self, base, per_block, horizon):
         g = sim.DyadicBlocks(per_block=per_block)
         ts = g.times(horizon)
-        ref = self._linspace_unique(g, horizon)
+        ref = self._linspace_unique(g, horizon, base)
         assert ts.shape == ref.shape and np.array_equal(ts, ref)
         assert ts[0] == 0.0 and ts[-1] == horizon and np.all(ts[1:] > ts[:-1])
 
